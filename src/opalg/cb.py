@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (MEMBER_TOL, AlgebraSpan, Ambient, hs_orthonormalize,
-                     operator_norm, support_isometry)
+from .linalg import (MEMBER_TOL, AlgebraSpan, Ambient, NotInSpan,
+                     hs_orthonormalize, operator_norm, support_isometry)
 
 FEAS_TOL = 1e-7
 FALSIFIER_MARGIN = 1e-6
 MAX_ITER = 50000
-RESTARTS = 32
 
 CC = "CompletelyContractive"
 NOT_CC = "NotCC"
@@ -62,23 +61,10 @@ class LinearMap:
         return AlgebraSpan(self.cod,
                            hs_orthonormalize(list(self.images)), **flags)
 
-    def restrict(self, span):
-        return LinearMap(dom=span, cod=self.cod,
-                         images=np.array([self(b) for b in span.basis]))
-
     def compose(self, other):
         """self after other."""
         return LinearMap(dom=other.dom, cod=self.cod,
                          images=np.array([self(img) for img in other.images]))
-
-    def min_singular_value(self):
-        flat = self.images.reshape(self.dom.dim, -1)
-        if flat.size == 0 or flat.shape[1] < flat.shape[0]:
-            # fewer codomain coordinates than domain dimensions: the kernel
-            # is nonzero and svd would not report the vanishing values
-            return 0.0
-        s = np.linalg.svd(flat, compute_uv=False)
-        return float(s[-1])
 
     def is_injective(self, tol=MEMBER_TOL):
         if self.dom.dim == 0:
@@ -92,20 +78,28 @@ class LinearMap:
     def kernel_element(self):
         """A unit-HS-norm domain element annihilated (up to numerics)."""
         flat = self.images.reshape(self.dom.dim, -1)
-        _, _, vh = np.linalg.svd(np.conj(flat.T), full_matrices=True)
-        c = vh[-1].conj()
-        return self.dom.from_coeffs(c)
+        # c @ flat = flat.T @ c is smallest for the last right singular
+        # vector of flat.T
+        _, _, vh = np.linalg.svd(flat.T, full_matrices=True)
+        return self.dom.from_coeffs(vh[-1].conj())
 
     def inverse_on_image(self):
         """Inverse map defined on the orthonormalized image span."""
-        span = self.image_span()
-        flat = self.images.reshape(self.dom.dim, -1)
-        inv_images = []
-        for b in span.basis:
-            c, *_ = np.linalg.lstsq(flat.T, b.ravel(), rcond=None)
-            inv_images.append(np.tensordot(c, self.dom.basis, axes=(0, 0)))
-        return LinearMap(dom=span, cod=self.dom.ambient,
-                         images=np.array(inv_images))
+        return map_from_generators(self.image_span(), self.images,
+                                   self.dom.basis, self.dom.ambient)
+
+
+def map_from_generators(dom_span, gen_mats, gen_images, cod):
+    """Linear map on dom_span determined by the images of a (possibly
+    non-orthonormal or redundant) family spanning it: each basis element is
+    expanded over the family by least squares."""
+    flat = np.array([np.ravel(m) for m in gen_mats])
+    gen_images = np.asarray(gen_images)
+    imgs = []
+    for b in dom_span.basis:
+        c, *_ = np.linalg.lstsq(flat.T, b.ravel(), rcond=None)
+        imgs.append(np.tensordot(c, gen_images, axes=(0, 0)))
+    return LinearMap(dom=dom_span, cod=cod, images=np.array(imgs))
 
 
 @dataclass
@@ -119,22 +113,43 @@ class CbReport:
         return self.verdict != INCONCLUSIVE
 
 
-def homomorphism_check(phi, algebra=None, unital=True, tol=MEMBER_TOL):
-    """True when phi is multiplicative on the given algebra span (default:
-    its whole domain), and unit-preserving if requested."""
-    A = algebra if algebra is not None else phi.dom
-    imgs = [phi(b) for b in A.basis]
-    for a, fa in zip(A.basis, imgs):
-        for b, fb in zip(A.basis, imgs):
+def homomorphism_check(phi, unital=True, tol=MEMBER_TOL):
+    """True when phi is multiplicative on its domain, and unit-preserving
+    if requested.  A product that leaves the domain counts as a failure."""
+    basis = phi.dom.basis
+    imgs = [phi(b) for b in basis]
+    for a, fa in zip(basis, imgs):
+        for b, fb in zip(basis, imgs):
             try:
                 if np.linalg.norm(phi(a @ b) - fa @ fb) > tol * 10:
                     return False
-            except Exception:
+            except NotInSpan:
                 return False
-    if unital:
-        if np.linalg.norm(phi(A.ambient.identity()) - phi.cod.identity()) > tol * 10:
-            return False
-    return True
+    return not unital or _unit_preserved(phi, tol)
+
+
+def _unit_preserved(phi, tol):
+    return np.linalg.norm(phi(phi.dom.ambient.identity())
+                          - phi.cod.identity()) <= tol * 10
+
+
+def star_hom_violations(phi, onto, tol=MEMBER_TOL):
+    """Violated properties of phi as a *-homomorphism onto the span `onto`
+    (empty when it is one).  Unit preservation is checked when the domain
+    is flagged unital, adjoint preservation when it is self-adjoint."""
+    bad = []
+    if not homomorphism_check(phi, unital=False, tol=tol):
+        bad.append("not multiplicative")
+    if phi.dom.unital and not _unit_preserved(phi, tol):
+        bad.append("not unit-preserving")
+    if phi.dom.self_adjoint and any(
+            np.linalg.norm(phi(b.conj().T) - phi(b).conj().T) > 10 * tol
+            for b in phi.dom.basis):
+        bad.append("not adjoint-preserving")
+    img = phi.image_span()
+    if img.dim != onto.dim or not onto.contains_span(img, tol):
+        bad.append("not onto the target")
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +293,7 @@ def _amplified(coeffs, mats, k, sz):
 
 
 def falsifier_search(phi, level=None, margin=FALSIFIER_MARGIN, seed=0,
-                     restarts=None, iters=40):
+                     restarts=32, iters=40):
     """Alternating-ascent search for a matrix-level counterexample to
     complete contractivity.
 
@@ -286,8 +301,6 @@ def falsifier_search(phi, level=None, margin=FALSIFIER_MARGIN, seed=0,
     offending element in the original domain coordinates together with both
     operator norms; it re-verifies by recomputing them.
     """
-    if restarts is None:
-        restarts = RESTARTS
     S, imgs, N, n, Vd, _ = _compressed_problem(phi)
     if not S:
         return 0.0, None
@@ -365,26 +378,23 @@ def verify_falsifier(phi, cert, tol=1e-9):
 # verdicts
 
 
-def cc_check(phi, tol=FEAS_TOL, margin=FALSIFIER_MARGIN, seed=0,
-             max_iter=None, restarts=None):
+def cc_check(phi):
     """Decide complete contractivity of phi.  Falsifier search runs first
     (cheap); on failure the feasibility oracle looks for a UCP-extension
     certificate."""
     if phi.dom.dim == 0:
         return CbReport(CC, None, {"trivial": "zero-dimensional domain"})
-    ratio, cert = falsifier_search(phi, margin=margin, seed=seed,
-                                   restarts=restarts)
+    ratio, cert = falsifier_search(phi)
     if cert is not None:
         return CbReport(NOT_CC, cert, {"best_ratio": ratio})
-    choi, diag = choi_feasibility(phi, tol=tol, max_iter=max_iter)
+    choi, diag = choi_feasibility(phi)
     diag["best_ratio"] = ratio
     if choi is not None:
         return CbReport(CC, choi, diag)
     return CbReport(INCONCLUSIVE, None, diag)
 
 
-def ci_check(phi, tol=FEAS_TOL, margin=FALSIFIER_MARGIN, seed=0,
-             max_iter=None, restarts=None):
+def ci_check(phi):
     """Decide complete isometry: injectivity plus complete contractivity of
     the map and of its inverse on the image."""
     if phi.dom.dim == 0:
@@ -394,15 +404,13 @@ def ci_check(phi, tol=FEAS_TOL, margin=FALSIFIER_MARGIN, seed=0,
         nx = operator_norm(x)
         cert = {"type": "falsifier", "level": 1, "x": x, "norm_x": nx,
                 "norm_image": operator_norm(phi(x)),
-                "margin": margin, "direction": "kernel"}
+                "margin": FALSIFIER_MARGIN, "direction": "kernel"}
         return CbReport(NOT_CI, cert, {"reason": "not injective"})
-    fwd = cc_check(phi, tol=tol, margin=margin, seed=seed,
-                   max_iter=max_iter, restarts=restarts)
+    fwd = cc_check(phi)
     if fwd.verdict == NOT_CC:
         return CbReport(NOT_CI, fwd.certificate, fwd.diagnostics)
     inv = phi.inverse_on_image()
-    bwd = cc_check(inv, tol=tol, margin=margin, seed=seed,
-                   max_iter=max_iter, restarts=restarts)
+    bwd = cc_check(inv)
     if bwd.verdict == NOT_CC:
         d = dict(bwd.diagnostics)
         d["direction"] = "inverse"

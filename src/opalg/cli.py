@@ -12,7 +12,7 @@ import sys
 
 import click
 
-from . import __version__, cb, linalg
+from . import __version__, cb
 from .cb import Undecided
 from .scenario import ScenarioError, load_scenario, run_check, run_scenario
 from .serialize import dumps
@@ -28,19 +28,15 @@ def _common(fn):
                       help="seed for randomized searches")(fn)
     fn = click.option("--max-iter", type=int, default=None,
                       help="iteration cap for the feasibility solver")(fn)
-    fn = click.option("--max-words", type=int, default=None,
-                      help="cap on algebra-generation sweeps")(fn)
     fn = click.option("--format", "fmt",
                       type=click.Choice(["json", "text"]), default="json",
                       show_default=True, help="report rendering")(fn)
     return fn
 
 
-def _apply_budgets(max_iter, max_words):
+def _apply_budgets(max_iter):
     if max_iter is not None:
         cb.MAX_ITER = max_iter
-    if max_words is not None:
-        linalg.MAX_WORD_ROUNDS = max_words
 
 
 def _render(report, fmt):
@@ -65,8 +61,8 @@ def _exit_code(report):
     return EXIT_PASS if report.get("all_pass") else EXIT_FAIL
 
 
-def _single(scenario, check, tol, seed, max_iter, max_words, fmt):
-    _apply_budgets(max_iter, max_words)
+def _single(scenario, check, tol, seed, max_iter, fmt):
+    _apply_budgets(max_iter)
     try:
         sc = load_scenario(scenario, tol=tol, seed=seed)
         entry = run_check(sc, check)
@@ -94,9 +90,9 @@ def main():
 @main.command("run")
 @click.argument("scenario", type=click.Path(exists=True))
 @_common
-def run_cmd(scenario, tol, seed, max_iter, max_words, fmt):
+def run_cmd(scenario, tol, seed, max_iter, fmt):
     """Run every check listed in a scenario file."""
-    _apply_budgets(max_iter, max_words)
+    _apply_budgets(max_iter)
     try:
         report = run_scenario(scenario, tol=tol, seed=seed)
     except ScenarioError as exc:
@@ -114,12 +110,12 @@ def _named_command(op, params):
 
     @click.argument("scenario", type=click.Path(exists=True))
     @_common
-    def cmd(scenario, tol, seed, max_iter, max_words, fmt, **kwargs):
+    def cmd(scenario, tol, seed, max_iter, fmt, **kwargs):
         check = {"op": op}
         for key, value in kwargs.items():
             if value is not None:
                 check[key] = value
-        _single(scenario, check, tol, seed, max_iter, max_words, fmt)
+        _single(scenario, check, tol, seed, max_iter, fmt)
 
     for name, required, help_ in reversed(params):
         cmd = click.option(f"--{name}", required=required, help=help_)(cmd)
@@ -156,11 +152,11 @@ main.command("partial")(_named_command(
 @click.option("--covers", required=True,
               help="comma-separated cover names")
 @_common
-def join_cmd(scenario, covers, tol, seed, max_iter, max_words, fmt):
+def join_cmd(scenario, covers, tol, seed, max_iter, fmt):
     """Join of named covers."""
     names = [c.strip() for c in covers.split(",") if c.strip()]
     _single(scenario, {"op": "join", "covers": names},
-            tol, seed, max_iter, max_words, fmt)
+            tol, seed, max_iter, fmt)
 
 
 @main.command("meet")
@@ -168,18 +164,18 @@ def join_cmd(scenario, covers, tol, seed, max_iter, max_words, fmt):
 @click.option("--covers", required=True,
               help="comma-separated pair of cover names")
 @_common
-def meet_cmd(scenario, covers, tol, seed, max_iter, max_words, fmt):
+def meet_cmd(scenario, covers, tol, seed, max_iter, fmt):
     """Meet of two named covers."""
     names = [c.strip() for c in covers.split(",") if c.strip()]
     _single(scenario, {"op": "meet", "covers": names},
-            tol, seed, max_iter, max_words, fmt)
+            tol, seed, max_iter, fmt)
 
 
 @main.command("paper-suite")
 @_common
-def paper_suite_cmd(tol, seed, max_iter, max_words, fmt):
+def paper_suite_cmd(tol, seed, max_iter, fmt):
     """Run the golden example corpus."""
-    _apply_budgets(max_iter, max_words)
+    _apply_budgets(max_iter)
     report = paper_suite(seed=seed, tol=tol)
     if fmt == "json":
         click.echo(report["verdict_text"])

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cb import (CI, INCONCLUSIVE, LinearMap, Undecided, ci_check,
-                 homomorphism_check, require_decisive)
+                 homomorphism_check, map_from_generators, require_decisive,
+                 star_hom_violations)
 from .linalg import (MEMBER_TOL, AlgebraSpan, compress_span,
                      generate_algebra, generate_ideal, hs_orthonormalize,
-                     orthonormal_span)
+                     null_space, orthonormal_span)
 from .structure import blocks_of_ideal, corner_quotient, \
     minimal_central_projections
 
@@ -185,11 +186,8 @@ def graph_obstruction(amb1, amb2, G):
     if firsts.size == 0:
         return orthonormal_span(amb2, [])
     # combinations of the graph basis whose first components cancel
-    u2, s2, _ = np.linalg.svd(firsts, full_matrices=True)
-    cutoff = 1e-9 * max(1.0, float(s2[0]) if len(s2) else 1.0)
-    rank2 = int(np.sum(s2 > cutoff))
-    null = u2[:, rank2:].T.conj()
-    mats = [np.tensordot(c, G.basis, axes=(0, 0))[N1:, N1:] for c in null]
+    mats = [np.tensordot(c, G.basis, axes=(0, 0))[N1:, N1:]
+            for c in null_space(firsts, left=True)]
     return orthonormal_span(amb2, [m for m in mats
                                    if np.linalg.norm(m) > 1e-9])
 
@@ -198,12 +196,8 @@ def graph_function(amb1, amb2, G, dom_span):
     """Read the graph G as a linear map dom_span -> amb2 (assumes the
     obstruction space is zero)."""
     N1 = amb1.dim
-    firsts = np.array([b[:N1, :N1].ravel() for b in G.basis])
-    images = []
-    for b in dom_span.basis:
-        c, *_ = np.linalg.lstsq(firsts.T, b.ravel(), rcond=None)
-        images.append(np.tensordot(c, G.basis, axes=(0, 0))[N1:, N1:])
-    return LinearMap(dom=dom_span, cod=amb2, images=np.array(images))
+    return map_from_generators(dom_span, G.basis[:, :N1, :N1],
+                               G.basis[:, N1:, N1:], amb2)
 
 
 def induced_morphism(upper, lower, tol=MEMBER_TOL):
@@ -242,18 +236,9 @@ def _swap_graph(G, amb1, amb2):
 
 
 def verify_morphism(m, tol=MEMBER_TOL):
-    """Invariant re-check: *-homomorphism, surjective, intertwines."""
-    bad = []
+    """Invariant re-check: *-homomorphism onto the target, intertwines."""
     pi = m.pi
-    if not homomorphism_check(pi, unital=True, tol=tol):
-        bad.append("not a unital homomorphism")
-    for b in m.source.C.basis:
-        if np.linalg.norm(pi(b.conj().T) - pi(b).conj().T) > 10 * tol:
-            bad.append("not adjoint-preserving")
-            break
-    img = pi.image_span()
-    if img.dim != m.target.C.dim or not m.target.C.contains_span(img, tol):
-        bad.append("not surjective onto the target C*-algebra")
+    bad = star_hom_violations(pi, m.target.C, tol)
     for a, want in zip(m.source.A.span.basis, m.target.j.images):
         if np.linalg.norm(pi(m.source.j(a)) - want) > 10 * tol:
             bad.append("does not intertwine the embeddings")
@@ -297,7 +282,6 @@ def join(*covers, name=None):
         return out
     c1, c2 = covers
     amb = c1.ambient.direct_sum(c2.ambient)
-    N1 = c1.ambient.dim
     imgs = []
     for x, y in zip(c1.j.images, c2.j.images):
         imgs.append(_pair_sum(c1.ambient, c2.ambient, x, y))
@@ -327,14 +311,20 @@ def meet(c1, c2, name=None):
 def quotient_cover(cover, S, name="quotient", verify=True):
     """Cover obtained by quotienting C by the block ideal z_S C, realized on
     the complementary corner and compressed onto its support."""
+    qj = _quotient_embedding(cover, S)
+    return make_cover(cover.A, qj.cod, list(qj.images), name=name,
+                      verify=verify)
+
+
+def _quotient_embedding(cover, S):
+    """q . j, where q is the quotient of C by the block ideal z_S C on the
+    complementary corner, compressed onto that corner's support."""
     corner, q = corner_quotient(cover.C, S)
     comp, V = compress_span(corner, tol=1e-9)
     if V is not None:
         q = LinearMap(dom=cover.C, cod=comp.ambient,
                       images=np.array([V.conj().T @ m @ V for m in q.images]))
-    new_j = q.compose(cover.j)
-    return make_cover(cover.A, q.cod, list(new_j.images), name=name,
-                      verify=verify)
+    return q.compose(cover.j)
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +341,7 @@ def is_boundary(cover, S, tol=MEMBER_TOL):
     bs = cover.structure()
     if S == frozenset(range(bs.num_blocks)):
         return False
-    corner, q = corner_quotient(cover.C, S)
-    comp, V = compress_span(corner, tol=1e-9)
-    if V is not None:
-        q = LinearMap(dom=cover.C, cod=comp.ambient,
-                      images=np.array([V.conj().T @ m @ V for m in q.images]))
-    qj = q.compose(cover.j)
+    qj = _quotient_embedding(cover, S)
     rep = require_decisive(ci_check(qj), "boundary-ideal test")
     return rep.verdict == CI
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cb import CI, LinearMap, ci_check, homomorphism_check, require_decisive
+from .cb import (CI, LinearMap, ci_check, map_from_generators,
+                 require_decisive, star_hom_violations)
 from .covers import CoverError, CstarCover, envelope, make_cover
 from .dynamics import (ADMISSIBLE, DynamicalSystem, admissible,
                        trivial_system)
@@ -159,17 +160,6 @@ def full_crossed(ds, tol=MEMBER_TOL):
     return relative_crossed(ds, env, tol=tol)
 
 
-def map_from_generators(dom_span, gen_mats, gen_images, cod):
-    """Linear map on dom_span determined by images of a (possibly
-    non-orthonormal) generating family spanning it."""
-    flat = np.array([m.ravel() for m in gen_mats])
-    imgs = []
-    for b in dom_span.basis:
-        c, *_ = np.linalg.lstsq(flat.T, b.ravel(), rcond=None)
-        imgs.append(np.tensordot(c, np.array(gen_images), axes=(0, 0)))
-    return LinearMap(dom=dom_span, cod=cod, images=np.array(imgs))
-
-
 def trivialization_iso(ds, cover, inner_report, tol=MEMBER_TOL):
     """The isomorphism A x_alpha G -> A x_iota G, f(s) -> f(s) U~_s, for a
     system that is inner in itself with exactly-multiplicative unitaries.
@@ -190,12 +180,9 @@ def trivialization_iso(ds, cover, inner_report, tol=MEMBER_TOL):
             gen_imgs.append(cp_i.hat(cover.j(a @ us[s])) @ cp_i.lambdas[s])
     phi = map_from_generators(cp_a.subalgebra, gen_mats, gen_imgs,
                               cp_i.ambient)
-    if not homomorphism_check(phi, unital=True, tol=tol):
-        raise CoverError("trivialization map is not a homomorphism")
-    img = phi.image_span()
-    if img.dim != cp_i.subalgebra.dim \
-            or not cp_i.subalgebra.contains_span(img, tol):
-        raise CoverError("trivialization map is not onto")
+    bad = star_hom_violations(phi, cp_i.subalgebra, tol)
+    if bad:
+        raise CoverError("trivialization map is " + "; ".join(bad))
     rep = require_decisive(ci_check(phi), "trivialization isomorphism")
     if rep.verdict != CI:
         raise CoverError("trivialization map is not completely isometric")
@@ -219,11 +206,7 @@ def crossed_equivalent(cp1, cp2, tol=MEMBER_TOL):
             gen_imgs.append(cp2.generator(i, s))
     phi = map_from_generators(cp1.subalgebra, gen_mats, gen_imgs,
                               cp2.ambient)
-    if not homomorphism_check(phi, unital=True, tol=tol):
-        return False
-    img = phi.image_span()
-    if img.dim != cp2.subalgebra.dim \
-            or not cp2.subalgebra.contains_span(img, tol):
+    if star_hom_violations(phi, cp2.subalgebra, tol):
         return False
     rep = require_decisive(ci_check(phi), "crossed-product comparison")
     return rep.verdict == CI

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cb import CI, LinearMap, ci_check, homomorphism_check, require_decisive
+from .cb import CI, LinearMap, ci_check, require_decisive, star_hom_violations
 from .covers import (graph_closure, graph_function, graph_obstruction,
                      normalize_witness)
-from .linalg import MEMBER_TOL, diagonal
+from .linalg import MEMBER_TOL, diagonal, intertwiner_space
 
 ADMISSIBLE = "Admissible"
 NOT_ADMISSIBLE = "NotAdmissible"
@@ -146,20 +146,12 @@ def make_system(A, G, actions, verify=True, tol=MEMBER_TOL):
             if np.linalg.norm(maps[e](b) - b) > 10 * tol:
                 raise SystemError_("identity element does not act trivially")
         for s, m in enumerate(maps):
-            img = m.image_span()
-            if img.dim != span.dim or not span.contains_span(img, tol):
-                raise SystemError_(f"alpha_{s} does not map A onto A")
-            if not homomorphism_check(m, unital=True, tol=tol):
-                raise SystemError_(f"alpha_{s} is not a unital homomorphism")
-        for s in range(G.order):
-            for t in range(G.order):
-                st = G.mul(s, t)
-                for b in span.basis:
-                    if np.linalg.norm(maps[s](maps[t](b))
-                                      - maps[st](b)) > 10 * tol:
-                        raise SystemError_(
-                            f"group law fails: alpha_{s} alpha_{t} != "
-                            f"alpha_{st}")
+            bad = star_hom_violations(m, span, tol)
+            if bad:
+                raise SystemError_(f"alpha_{s} " + "; ".join(bad))
+        bad = group_law_violations(G, maps, span, "alpha", tol)
+        if bad:
+            raise SystemError_("; ".join(bad))
         for s, m in enumerate(maps):
             if s == G.identity:
                 continue
@@ -168,6 +160,20 @@ def make_system(A, G, actions, verify=True, tol=MEMBER_TOL):
                 raise SystemError_(
                     f"alpha_{s} is not completely isometric")
     return DynamicalSystem(A=A, G=G, alpha=maps)
+
+
+def group_law_violations(G, maps, span, name, tol=MEMBER_TOL):
+    """Pairs (s, t) at which maps[s] . maps[t] != maps[st] on span's
+    basis, as messages naming the maps `name`_s."""
+    bad = []
+    for s in range(G.order):
+        for t in range(G.order):
+            st = G.mul(s, t)
+            if any(np.linalg.norm(maps[s](maps[t](b)) - maps[st](b))
+                   > 10 * tol for b in span.basis):
+                bad.append(f"group law fails: {name}_{s} {name}_{t} != "
+                           f"{name}_{st}")
+    return bad
 
 
 def trivial_system(A, G):
@@ -229,42 +235,18 @@ def admissible(ds, cover, tol=MEMBER_TOL):
                 diagnostics={"element": s,
                              "obstruction_dim": obstruction.dim})
         betas[s] = graph_function(amb, amb, G, cover.C)
-    bad = _verify_extension(ds, cover, betas, tol)
+    bad = []
+    for s, beta in enumerate(betas):
+        bad += [f"beta_{s} {v}"
+                for v in star_hom_violations(beta, cover.C, tol)]
+        if any(np.linalg.norm(beta(cover.j(a)) - cover.j(ds.act(s, a)))
+               > 10 * tol for a in ds.A.span.basis):
+            bad.append(f"beta_{s} does not intertwine j")
+    bad += group_law_violations(ds.G, betas, cover.C, "beta", tol)
     if bad:
         raise SystemError_("assembled extension failed verification: " +
                            "; ".join(bad))
     return AdmissibilityReport(verdict=ADMISSIBLE, extension=betas)
-
-
-def _verify_extension(ds, cover, betas, tol=MEMBER_TOL):
-    bad = []
-    for s, beta in enumerate(betas):
-        if not homomorphism_check(beta, unital=True, tol=tol):
-            bad.append(f"beta_{s} not a unital homomorphism")
-        for b in cover.C.basis:
-            if np.linalg.norm(beta(b.conj().T) - beta(b).conj().T) > 10 * tol:
-                bad.append(f"beta_{s} not adjoint-preserving")
-                break
-        img = beta.image_span()
-        if img.dim != cover.C.dim or not cover.C.contains_span(img, tol):
-            bad.append(f"beta_{s} not onto C")
-        for a in ds.A.span.basis:
-            if np.linalg.norm(beta(cover.j(a))
-                              - cover.j(ds.act(s, a))) > 10 * tol:
-                bad.append(f"beta_{s} does not intertwine j")
-                break
-    for s in range(ds.G.order):
-        for t in range(ds.G.order):
-            st = ds.G.mul(s, t)
-            for b in cover.C.basis:
-                if np.linalg.norm(betas[s](betas[t](b))
-                                  - betas[st](b)) > 10 * tol:
-                    bad.append(f"extension group law fails at ({s},{t})")
-                    break
-            else:
-                continue
-            break
-    return bad
 
 
 def invariant_kernel_check(ds, upper_report, morphism, tol=MEMBER_TOL):
@@ -306,19 +288,6 @@ class InnerReport:
     @property
     def found(self):
         return self.unitaries is not None
-
-
-def _intertwiner_space(dom_imgs, cod_imgs, space):
-    """Coefficient basis of {U in space : U x_a = y_a U for all a}."""
-    rows = []
-    for x, y in zip(dom_imgs, cod_imgs):
-        block = np.array([(b @ x - y @ b).ravel() for b in space.basis]).T
-        rows.append(block)
-    M = np.vstack(rows)
-    _, s, vh = np.linalg.svd(M, full_matrices=True)
-    cutoff = 1e-9 * max(1.0, float(s[0]) if len(s) else 1.0)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj()
 
 
 def _unitary_from_space(null, space, seed, tol):
@@ -369,7 +338,7 @@ def locally_inner(ds, cover, seed=0, tol=MEMBER_TOL):
             unitaries.append(np.eye(cover.ambient.dim, dtype=complex))
             continue
         cod_imgs = [cover.j(ds.act(s, a)) for a in ds.A.span.basis]
-        null = _intertwiner_space(j_imgs, cod_imgs, cover.C)
+        null = intertwiner_space(j_imgs, cod_imgs, cover.C)
         dims.append(len(null))
         U = _unitary_from_space(null, cover.C, seed + s, tol)
         if U is None:
@@ -398,7 +367,7 @@ def inner_in_itself(ds, seed=0, tol=MEMBER_TOL):
             unitaries.append(np.eye(span.ambient.dim, dtype=complex))
             continue
         cod_imgs = [ds.act(s, a) for a in a_imgs]
-        null = _intertwiner_space(a_imgs, cod_imgs, D)
+        null = intertwiner_space(a_imgs, cod_imgs, D)
         dims.append(len(null))
         U = _unitary_from_space(null, D, seed + s, tol)
         if U is None:

@@ -19,10 +19,6 @@ import numpy as np
 RANK_TOL = 1e-9
 MEMBER_TOL = 1e-8
 
-# optional global cap on generation sweeps (CLI --max-words); None means the
-# dimension-based bound N^2 + 1
-MAX_WORD_ROUNDS = None
-
 
 class AmbientMismatch(ValueError):
     """Matrix does not fit the ambient (wrong shape or off-block entries)."""
@@ -81,10 +77,6 @@ class Ambient:
             raise AmbientMismatch(f"off-block residual {r:.3e} above {tol:.1e}")
         return mat
 
-    def element(self, entries, tol=MEMBER_TOL):
-        """Validate and return an element of this ambient."""
-        return self.check(entries, tol=tol)
-
     def matrix_unit(self, r, c):
         m = self.zero()
         m[r, c] = 1.0
@@ -134,6 +126,34 @@ def operator_norm(x):
     if x.size == 0:
         return 0.0
     return float(np.linalg.norm(x, 2))
+
+
+def null_space(M, left=False):
+    """Orthonormal rows spanning the null space of the matrix M: vectors c
+    with M @ c = 0, or with c @ M = 0 when `left`.
+
+    Rank is decided by singular values against RANK_TOL (relative to the
+    largest singular value, floored at 1).  Only the singular factor that
+    holds the null space is formed in full.
+    """
+    m, n = M.shape
+    if left:
+        u, s, _ = np.linalg.svd(M, full_matrices=m > n)
+    else:
+        _, s, vh = np.linalg.svd(M, full_matrices=m < n)
+    cutoff = RANK_TOL * max(1.0, float(s[0]) if len(s) else 1.0)
+    rank = int(np.sum(s > cutoff))
+    if left:
+        return np.ascontiguousarray(u[:, rank:].T.conj())
+    return vh[rank:].conj()
+
+
+def intertwiner_space(dom_imgs, cod_imgs, space):
+    """Coefficient basis (rows, against space's basis) of
+    {U in space : U x_a = y_a U for all a}."""
+    rows = [np.array([(b @ x - y @ b).ravel() for b in space.basis]).T
+            for x, y in zip(dom_imgs, cod_imgs)]
+    return null_space(np.vstack(rows))
 
 
 def hs_orthonormalize(mats, rank_tol=RANK_TOL):
@@ -262,15 +282,13 @@ def orthonormal_span(ambient, mats, rank_tol=RANK_TOL):
                        if mats else np.zeros((0, ambient.dim, ambient.dim), complex))
 
 
-def _closure_rounds(ambient, seed_mats, extend, max_rounds=None):
-    """Iterate span <- orthonormalize(span + extend(span)) to a fixed dim."""
+def _closure_rounds(ambient, seed_mats, extend):
+    """Iterate span <- orthonormalize(span + extend(span)) until the
+    dimension stops growing (at most N^2 + 1 rounds)."""
     N = ambient.dim
-    if max_rounds is None:
-        max_rounds = MAX_WORD_ROUNDS if MAX_WORD_ROUNDS is not None \
-            else N * N + 1
     basis = hs_orthonormalize(seed_mats) if seed_mats else \
         np.zeros((0, N, N), complex)
-    for _ in range(max_rounds):
+    for _ in range(N * N + 1):
         new = extend(basis)
         if not new:
             break
@@ -391,12 +409,9 @@ def intersect_spans(V, W):
         return np.zeros((0, V.ambient.dim, V.ambient.dim), complex)
     # rows: components of V's basis orthogonal to W
     M = V._flat - (V._flat @ W._flat.conj().T) @ W._flat
-    u, s, _ = np.linalg.svd(M, full_matrices=True)
-    cutoff = RANK_TOL * max(1.0, float(s[0]) if len(s) else 1.0)
-    rank = int(np.sum(s > cutoff))
-    null = u[:, rank:]  # combinations c with sum_i c_i (1 - P_W) v_i = 0
-    mats = [(null[:, k].conj() @ V._flat).reshape(V.ambient.dim, V.ambient.dim)
-            for k in range(null.shape[1])]
+    # combinations c with sum_i c_i (1 - P_W) v_i = 0
+    mats = [(c @ V._flat).reshape(V.ambient.dim, V.ambient.dim)
+            for c in null_space(M, left=True)]
     return hs_orthonormalize(mats)
 
 

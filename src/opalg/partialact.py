@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cb import (CC, CI, NOT_CI, LinearMap, cc_check, ci_check,
-                 homomorphism_check, require_decisive)
+                 homomorphism_check, map_from_generators, require_decisive,
+                 star_hom_violations)
 from .covers import (CoverError, CstarCover, graph_closure, graph_function,
                      graph_obstruction)
-from .crossed import (CrossedProduct, cstar_crossed, full_crossed,
-                      map_from_generators)
-from .dynamics import DynamicalSystem, SystemError_
+from .crossed import CrossedProduct, cstar_crossed, full_crossed
+from .dynamics import DynamicalSystem, SystemError_, group_law_violations
 from .linalg import (MEMBER_TOL, AlgebraSpan, Ambient, compress_span,
                      direct_sum, orthonormal_span)
 from .structure import annihilator, ideal_blocks, minimal_central_projections
@@ -133,49 +133,14 @@ def build_partial_action(ds, cover, waive_maximality=False, tol=MEMBER_TOL):
                 "corner action closure is not a graph; envelope extension "
                 "missing")
         thetas.append(graph_function(amb, amb, G, corner))
-    spec = PartialActionSpec(ds=ds, cover=cover, decomposition=dec,
-                             corner=corner, thetas=thetas)
-    bad = _verify_partial_axioms(spec, tol)
+    bad = [f"theta_{s} {v}" for s, th in enumerate(thetas)
+           for v in star_hom_violations(th, corner, tol)]
+    bad += group_law_violations(ds.G, thetas, corner, "theta", tol)
     if bad:
         raise SystemError_("partial-action axioms violated: " +
                            "; ".join(bad))
-    return spec
-
-
-def _verify_partial_axioms(spec, tol=MEMBER_TOL):
-    bad = []
-    G = spec.ds.G
-    corner = spec.corner
-    for s, th in enumerate(spec.thetas):
-        if s == G.identity:
-            continue
-        img = th.image_span()
-        if img.dim != corner.dim or not corner.contains_span(img, tol):
-            bad.append(f"theta_{s} is not onto the corner")
-        for x in corner.basis:
-            for y in corner.basis:
-                if np.linalg.norm(th(x @ y) - th(x) @ th(y)) > 10 * tol:
-                    bad.append(f"theta_{s} not multiplicative")
-                    break
-            else:
-                continue
-            break
-        for x in corner.basis:
-            if np.linalg.norm(th(x.conj().T) - th(x).conj().T) > 10 * tol:
-                bad.append(f"theta_{s} not adjoint-preserving")
-                break
-    for s in range(G.order):
-        for t in range(G.order):
-            if s == G.identity or t == G.identity:
-                continue
-            st = G.mul(s, t)
-            for x in corner.basis:
-                lhs = spec.thetas[s](spec.thetas[t](x))
-                rhs = x if st == G.identity else spec.thetas[st](x)
-                if np.linalg.norm(lhs - rhs) > 10 * tol:
-                    bad.append(f"theta_{s} theta_{t} != theta_{st}")
-                    break
-    return bad
+    return PartialActionSpec(ds=ds, cover=cover, decomposition=dec,
+                             corner=corner, thetas=thetas)
 
 
 @dataclass
@@ -327,13 +292,12 @@ def verify_partial_recovery(ds, cover, waive_maximality=False,
     pc = partial_crossed(spec, tol=tol)
     dec = spec.decomposition
     G = ds.G
-    e = G.identity
     fc = full_crossed(ds, tol=tol)
     gen_b, gen_f = [], []
     for i, a in enumerate(ds.A.span.basis):
         j1a = dec.p @ cover.j(a)
         for s in range(G.order):
-            gen_b.append(pc.gamma(s, j1a if s != e else j1a))
+            gen_b.append(pc.gamma(s, j1a))
             gen_f.append(fc.generator(i, s))
     B = orthonormal_span(pc.ambient, gen_b)
     B = AlgebraSpan(pc.ambient, B.basis, unital=False)

@@ -38,7 +38,6 @@ def dumps(obj, indent=None, _level=0):
     """JSON text with sorted keys and 17-significant-digit floats."""
     pad = "" if indent is None else "\n" + " " * (indent * (_level + 1))
     end = "" if indent is None else "\n" + " " * (indent * _level)
-    sep = "," if indent is None else ","
     if obj is None:
         return "null"
     if obj is True:
@@ -63,7 +62,7 @@ def dumps(obj, indent=None, _level=0):
         if not obj:
             return "[]"
         items = [dumps(v, indent, _level + 1) for v in obj]
-        return "[" + pad + (sep + pad).join(items) + end + "]"
+        return "[" + pad + ("," + pad).join(items) + end + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -71,7 +70,7 @@ def dumps(obj, indent=None, _level=0):
         for k in sorted(obj, key=str):
             items.append(f"{dumps(str(k))}: "
                          f"{dumps(obj[k], indent, _level + 1)}")
-        return "{" + pad + (sep + pad).join(items) + end + "}"
+        return "{" + pad + ("," + pad).join(items) + end + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (MEMBER_TOL, AlgebraSpan, hs_orthonormalize,
-                     orthonormal_span)
+                     intertwiner_space, orthonormal_span)
 
 CLUSTER_GAP = 1e-6
 _MAX_RESAMPLE = 5
@@ -78,23 +78,12 @@ class BlockStructure:
 
 
 def center(C):
-    """Center of a self-adjoint unital span, via the null space of the
-    commutator maps c -> [x, b_j]."""
-    d = C.dim
-    if d == 0:
+    """Center of a self-adjoint unital span: the elements of C that
+    intertwine every basis element with itself."""
+    if C.dim == 0:
         return orthonormal_span(C.ambient, [])
-    N = C.ambient.dim
-    rows = []
-    for b in C.basis:
-        # columns indexed by basis coefficient, rows by vec of [b_i, b]
-        block = np.array([(bi @ b - b @ bi).ravel() for bi in C.basis]).T
-        rows.append(block)
-    K = np.vstack(rows)  # (d * N^2, d)
-    _, s, vh = np.linalg.svd(K, full_matrices=True)
-    cutoff = 1e-9 * max(1.0, float(s[0]) if len(s) else 1.0)
-    rank = int(np.sum(s > cutoff))
-    null = vh[rank:].conj()  # coefficient vectors
-    mats = [C.from_coeffs(c) for c in null]
+    mats = [C.from_coeffs(c)
+            for c in intertwiner_space(C.basis, C.basis, C)]
     return AlgebraSpan(C.ambient, hs_orthonormalize(mats),
                        self_adjoint=True, unital=C.unital)
 

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from opalg.cb import (CC, CI, NOT_CC, NOT_CI, LinearMap, Undecided, cc_check,
                       ci_check, falsifier_search, choi_feasibility,
                       homomorphism_check, require_decisive,
-                      verify_choi_certificate, verify_falsifier)
+                      star_hom_violations, verify_choi_certificate,
+                      verify_falsifier)
 from opalg.corpus import a4_algebra, schur_projection_p
 from opalg.linalg import Ambient, generate_algebra, orthonormal_span
 
@@ -54,6 +55,15 @@ class TestLinearMap:
         assert np.linalg.norm(comp(k)) < 1e-9
         assert np.linalg.norm(k) == pytest.approx(1.0)
 
+    def test_kernel_element_of_complex_map(self, m2):
+        rng = np.random.default_rng(8)
+        x, y = rand_mat(rng, 2), rand_mat(rng, 2)
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        phi = map_from_images(m2, m2.ambient, [x, y, c * x + 2j * y, y])
+        k = phi.kernel_element()
+        assert np.linalg.norm(phi(k)) < 1e-9
+        assert np.linalg.norm(k) == pytest.approx(1.0)
+
 
 def test_homomorphism_check(m2):
     amb = m2.ambient
@@ -62,6 +72,36 @@ def test_homomorphism_check(m2):
     # The transpose is linear but anti-multiplicative on M2.
     transpose = map_from_images(m2, amb, [b.T for b in m2.basis])
     assert not homomorphism_check(transpose)
+
+
+def _doubled(m2):
+    return m2, [2 * b for b in m2.basis]
+
+
+def _similarity(m2):
+    S = np.array([[1.0, 1.0], [0.0, 2.0]])
+    Si = np.linalg.inv(S)
+    return m2, [S @ b @ Si for b in m2.basis]
+
+
+def _diagonal_into_m2(m2):
+    amb = m2.ambient
+    D = generate_algebra(amb, [amb.matrix_unit(0, 0), amb.matrix_unit(1, 1)],
+                         self_adjoint=True, unital=True)
+    return D, list(D.basis)
+
+
+@pytest.mark.parametrize("build, want", [
+    (_doubled, ["not multiplicative", "not unit-preserving"]),
+    (_similarity, ["not adjoint-preserving"]),
+    (_diagonal_into_m2, ["not onto the target"]),
+])
+def test_star_hom_violations_names_each_failure(m2, build, want):
+    dom, images = build(m2)
+    phi = map_from_images(dom, m2.ambient, images)
+    assert star_hom_violations(phi, m2) == want
+    ident = map_from_images(m2, m2.ambient, list(m2.basis))
+    assert star_hom_violations(ident, m2) == []
 
 
 class TestOracles:

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opalg.linalg import (AlgebraSpan, Ambient, AmbientMismatch, NotInSpan,
-                          compress_span, diagonal, direct_sum,
+from opalg.linalg import (RANK_TOL, AlgebraSpan, Ambient, AmbientMismatch,
+                          NotInSpan, compress_span, diagonal, direct_sum,
                           generate_algebra, generate_ideal, hs_inner,
-                          hs_orthonormalize, intersect_spans, operator_norm,
-                          orthonormal_span, support_isometry)
+                          hs_orthonormalize, intersect_spans, null_space,
+                          operator_norm, orthonormal_span, support_isometry)
 
 
 def rand_mat(rng, n):
@@ -145,6 +145,22 @@ class TestGeneration:
                              self_adjoint=True, unital=True)
         with pytest.raises(NotInSpan):
             generate_ideal(C, [amb.matrix_unit(0, 1)])
+
+
+@pytest.mark.parametrize("shape, left, want", [
+    ((6, 4), False, 2), ((6, 4), True, 4),   # tall, rank 2
+    ((3, 5), False, 3), ((3, 5), True, 1),   # wide, rank 2
+])
+def test_null_space_of_rank_deficient_matrix(shape, left, want):
+    rng = np.random.default_rng(11)
+    m, n = shape
+    M = (rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))) \
+        @ (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+    null = null_space(M, left=left)
+    assert null.shape == (want, m if left else n)
+    assert np.allclose(null @ null.conj().T, np.eye(want))
+    residual = null @ M if left else M @ null.T
+    assert np.linalg.norm(residual) < RANK_TOL
 
 
 def test_intersect_spans():
