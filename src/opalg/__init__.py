@@ -12,11 +12,11 @@ __version__ = "0.1.0"
 
 from .cb import (CC, CI, INCONCLUSIVE, NOT_CC, NOT_CI, CbReport, LinearMap,
                  Undecided, cc_check, ci_check, homomorphism_check)
-from .covers import (CoverError, CoverMorphism, CstarCover, DoesNotGenerate,
-                     MorphismAbsence, NotCompletelyIsometric,
-                     NotHomomorphism, OperatorAlgebra, envelope, equivalent,
-                     induced_morphism, is_boundary, join, leq, make_cover,
-                     meet, quotient_cover, shilov)
+from .covers import (CoverError, CoverMorphism, CstarCover, MorphismAbsence,
+                     NotCompletelyIsometric, NotHomomorphism,
+                     OperatorAlgebra, envelope, equivalent, induced_morphism,
+                     is_boundary, join, leq, make_cover, meet,
+                     quotient_cover, shilov)
 from .crossed import (CrossedProduct, NotAdmissibleCover, crossed_equivalent,
                       cstar_crossed, full_crossed, relative_crossed,
                       trivialization_iso)

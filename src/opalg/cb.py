@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (MEMBER_TOL, AlgebraSpan, Ambient, NotInSpan,
+from .linalg import (MEMBER_TOL, AlgebraSpan, Ambient, NotInSpan, current,
                      hs_orthonormalize, operator_norm, support_isometry)
 
 FEAS_TOL = 1e-7
 FALSIFIER_MARGIN = 1e-6
-MAX_ITER = 50000
 
 CC = "CompletelyContractive"
 NOT_CC = "NotCC"
@@ -51,8 +50,8 @@ class LinearMap:
         self.images = np.asarray(self.images, dtype=complex).reshape(
             self.dom.dim, self.cod.dim, self.cod.dim)
 
-    def __call__(self, x, tol=MEMBER_TOL):
-        c = self.dom.coeffs(x, tol=tol)
+    def __call__(self, x):
+        c = self.dom.coeffs(x)
         if len(c) == 0:
             return self.cod.zero()
         return np.tensordot(c, self.images, axes=(0, 0))
@@ -66,14 +65,14 @@ class LinearMap:
         return LinearMap(dom=other.dom, cod=self.cod,
                          images=np.array([self(img) for img in other.images]))
 
-    def is_injective(self, tol=MEMBER_TOL):
+    def is_injective(self):
         if self.dom.dim == 0:
             return True
         flat = self.images.reshape(self.dom.dim, -1)
         if flat.shape[1] < flat.shape[0]:
             return False
         s = np.linalg.svd(flat, compute_uv=False)
-        return s[-1] > tol * max(1.0, float(s[0]))
+        return s[-1] > MEMBER_TOL * max(1.0, float(s[0]))
 
     def kernel_element(self):
         """A unit-HS-norm domain element annihilated (up to numerics)."""
@@ -113,7 +112,7 @@ class CbReport:
         return self.verdict != INCONCLUSIVE
 
 
-def homomorphism_check(phi, unital=True, tol=MEMBER_TOL):
+def homomorphism_check(phi, unital=True):
     """True when phi is multiplicative on its domain, and unit-preserving
     if requested.  A product that leaves the domain counts as a failure."""
     basis = phi.dom.basis
@@ -121,33 +120,33 @@ def homomorphism_check(phi, unital=True, tol=MEMBER_TOL):
     for a, fa in zip(basis, imgs):
         for b, fb in zip(basis, imgs):
             try:
-                if np.linalg.norm(phi(a @ b) - fa @ fb) > tol * 10:
+                if np.linalg.norm(phi(a @ b) - fa @ fb) > MEMBER_TOL * 10:
                     return False
             except NotInSpan:
                 return False
-    return not unital or _unit_preserved(phi, tol)
+    return not unital or _unit_preserved(phi)
 
 
-def _unit_preserved(phi, tol):
+def _unit_preserved(phi):
     return np.linalg.norm(phi(phi.dom.ambient.identity())
-                          - phi.cod.identity()) <= tol * 10
+                          - phi.cod.identity()) <= MEMBER_TOL * 10
 
 
-def star_hom_violations(phi, onto, tol=MEMBER_TOL):
+def star_hom_violations(phi, onto):
     """Violated properties of phi as a *-homomorphism onto the span `onto`
     (empty when it is one).  Unit preservation is checked when the domain
     is flagged unital, adjoint preservation when it is self-adjoint."""
     bad = []
-    if not homomorphism_check(phi, unital=False, tol=tol):
+    if not homomorphism_check(phi, unital=False):
         bad.append("not multiplicative")
-    if phi.dom.unital and not _unit_preserved(phi, tol):
+    if phi.dom.unital and not _unit_preserved(phi):
         bad.append("not unit-preserving")
     if phi.dom.self_adjoint and any(
-            np.linalg.norm(phi(b.conj().T) - phi(b).conj().T) > 10 * tol
-            for b in phi.dom.basis):
+            np.linalg.norm(phi(b.conj().T) - phi(b).conj().T)
+            > 10 * MEMBER_TOL for b in phi.dom.basis):
         bad.append("not adjoint-preserving")
     img = phi.image_span()
-    if img.dim != onto.dim or not onto.contains_span(img, tol):
+    if img.dim != onto.dim or not onto.contains_span(img):
         bad.append("not onto the target")
     return bad
 
@@ -210,16 +209,17 @@ def _choi_apply(B, X4):
     return np.einsum("lij,iajb->lab", B, X4, optimize=True)
 
 
-def choi_feasibility(phi, tol=FEAS_TOL, max_iter=None, stall_window=1000):
+def choi_feasibility(phi, max_iter=None):
     """Search for a PSD Choi matrix of a UCP map pinned to the Paulsen
     companion of phi, by alternating reflections through the PSD cone and
-    the affine pinning set (both built from the plain projections).
+    the affine pinning set (both built from the plain projections), for at
+    most `max_iter` iterations (None: the current RunConfig's).
 
     Returns (certificate | None, diagnostics).  The certificate re-verifies
     independently: PSD to tolerance and affine residual below tolerance.
     """
     if max_iter is None:
-        max_iter = MAX_ITER
+        max_iter = current().max_iter
     S, imgs, N, n, _, _ = _compressed_problem(phi)
     if not S:
         return {"type": "choi", "choi": np.zeros((0, 0)), "residual": 0.0,
@@ -250,7 +250,7 @@ def choi_feasibility(phi, tol=FEAS_TOL, max_iter=None, stall_window=1000):
         Wr, _ = p_aff(2 * Y - Z)
         Z = Z + Wr - Y
         _, res = p_aff(Y)
-        if res < tol:
+        if res < FEAS_TOL:
             cert = {"type": "choi", "choi": Y.reshape(D, D), "residual": res,
                     "dom_basis": np.array(S), "images": np.array(imgs),
                     "sizes": (N, n)}
@@ -260,12 +260,12 @@ def choi_feasibility(phi, tol=FEAS_TOL, max_iter=None, stall_window=1000):
             since_best = 0
         else:
             since_best += 1
-            if since_best > stall_window and res > 100 * tol:
+            if since_best > 1000 and res > 100 * FEAS_TOL:
                 break
     return None, {"iterations": it + 1, "residual": res, "stalled": True}
 
 
-def verify_choi_certificate(cert, tol=FEAS_TOL):
+def verify_choi_certificate(cert):
     """Independent re-check of a feasibility certificate."""
     S = cert["dom_basis"]
     if len(S) == 0:
@@ -274,11 +274,11 @@ def verify_choi_certificate(cert, tol=FEAS_TOL):
     B, R = _paulsen_pins(list(S), list(cert["images"]), N, n)
     X = cert["choi"]
     w = np.linalg.eigvalsh((X + X.conj().T) / 2)
-    if w[0] < -10 * tol:
+    if w[0] < -10 * FEAS_TOL:
         return False
     X4 = X.reshape(2 * N, 2 * n, 2 * N, 2 * n)
     res = float(np.linalg.norm(R - _choi_apply(B, X4)))
-    return res < 10 * tol
+    return res < 10 * FEAS_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +292,10 @@ def _amplified(coeffs, mats, k, sz):
     return blocks.transpose(0, 2, 1, 3).reshape(k * sz, k * sz)
 
 
-def falsifier_search(phi, level=None, margin=FALSIFIER_MARGIN, seed=0,
-                     restarts=32, iters=40):
+def falsifier_search(phi, seed=None, restarts=32):
     """Alternating-ascent search for a matrix-level counterexample to
-    complete contractivity.
+    complete contractivity at level k = codomain size; the restarts are
+    seeded by `seed` (None: the current RunConfig's).
 
     Returns (best_ratio, certificate | None).  The certificate carries the
     offending element in the original domain coordinates together with both
@@ -306,16 +306,16 @@ def falsifier_search(phi, level=None, margin=FALSIFIER_MARGIN, seed=0,
         return 0.0, None
     S = np.array(S)
     imgs_c = np.array(imgs)
-    k = level if level is not None else n
+    k = n
     d = len(S)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(current().seed if seed is None else seed)
     best_ratio = 0.0
     best_c = None
     for _ in range(restarts):
         c = rng.standard_normal((k, k, d)) + 1j * rng.standard_normal((k, k, d))
         stale = 0
         local_best = 0.0
-        for _ in range(iters):
+        for _ in range(40):
             x = _amplified(c, S, k, N)
             nx = operator_norm(x)
             if nx < 1e-14:
@@ -337,9 +337,9 @@ def falsifier_search(phi, level=None, margin=FALSIFIER_MARGIN, seed=0,
             if np.linalg.norm(g) < 1e-14:
                 break
             c = g.conj()
-        if best_ratio > 1 + margin:
+        if best_ratio > 1 + FALSIFIER_MARGIN:
             break
-    if best_ratio > 1 + margin and best_c is not None:
+    if best_ratio > 1 + FALSIFIER_MARGIN and best_c is not None:
         x = _amplified(best_c, S, k, N)
         if Vd is not None:
             Ik = np.eye(k)
@@ -352,14 +352,14 @@ def falsifier_search(phi, level=None, margin=FALSIFIER_MARGIN, seed=0,
         y = img_blocks.transpose(0, 2, 1, 3).reshape(k * phi.cod.dim,
                                                      k * phi.cod.dim)
         ny = operator_norm(y)
-        if ny > nx * (1 + margin):
-            cert = {"type": "falsifier", "level": k, "x": x,
-                    "norm_x": nx, "norm_image": ny, "margin": margin}
+        if ny > nx * (1 + FALSIFIER_MARGIN):
+            cert = {"type": "falsifier", "level": k, "x": x, "norm_x": nx,
+                    "norm_image": ny, "margin": FALSIFIER_MARGIN}
             return best_ratio, cert
     return best_ratio, None
 
 
-def verify_falsifier(phi, cert, tol=1e-9):
+def verify_falsifier(phi, cert):
     """Recompute both operator norms of a falsifier and confirm the gap."""
     k = cert["level"]
     x = cert["x"]
@@ -369,7 +369,8 @@ def verify_falsifier(phi, cert, tol=1e-9):
                     for a in range(k)])
     y = img.transpose(0, 2, 1, 3).reshape(k * n, k * n)
     nx, ny = operator_norm(x), operator_norm(y)
-    if abs(nx - cert["norm_x"]) > tol or abs(ny - cert["norm_image"]) > tol:
+    if abs(nx - cert["norm_x"]) > 1e-9 \
+            or abs(ny - cert["norm_image"]) > 1e-9:
         return False
     return ny > nx * (1 + cert["margin"])
 

@@ -12,8 +12,9 @@ import sys
 
 import click
 
-from . import __version__, cb
+from . import __version__
 from .cb import Undecided
+from .linalg import MEMBER_TOL, RunConfig, using
 from .scenario import ScenarioError, load_scenario, run_check, run_scenario
 from .serialize import dumps
 from .suite import paper_suite
@@ -22,21 +23,16 @@ EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_INPUT = 0, 1, 2, 3
 
 
 def _common(fn):
-    fn = click.option("--tol", type=float, default=1e-8,
-                      show_default=True, help="membership tolerance")(fn)
-    fn = click.option("--seed", type=int, default=0, show_default=True,
-                      help="seed for randomized searches")(fn)
-    fn = click.option("--max-iter", type=int, default=None,
+    fn = click.option("--seed", type=int, default=RunConfig().seed,
+                      show_default=True,
+                      help="seed for the randomized searches")(fn)
+    fn = click.option("--max-iter", type=int, default=RunConfig().max_iter,
+                      show_default=True,
                       help="iteration cap for the feasibility solver")(fn)
     fn = click.option("--format", "fmt",
                       type=click.Choice(["json", "text"]), default="json",
                       show_default=True, help="report rendering")(fn)
     return fn
-
-
-def _apply_budgets(max_iter):
-    if max_iter is not None:
-        cb.MAX_ITER = max_iter
 
 
 def _render(report, fmt):
@@ -61,22 +57,29 @@ def _exit_code(report):
     return EXIT_PASS if report.get("all_pass") else EXIT_FAIL
 
 
-def _single(scenario, check, tol, seed, max_iter, fmt):
-    _apply_budgets(max_iter)
+def _report_and_exit(seed, max_iter, fmt, make_report):
+    """Build a report inside the run configuration, print it and exit."""
     try:
-        sc = load_scenario(scenario, tol=tol, seed=seed)
-        entry = run_check(sc, check)
+        with using(seed=seed, max_iter=max_iter):
+            report = make_report()
     except ScenarioError as exc:
         click.echo(dumps({"error": str(exc)}, indent=2), err=True)
         sys.exit(EXIT_INPUT)
     except Undecided as exc:
         click.echo(dumps({"inconclusive": str(exc)}, indent=2), err=True)
         sys.exit(EXIT_INCONCLUSIVE)
-    report = {"seed": seed, "tol": tol, "checks": [entry],
-              "all_pass": entry["pass"],
-              "inconclusive": entry["status"] == "inconclusive"}
     _render(report, fmt)
     sys.exit(_exit_code(report))
+
+
+def _single(scenario, check, seed, max_iter, fmt):
+    def make_report():
+        entry = run_check(load_scenario(scenario), check)
+        return {"seed": seed, "tol": MEMBER_TOL, "checks": [entry],
+                "all_pass": entry["pass"],
+                "inconclusive": entry["status"] == "inconclusive"}
+
+    _report_and_exit(seed, max_iter, fmt, make_report)
 
 
 @click.group()
@@ -90,19 +93,9 @@ def main():
 @main.command("run")
 @click.argument("scenario", type=click.Path(exists=True))
 @_common
-def run_cmd(scenario, tol, seed, max_iter, fmt):
+def run_cmd(scenario, seed, max_iter, fmt):
     """Run every check listed in a scenario file."""
-    _apply_budgets(max_iter)
-    try:
-        report = run_scenario(scenario, tol=tol, seed=seed)
-    except ScenarioError as exc:
-        click.echo(dumps({"error": str(exc)}, indent=2), err=True)
-        sys.exit(EXIT_INPUT)
-    except Undecided as exc:
-        click.echo(dumps({"inconclusive": str(exc)}, indent=2), err=True)
-        sys.exit(EXIT_INCONCLUSIVE)
-    _render(report, fmt)
-    sys.exit(_exit_code(report))
+    _report_and_exit(seed, max_iter, fmt, lambda: run_scenario(scenario))
 
 
 def _named_command(op, params):
@@ -110,12 +103,14 @@ def _named_command(op, params):
 
     @click.argument("scenario", type=click.Path(exists=True))
     @_common
-    def cmd(scenario, tol, seed, max_iter, fmt, **kwargs):
+    def cmd(scenario, seed, max_iter, fmt, **kwargs):
         check = {"op": op}
         for key, value in kwargs.items():
+            if key == "covers":
+                value = [c.strip() for c in value.split(",") if c.strip()]
             if value is not None:
                 check[key] = value
-        _single(scenario, check, tol, seed, max_iter, fmt)
+        _single(scenario, check, seed, max_iter, fmt)
 
     for name, required, help_ in reversed(params):
         cmd = click.option(f"--{name}", required=required, help=help_)(cmd)
@@ -145,38 +140,18 @@ main.command("crossed")(_named_command(
 main.command("partial")(_named_command(
     "partial", [("system", True, "system name"),
                 ("cover", True, "cover name")]))
-
-
-@main.command("join")
-@click.argument("scenario", type=click.Path(exists=True))
-@click.option("--covers", required=True,
-              help="comma-separated cover names")
-@_common
-def join_cmd(scenario, covers, tol, seed, max_iter, fmt):
-    """Join of named covers."""
-    names = [c.strip() for c in covers.split(",") if c.strip()]
-    _single(scenario, {"op": "join", "covers": names},
-            tol, seed, max_iter, fmt)
-
-
-@main.command("meet")
-@click.argument("scenario", type=click.Path(exists=True))
-@click.option("--covers", required=True,
-              help="comma-separated pair of cover names")
-@_common
-def meet_cmd(scenario, covers, tol, seed, max_iter, fmt):
-    """Meet of two named covers."""
-    names = [c.strip() for c in covers.split(",") if c.strip()]
-    _single(scenario, {"op": "meet", "covers": names},
-            tol, seed, max_iter, fmt)
+main.command("join")(_named_command(
+    "join", [("covers", True, "comma-separated cover names")]))
+main.command("meet")(_named_command(
+    "meet", [("covers", True, "comma-separated pair of cover names")]))
 
 
 @main.command("paper-suite")
 @_common
-def paper_suite_cmd(tol, seed, max_iter, fmt):
+def paper_suite_cmd(seed, max_iter, fmt):
     """Run the golden example corpus."""
-    _apply_budgets(max_iter)
-    report = paper_suite(seed=seed, tol=tol)
+    with using(max_iter=max_iter):
+        report = paper_suite(seed=seed)
     if fmt == "json":
         click.echo(report["verdict_text"])
     else:

@@ -36,10 +36,6 @@ class NotCompletelyIsometric(CoverError):
     pass
 
 
-class DoesNotGenerate(CoverError):
-    pass
-
-
 @dataclass
 class OperatorAlgebra:
     """A unital, multiplicatively closed (not necessarily self-adjoint)
@@ -57,8 +53,8 @@ class OperatorAlgebra:
     def dim(self):
         return self.span.dim
 
-    def verify(self, tol=MEMBER_TOL):
-        bad = list(self.span.verify(tol))
+    def verify(self):
+        bad = list(self.span.verify())
         if not self.span.unital:
             bad.append("operator algebra must be flagged unital")
         return bad
@@ -111,27 +107,29 @@ class MorphismAbsence:
     obstruction_dim: int = 0
 
 
-def normalize_witness(y, tol=1e-12):
-    """Unit Frobenius norm, phase fixed so the first coordinate of
-    significant magnitude is positive real.  Keeps golden outputs stable."""
-    y = np.asarray(y, dtype=complex)
-    nrm = np.linalg.norm(y)
-    if nrm < tol:
-        return y
-    y = y / nrm
+def fix_phase(y):
+    """Divide by the phase of the first coordinate of significant
+    magnitude, making it positive real.  Keeps golden outputs stable."""
     flat = y.ravel()
     mags = np.abs(flat)
     idx = int(np.argmax(mags > 1e-6 * mags.max()))
-    phase = flat[idx] / abs(flat[idx])
-    return y / phase
+    return y / (flat[idx] / abs(flat[idx]))
 
 
-def make_cover(A, ambient, j_images, name="cover", tol=MEMBER_TOL,
-               verify=True, cstar=None):
+def normalize_witness(y):
+    """Unit Frobenius norm, phase fixed by fix_phase."""
+    y = np.asarray(y, dtype=complex)
+    nrm = np.linalg.norm(y)
+    if nrm < 1e-12:
+        return y
+    return fix_phase(y / nrm)
+
+
+def make_cover(A, ambient, j_images, name="cover", verify=True):
     """Validate and build a C*-cover from the images of A's basis.
 
-    Raises NotHomomorphism, NotCompletelyIsometric or DoesNotGenerate on a
-    violated invariant; raises Undecided if the complete-isometry check is
+    Raises NotHomomorphism or NotCompletelyIsometric on a violated
+    invariant; raises Undecided if the complete-isometry check is
     inconclusive.  With verify=False the (expensive) complete-isometry check
     is skipped; callers use that only when CI holds by construction.
     """
@@ -139,7 +137,7 @@ def make_cover(A, ambient, j_images, name="cover", tol=MEMBER_TOL,
         A = OperatorAlgebra(A)
     j = LinearMap(dom=A.span, cod=ambient,
                   images=np.array([ambient.check(m) for m in j_images]))
-    if not homomorphism_check(j, unital=True, tol=tol):
+    if not homomorphism_check(j, unital=True):
         raise NotHomomorphism(
             "j is not a unital homomorphism on the operator algebra")
     if verify:
@@ -151,11 +149,6 @@ def make_cover(A, ambient, j_images, name="cover", tol=MEMBER_TOL,
                 "j is not completely isometric", rep.certificate)
     C = generate_algebra(ambient, list(j.images), self_adjoint=True,
                          unital=True)
-    if cstar is not None:
-        if cstar.dim != C.dim or not C.contains_span(cstar, tol):
-            raise DoesNotGenerate(
-                f"claimed C*-algebra (dim {cstar.dim}) is not generated by "
-                f"j(A) (generated dim {C.dim})")
     return CstarCover(A=A, C=C, j=j, name=name)
 
 
@@ -200,7 +193,7 @@ def graph_function(amb1, amb2, G, dom_span):
                                G.basis[:, N1:, N1:], amb2)
 
 
-def induced_morphism(upper, lower, tol=MEMBER_TOL):
+def induced_morphism(upper, lower):
     """The unique *-homomorphism pi: C_upper -> C_lower with
     pi . j_upper = j_lower, or a MorphismAbsence with a witness.
 
@@ -219,7 +212,7 @@ def induced_morphism(upper, lower, tol=MEMBER_TOL):
     ker = graph_obstruction(amb2, amb1, _swap_graph(G, amb1, amb2))
     kernel = AlgebraSpan(amb1, ker.basis, self_adjoint=True, ideal_in=upper.C)
     morph = CoverMorphism(source=upper, target=lower, pi=pi, kernel=kernel)
-    bad = verify_morphism(morph, tol)
+    bad = verify_morphism(morph)
     if bad:
         raise CoverError("induced morphism failed verification: " +
                          "; ".join(bad))
@@ -235,12 +228,12 @@ def _swap_graph(G, amb1, amb2):
     return AlgebraSpan(D, hs_orthonormalize(swapped), self_adjoint=True)
 
 
-def verify_morphism(m, tol=MEMBER_TOL):
+def verify_morphism(m):
     """Invariant re-check: *-homomorphism onto the target, intertwines."""
     pi = m.pi
-    bad = star_hom_violations(pi, m.target.C, tol)
+    bad = star_hom_violations(pi, m.target.C)
     for a, want in zip(m.source.A.span.basis, m.target.j.images):
-        if np.linalg.norm(pi(m.source.j(a)) - want) > 10 * tol:
+        if np.linalg.norm(pi(m.source.j(a)) - want) > 10 * MEMBER_TOL:
             bad.append("does not intertwine the embeddings")
             break
     return bad
@@ -320,7 +313,7 @@ def _quotient_embedding(cover, S):
     """q . j, where q is the quotient of C by the block ideal z_S C on the
     complementary corner, compressed onto that corner's support."""
     corner, q = corner_quotient(cover.C, S)
-    comp, V = compress_span(corner, tol=1e-9)
+    comp, V = compress_span(corner)
     if V is not None:
         q = LinearMap(dom=cover.C, cod=comp.ambient,
                       images=np.array([V.conj().T @ m @ V for m in q.images]))
@@ -331,7 +324,7 @@ def _quotient_embedding(cover, S):
 # boundary ideals, Shilov ideal, envelope
 
 
-def is_boundary(cover, S, tol=MEMBER_TOL):
+def is_boundary(cover, S):
     """True when the quotient by the block ideal z_S C stays completely
     isometric on j(A).  Raises Undecided if the cb oracles cannot settle
     it."""

@@ -82,7 +82,7 @@ def _lambda_matrices(G, N):
     return out
 
 
-def cstar_crossed(C, G, betas, tol=MEMBER_TOL):
+def cstar_crossed(C, G, betas):
     """C*-crossed product scaffold of a self-adjoint unital span C by G.
 
     betas[s] must be a validated *-automorphism of C for every s; covariance
@@ -106,7 +106,7 @@ def cstar_crossed(C, G, betas, tol=MEMBER_TOL):
     cp = CrossedProduct(G=G, base=C, betas=betas, ambient=amb, hat=hat,
                         lambdas=lambdas, algebra=algebra)
     res = cp.covariance_residual()
-    if res > 10 * tol:
+    if res > 10 * MEMBER_TOL:
         raise CoverError(f"covariance residual {res:.2e} above tolerance")
     if algebra.dim != C.dim * G.order:
         raise CoverError(
@@ -115,7 +115,7 @@ def cstar_crossed(C, G, betas, tol=MEMBER_TOL):
     return cp
 
 
-def relative_crossed(ds, cover, report=None, tol=MEMBER_TOL):
+def relative_crossed(ds, cover, report=None):
     """Operator-algebra crossed product of ds relative to an admissible
     cover.  `report` may carry a precomputed admissibility report."""
     if report is None:
@@ -124,7 +124,7 @@ def relative_crossed(ds, cover, report=None, tol=MEMBER_TOL):
         raise NotAdmissibleCover(
             "cover is not admissible for this action",
             witness=report.witness)
-    cp = cstar_crossed(cover.C, ds.G, report.extension, tol=tol)
+    cp = cstar_crossed(cover.C, ds.G, report.extension)
     cp.cover = cover
     cp.system = ds
     gens = {}
@@ -141,7 +141,7 @@ def relative_crossed(ds, cover, report=None, tol=MEMBER_TOL):
         raise CoverError(
             f"relative crossed product dimension {sub.dim} != "
             f"{ds.A.dim} * {ds.G.order}")
-    bad = sub.verify(tol)
+    bad = sub.verify()
     if bad:
         raise CoverError("crossed-product subalgebra invalid: " +
                          "; ".join(bad))
@@ -150,17 +150,17 @@ def relative_crossed(ds, cover, report=None, tol=MEMBER_TOL):
     return cp
 
 
-def full_crossed(ds, tol=MEMBER_TOL):
+def full_crossed(ds):
     """THE crossed product A x G, computed relative to the C*-envelope (all
     relative crossed products over admissible covers agree for finite G)."""
     span = ds.A.span
     inclusion = make_cover(ds.A, span.ambient, list(span.basis),
                            name="inclusion", verify=False)
     env = envelope(inclusion)
-    return relative_crossed(ds, env, tol=tol)
+    return relative_crossed(ds, env)
 
 
-def trivialization_iso(ds, cover, inner_report, tol=MEMBER_TOL):
+def trivialization_iso(ds, cover, inner_report):
     """The isomorphism A x_alpha G -> A x_iota G, f(s) -> f(s) U~_s, for a
     system that is inner in itself with exactly-multiplicative unitaries.
 
@@ -171,8 +171,8 @@ def trivialization_iso(ds, cover, inner_report, tol=MEMBER_TOL):
         raise CoverError("system is not inner in itself with an exact "
                          "group-law family of unitaries")
     us = inner_report.trivialized
-    cp_a = relative_crossed(ds, cover, tol=tol)
-    cp_i = relative_crossed(trivial_system(ds.A, ds.G), cover, tol=tol)
+    cp_a = relative_crossed(ds, cover)
+    cp_i = relative_crossed(trivial_system(ds.A, ds.G), cover)
     gen_mats, gen_imgs = [], []
     for i, a in enumerate(ds.A.span.basis):
         for s in range(ds.G.order):
@@ -180,7 +180,7 @@ def trivialization_iso(ds, cover, inner_report, tol=MEMBER_TOL):
             gen_imgs.append(cp_i.hat(cover.j(a @ us[s])) @ cp_i.lambdas[s])
     phi = map_from_generators(cp_a.subalgebra, gen_mats, gen_imgs,
                               cp_i.ambient)
-    bad = star_hom_violations(phi, cp_i.subalgebra, tol)
+    bad = star_hom_violations(phi, cp_i.subalgebra)
     if bad:
         raise CoverError("trivialization map is " + "; ".join(bad))
     rep = require_decisive(ci_check(phi), "trivialization isomorphism")
@@ -189,7 +189,7 @@ def trivialization_iso(ds, cover, inner_report, tol=MEMBER_TOL):
     return phi, cp_a, cp_i
 
 
-def crossed_equivalent(cp1, cp2, tol=MEMBER_TOL):
+def crossed_equivalent(cp1, cp2):
     """Whether the canonical generator bijection j1(a)lambda_s -> j2(a)
     lambda_s between two relative crossed products of the same system
     extends to a completely isometric algebra isomorphism of the
@@ -206,7 +206,7 @@ def crossed_equivalent(cp1, cp2, tol=MEMBER_TOL):
             gen_imgs.append(cp2.generator(i, s))
     phi = map_from_generators(cp1.subalgebra, gen_mats, gen_imgs,
                               cp2.ambient)
-    if star_hom_violations(phi, cp2.subalgebra, tol):
+    if star_hom_violations(phi, cp2.subalgebra):
         return False
     rep = require_decisive(ci_check(phi), "crossed-product comparison")
     return rep.verdict == CI

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cb import CI, LinearMap, ci_check, require_decisive, star_hom_violations
-from .covers import (graph_closure, graph_function, graph_obstruction,
-                     normalize_witness)
-from .linalg import MEMBER_TOL, diagonal, intertwiner_space
+from .covers import (fix_phase, graph_closure, graph_function,
+                     graph_obstruction, normalize_witness)
+from .linalg import MEMBER_TOL, current, diagonal, intertwiner_space
 
 ADMISSIBLE = "Admissible"
 NOT_ADMISSIBLE = "NotAdmissible"
@@ -119,7 +119,7 @@ class DynamicalSystem:
         return self.alpha[s](x)
 
 
-def make_system(A, G, actions, verify=True, tol=MEMBER_TOL):
+def make_system(A, G, actions, verify=True):
     """Build and validate a dynamical system.
 
     `actions` maps each group element to either a list of basis images, a
@@ -134,7 +134,8 @@ def make_system(A, G, actions, verify=True, tol=MEMBER_TOL):
         if isinstance(act, LinearMap):
             maps.append(act)
         elif isinstance(act, np.ndarray) and act.shape == (amb.dim, amb.dim) \
-                and np.linalg.norm(act @ act.conj().T - np.eye(amb.dim)) < tol:
+                and np.linalg.norm(act @ act.conj().T - np.eye(amb.dim)) \
+                < MEMBER_TOL:
             imgs = np.array([act @ b @ act.conj().T for b in span.basis])
             maps.append(LinearMap(dom=span, cod=amb, images=imgs))
         else:
@@ -143,13 +144,13 @@ def make_system(A, G, actions, verify=True, tol=MEMBER_TOL):
     if verify:
         e = G.identity
         for b in span.basis:
-            if np.linalg.norm(maps[e](b) - b) > 10 * tol:
+            if np.linalg.norm(maps[e](b) - b) > 10 * MEMBER_TOL:
                 raise SystemError_("identity element does not act trivially")
         for s, m in enumerate(maps):
-            bad = star_hom_violations(m, span, tol)
+            bad = star_hom_violations(m, span)
             if bad:
                 raise SystemError_(f"alpha_{s} " + "; ".join(bad))
-        bad = group_law_violations(G, maps, span, "alpha", tol)
+        bad = group_law_violations(G, maps, span, "alpha")
         if bad:
             raise SystemError_("; ".join(bad))
         for s, m in enumerate(maps):
@@ -162,7 +163,7 @@ def make_system(A, G, actions, verify=True, tol=MEMBER_TOL):
     return DynamicalSystem(A=A, G=G, alpha=maps)
 
 
-def group_law_violations(G, maps, span, name, tol=MEMBER_TOL):
+def group_law_violations(G, maps, span, name):
     """Pairs (s, t) at which maps[s] . maps[t] != maps[st] on span's
     basis, as messages naming the maps `name`_s."""
     bad = []
@@ -170,7 +171,7 @@ def group_law_violations(G, maps, span, name, tol=MEMBER_TOL):
         for t in range(G.order):
             st = G.mul(s, t)
             if any(np.linalg.norm(maps[s](maps[t](b)) - maps[st](b))
-                   > 10 * tol for b in span.basis):
+                   > 10 * MEMBER_TOL for b in span.basis):
                 bad.append(f"group law fails: {name}_{s} {name}_{t} != "
                            f"{name}_{st}")
     return bad
@@ -197,7 +198,7 @@ def _extension_graph(ds, cover, s):
     return graph_closure(amb, amb, pairs, unital=True)
 
 
-def _canonical_witness(ds, cover, s, obstruction, tol=1e-6):
+def _canonical_witness(ds, cover, s, obstruction):
     """Stable witness for non-admissibility: scan A's basis in order for an
     element whose j-image is clean of the obstruction space while the
     j-image of its alpha_s-translate is not; the translate's obstruction
@@ -206,12 +207,12 @@ def _canonical_witness(ds, cover, s, obstruction, tol=1e-6):
     for a in ds.A.span.basis:
         u = obstruction.project(cover.j(a))
         v = obstruction.project(cover.j(ds.act(s, a)))
-        if np.linalg.norm(u) < tol and np.linalg.norm(v) > tol:
+        if np.linalg.norm(u) < 1e-6 and np.linalg.norm(v) > 1e-6:
             return normalize_witness(v)
     return normalize_witness(obstruction.basis[0])
 
 
-def admissible(ds, cover, tol=MEMBER_TOL):
+def admissible(ds, cover):
     """Decide alpha-admissibility of a cover.
 
     For each group element the candidate extension is the graph closure of
@@ -238,18 +239,18 @@ def admissible(ds, cover, tol=MEMBER_TOL):
     bad = []
     for s, beta in enumerate(betas):
         bad += [f"beta_{s} {v}"
-                for v in star_hom_violations(beta, cover.C, tol)]
+                for v in star_hom_violations(beta, cover.C)]
         if any(np.linalg.norm(beta(cover.j(a)) - cover.j(ds.act(s, a)))
-               > 10 * tol for a in ds.A.span.basis):
+               > 10 * MEMBER_TOL for a in ds.A.span.basis):
             bad.append(f"beta_{s} does not intertwine j")
-    bad += group_law_violations(ds.G, betas, cover.C, "beta", tol)
+    bad += group_law_violations(ds.G, betas, cover.C, "beta")
     if bad:
         raise SystemError_("assembled extension failed verification: " +
                            "; ".join(bad))
     return AdmissibilityReport(verdict=ADMISSIBLE, extension=betas)
 
 
-def invariant_kernel_check(ds, upper_report, morphism, tol=MEMBER_TOL):
+def invariant_kernel_check(ds, upper_report, morphism):
     """Whether the kernel of a cover morphism (from an admissible upper
     cover) is invariant under the extended action; by the admissibility
     correspondence this decides admissibility of the lower cover."""
@@ -260,7 +261,7 @@ def invariant_kernel_check(ds, upper_report, morphism, tol=MEMBER_TOL):
         return True
     for s, beta in enumerate(upper_report.extension):
         for b in K.basis:
-            if K.residual(beta(b)) > tol:
+            if K.residual(beta(b)) > MEMBER_TOL:
                 return False
     return True
 
@@ -290,7 +291,7 @@ class InnerReport:
         return self.unitaries is not None
 
 
-def _unitary_from_space(null, space, seed, tol):
+def _unitary_from_space(null, space, seed):
     """Polar decomposition of generic solutions; returns a unitary in the
     span or None."""
     if len(null) == 0:
@@ -309,23 +310,18 @@ def _unitary_from_space(null, space, seed, tol):
         except np.linalg.LinAlgError:
             continue
         U = u @ vh
-        if np.linalg.norm(U @ U.conj().T - np.eye(U.shape[0])) > 100 * tol:
+        if np.linalg.norm(U @ U.conj().T - np.eye(U.shape[0])) \
+                > 100 * MEMBER_TOL:
             continue
-        if space.residual(U) > 100 * tol:
+        if space.residual(U) > 100 * MEMBER_TOL:
             continue
         return U
     return None
 
 
-def _fix_phase(U):
-    flat = U.ravel()
-    mags = np.abs(flat)
-    idx = int(np.argmax(mags > 1e-6 * mags.max()))
-    return U / (flat[idx] / abs(flat[idx]))
-
-
-def locally_inner(ds, cover, seed=0, tol=MEMBER_TOL):
-    """Search for unitaries U_s in C with U_s j(a) = j(alpha_s(a)) U_s.
+def locally_inner(ds, cover):
+    """Search for unitaries U_s in C with U_s j(a) = j(alpha_s(a)) U_s
+    (seeded by the RunConfig's seed + s).
 
     Success certifies that the action is (locally) inner in the cover;
     failure is heuristic and reported with the solution-space dimensions."""
@@ -340,21 +336,21 @@ def locally_inner(ds, cover, seed=0, tol=MEMBER_TOL):
         cod_imgs = [cover.j(ds.act(s, a)) for a in ds.A.span.basis]
         null = intertwiner_space(j_imgs, cod_imgs, cover.C)
         dims.append(len(null))
-        U = _unitary_from_space(null, cover.C, seed + s, tol)
+        U = _unitary_from_space(null, cover.C, current().seed + s)
         if U is None:
             return InnerReport(unitaries=None,
                                diagnostics={"solution_space_dims": dims,
                                             "failed_element": s})
-        U = _fix_phase(U)
+        U = fix_phase(U)
         for x, y in zip(j_imgs, cod_imgs):
-            if np.linalg.norm(U @ x - y @ U) > 100 * tol:
+            if np.linalg.norm(U @ x - y @ U) > 100 * MEMBER_TOL:
                 return InnerReport(unitaries=None,
                                    diagnostics={"verification_failed": s})
         unitaries.append(U)
-    return _group_law_report(ds.G, unitaries, tol)
+    return _group_law_report(ds.G, unitaries)
 
 
-def inner_in_itself(ds, seed=0, tol=MEMBER_TOL):
+def inner_in_itself(ds):
     """Like locally_inner, but the unitaries must lie in the diagonal
     A * A* of the algebra itself (so ad(U_s) makes sense inside A)."""
     span = ds.A.span
@@ -369,36 +365,37 @@ def inner_in_itself(ds, seed=0, tol=MEMBER_TOL):
         cod_imgs = [ds.act(s, a) for a in a_imgs]
         null = intertwiner_space(a_imgs, cod_imgs, D)
         dims.append(len(null))
-        U = _unitary_from_space(null, D, seed + s, tol)
+        U = _unitary_from_space(null, D, current().seed + s)
         if U is None:
             return InnerReport(unitaries=None,
                                diagnostics={"solution_space_dims": dims,
                                             "failed_element": s})
-        unitaries.append(_fix_phase(U))
-    return _group_law_report(ds.G, unitaries, tol)
+        unitaries.append(fix_phase(U))
+    return _group_law_report(ds.G, unitaries)
 
 
-def _group_law_report(G, unitaries, tol):
-    exact = _law_holds(G, unitaries, tol)
+def _group_law_report(G, unitaries):
+    exact = _law_holds(G, unitaries)
     if exact:
         return InnerReport(unitaries=unitaries, exact_group_law=True,
                            trivialized=list(unitaries))
-    triv = _cyclic_trivialize(G, unitaries, tol)
+    triv = _cyclic_trivialize(G, unitaries)
     return InnerReport(unitaries=unitaries, exact_group_law=False,
                        trivialized=triv,
                        diagnostics={} if triv else
                        {"note": "group law holds only projectively"})
 
 
-def _law_holds(G, us, tol):
+def _law_holds(G, us):
     for s in range(G.order):
         for t in range(G.order):
-            if np.linalg.norm(us[s] @ us[t] - us[G.mul(s, t)]) > 100 * tol:
+            if np.linalg.norm(us[s] @ us[t] - us[G.mul(s, t)]) \
+                    > 100 * MEMBER_TOL:
                 return False
     return True
 
 
-def _cyclic_trivialize(G, us, tol):
+def _cyclic_trivialize(G, us):
     """Rescale the generator of a cyclic group by an n-th root of the phase
     defect so that powers satisfy the group law exactly."""
     g = G.generator()
@@ -408,7 +405,8 @@ def _cyclic_trivialize(G, us, tol):
     N = us[0].shape[0]
     power = np.linalg.matrix_power(us[g], n)
     mu = np.trace(power) / N
-    if np.linalg.norm(power - mu * np.eye(N)) > 100 * tol or abs(abs(mu) - 1) > 100 * tol:
+    if np.linalg.norm(power - mu * np.eye(N)) > 100 * MEMBER_TOL \
+            or abs(abs(mu) - 1) > 100 * MEMBER_TOL:
         return None
     zeta = mu ** (-1.0 / n)
     Ug = zeta * us[g]
@@ -418,6 +416,6 @@ def _cyclic_trivialize(G, us, tol):
         out[cur_idx] = cur
         cur_idx = G.mul(cur_idx, g)
         cur = cur @ Ug
-    if not _law_holds(G, out, tol):
+    if not _law_holds(G, out):
         return None
     return out

@@ -10,7 +10,9 @@ orthonormal basis under the Hilbert-Schmidt inner product
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,6 +20,33 @@ import numpy as np
 # accumulated products cannot flip them; membership uses the looser one.
 RANK_TOL = 1e-9
 MEMBER_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Settings of one run: the seed of the falsifier, block-structure and
+    inner-unitary searches, and the Choi solver's iteration cap."""
+
+    seed: int = 0
+    max_iter: int = 50000
+
+
+_RUN_CONFIG = ContextVar("opalg_run_config", default=RunConfig())
+
+
+def current():
+    """The RunConfig in effect."""
+    return _RUN_CONFIG.get()
+
+
+@contextmanager
+def using(**fields):
+    """Run the enclosed block with the given RunConfig fields replaced."""
+    token = _RUN_CONFIG.set(replace(current(), **fields))
+    try:
+        yield
+    finally:
+        _RUN_CONFIG.reset(token)
 
 
 class AmbientMismatch(ValueError):
@@ -67,14 +96,15 @@ class Ambient:
     def off_block_norm(self, mat):
         return float(np.linalg.norm(np.where(self.mask(), 0.0, mat)))
 
-    def check(self, mat, tol=MEMBER_TOL):
+    def check(self, mat):
         mat = np.asarray(mat, dtype=complex)
         if mat.shape != (self.dim, self.dim):
             raise AmbientMismatch(
                 f"expected shape {(self.dim, self.dim)}, got {mat.shape}")
         r = self.off_block_norm(mat)
-        if r > tol:
-            raise AmbientMismatch(f"off-block residual {r:.3e} above {tol:.1e}")
+        if r > MEMBER_TOL:
+            raise AmbientMismatch(
+                f"off-block residual {r:.3e} above {MEMBER_TOL:.1e}")
         return mat
 
     def matrix_unit(self, r, c):
@@ -156,10 +186,10 @@ def intertwiner_space(dom_imgs, cod_imgs, space):
     return null_space(np.vstack(rows))
 
 
-def hs_orthonormalize(mats, rank_tol=RANK_TOL):
+def hs_orthonormalize(mats):
     """Orthonormal basis (as a (d, N, N) stack) of the span of `mats`.
 
-    Rank is decided by singular values against `rank_tol` (relative to the
+    Rank is decided by singular values against RANK_TOL (relative to the
     largest singular value, floored at 1).  Deterministic for a fixed input
     order.
     """
@@ -169,11 +199,11 @@ def hs_orthonormalize(mats, rank_tol=RANK_TOL):
     shape = mats[0].shape
     flat = np.array([m.ravel() for m in mats])
     gram = flat @ flat.conj().T
-    if np.abs(gram - np.eye(len(mats))).max() < rank_tol:
+    if np.abs(gram - np.eye(len(mats))).max() < RANK_TOL:
         # already orthonormal; keep the given order (stable golden outputs)
         return np.array(mats)
     _, s, vh = np.linalg.svd(flat, full_matrices=False)
-    cutoff = rank_tol * max(1.0, float(s[0]) if len(s) else 1.0)
+    cutoff = RANK_TOL * max(1.0, float(s[0]) if len(s) else 1.0)
     keep = s > cutoff
     return vh[keep].reshape(-1, *shape)
 
@@ -215,70 +245,60 @@ class AlgebraSpan:
     def residual(self, x):
         return float(np.linalg.norm(np.asarray(x, dtype=complex) - self.project(x)))
 
-    def contains(self, x, tol=MEMBER_TOL):
-        return self.residual(x) <= tol
+    def contains(self, x):
+        return self.residual(x) <= MEMBER_TOL
 
-    def coeffs(self, x, tol=MEMBER_TOL):
+    def coeffs(self, x):
         """Coefficients of x against the basis; raises NotInSpan if the
-        residual exceeds tol."""
+        residual exceeds MEMBER_TOL."""
         x = np.asarray(x, dtype=complex)
         c = self._flat.conj() @ x.ravel() if self.dim else np.zeros(0, complex)
         r = float(np.linalg.norm(x.ravel() - c @ self._flat)) if self.dim \
             else float(np.linalg.norm(x))
-        if r > tol:
-            raise NotInSpan(f"residual {r:.3e} above {tol:.1e}")
+        if r > MEMBER_TOL:
+            raise NotInSpan(f"residual {r:.3e} above {MEMBER_TOL:.1e}")
         return c
 
     def from_coeffs(self, c):
         return (np.asarray(c, dtype=complex) @ self._flat).reshape(
             self.ambient.dim, self.ambient.dim)
 
-    def contains_span(self, other, tol=MEMBER_TOL):
-        return all(self.contains(b, tol) for b in other.basis)
+    def contains_span(self, other):
+        return all(self.contains(b) for b in other.basis)
 
     def identity_residual(self):
         return self.residual(self.ambient.identity())
 
-    def verify(self, tol=MEMBER_TOL):
+    def verify(self):
         """Return a list of violated invariants (empty when all hold)."""
         bad = []
         g = self._flat @ self._flat.conj().T if self.dim else np.zeros((0, 0))
-        if self.dim and np.abs(g - np.eye(self.dim)).max() > tol:
+        if self.dim and np.abs(g - np.eye(self.dim)).max() > MEMBER_TOL:
             bad.append("basis not HS-orthonormal")
         for b in self.basis:
-            if self.ambient.off_block_norm(b) > tol:
+            if self.ambient.off_block_norm(b) > MEMBER_TOL:
                 bad.append("basis leaves ambient block pattern")
                 break
-        for a in self.basis:
-            for b in self.basis:
-                if self.residual(a @ b) > tol:
-                    bad.append("not closed under multiplication")
-                    break
-            else:
-                continue
-            break
-        if self.self_adjoint:
-            if any(self.residual(b.conj().T) > tol for b in self.basis):
-                bad.append("not closed under adjoint")
-        if self.unital and self.identity_residual() > tol:
+        if any(self.residual(a @ b) > MEMBER_TOL
+               for a in self.basis for b in self.basis):
+            bad.append("not closed under multiplication")
+        if self.self_adjoint and any(self.residual(b.conj().T) > MEMBER_TOL
+                                     for b in self.basis):
+            bad.append("not closed under adjoint")
+        if self.unital and self.identity_residual() > MEMBER_TOL:
             bad.append("does not contain the ambient identity")
-        if self.ideal_in is not None:
-            C = self.ideal_in
-            for c in C.basis:
-                for b in self.basis:
-                    if self.residual(c @ b) > tol or self.residual(b @ c) > tol:
-                        bad.append("not an ideal in the enclosing algebra")
-                        break
-                else:
-                    continue
-                break
+        if self.ideal_in is not None and any(
+                self.residual(c @ b) > MEMBER_TOL
+                or self.residual(b @ c) > MEMBER_TOL
+                for c in self.ideal_in.basis for b in self.basis):
+            bad.append("not an ideal in the enclosing algebra")
         return bad
 
 
-def orthonormal_span(ambient, mats, rank_tol=RANK_TOL):
+def orthonormal_span(ambient, mats):
     """Orthonormalized subspace span of the given ambient elements."""
     mats = [ambient.check(m) for m in mats]
-    return AlgebraSpan(ambient, hs_orthonormalize(mats, rank_tol)
+    return AlgebraSpan(ambient, hs_orthonormalize(mats)
                        if mats else np.zeros((0, ambient.dim, ambient.dim), complex))
 
 
@@ -324,14 +344,14 @@ def generate_algebra(ambient, gens, self_adjoint=False, unital=True):
     return AlgebraSpan(ambient, basis, self_adjoint=self_adjoint, unital=unital)
 
 
-def generate_ideal(C, gens, tol=MEMBER_TOL):
+def generate_ideal(C, gens):
     """Smallest subspace of C containing `gens` that is a two-sided ideal,
     closed under adjoint.  Generators must already lie in C."""
     gens = [np.asarray(g, dtype=complex) for g in gens]
     for g in gens:
-        if not C.contains(g, tol):
+        if not C.contains(g):
             raise NotInSpan("ideal generator not in the enclosing algebra")
-    seed = [g for g in gens if np.linalg.norm(g) > tol]
+    seed = [g for g in gens if np.linalg.norm(g) > MEMBER_TOL]
     seed += [g.conj().T for g in seed]
 
     def extend(basis):
@@ -347,7 +367,7 @@ def generate_ideal(C, gens, tol=MEMBER_TOL):
     return AlgebraSpan(C.ambient, basis, self_adjoint=True, ideal_in=C)
 
 
-def support_isometry(mats, N, tol=RANK_TOL):
+def support_isometry(mats, N):
     """Isometry V (N x m) onto the joint support of the given matrices, or
     None when the support is full.  Coordinate selection when the support
     projection is diagonal (keeps matrix units exact)."""
@@ -356,21 +376,21 @@ def support_isometry(mats, N, tol=RANK_TOL):
         T += b @ b.conj().T + b.conj().T @ b
     offdiag = T - np.diag(np.diag(T))
     scale = max(1.0, float(np.abs(T).max()) if T.size else 1.0)
-    if offdiag.size == 0 or np.abs(offdiag).max() < tol * scale:
-        keep = np.where(np.real(np.diag(T)) > tol * scale)[0]
+    if offdiag.size == 0 or np.abs(offdiag).max() < RANK_TOL * scale:
+        keep = np.where(np.real(np.diag(T)) > RANK_TOL * scale)[0]
         if len(keep) == N:
             return None
         V = np.zeros((N, len(keep)), dtype=complex)
         V[keep, np.arange(len(keep))] = 1.0
         return V
     w, U = np.linalg.eigh((T + T.conj().T) / 2)
-    keep = w > tol * max(1.0, float(w[-1]))
+    keep = w > RANK_TOL * max(1.0, float(w[-1]))
     if keep.all():
         return None
     return U[:, keep]
 
 
-def compress_span(span, tol=RANK_TOL):
+def compress_span(span):
     """Compress a span onto its joint support.
 
     Returns (compressed span, isometry V or None).  When V is a coordinate
@@ -379,7 +399,7 @@ def compress_span(span, tol=RANK_TOL):
     """
     amb = span.ambient
     N = amb.dim
-    V = support_isometry(list(span.basis), N, tol)
+    V = support_isometry(list(span.basis), N)
     if V is None:
         return span, None
     m = V.shape[1]

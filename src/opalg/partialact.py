@@ -48,7 +48,7 @@ class Decomposition:
     maximality_waived: bool = False
 
 
-def decompose(cover, waive_maximality=False, tol=MEMBER_TOL):
+def decompose(cover, waive_maximality=False):
     """Split a cover along its Shilov ideal.
 
     Raises ShilovNotMaximal when the envelope has more than one simple
@@ -77,7 +77,7 @@ def decompose(cover, waive_maximality=False, tol=MEMBER_TOL):
     if S:
         J = ideal_blocks(cover.C, S)
         essential = annihilator(cover.C, J).dim == 0
-        if not homomorphism_check(j2, unital=False, tol=tol):
+        if not homomorphism_check(j2, unital=False):
             raise CoverError("(1-p) j is not a homomorphism")
         rep2 = require_decisive(cc_check(j2), "boundary part of the splitting")
         if rep2.verdict != CC:
@@ -109,13 +109,13 @@ class PartialActionSpec:
             else self.corner
 
 
-def build_partial_action(ds, cover, waive_maximality=False, tol=MEMBER_TOL):
+def build_partial_action(ds, cover, waive_maximality=False):
     """Construct and validate the partial action induced on a cover.
 
     The corner maps theta_s come from graph closure of the corner embedding
     pairs {(p j(a), p j(alpha_s(a)))}; the corner is equivalent to the
     envelope, which is always admissible, so the closure must be a graph."""
-    dec = decompose(cover, waive_maximality=waive_maximality, tol=tol)
+    dec = decompose(cover, waive_maximality=waive_maximality)
     amb = cover.ambient
     corner = orthonormal_span(amb, [dec.p @ b for b in cover.C.basis])
     corner = AlgebraSpan(amb, corner.basis, self_adjoint=True)
@@ -134,8 +134,8 @@ def build_partial_action(ds, cover, waive_maximality=False, tol=MEMBER_TOL):
                 "missing")
         thetas.append(graph_function(amb, amb, G, corner))
     bad = [f"theta_{s} {v}" for s, th in enumerate(thetas)
-           for v in star_hom_violations(th, corner, tol)]
-    bad += group_law_violations(ds.G, thetas, corner, "theta", tol)
+           for v in star_hom_violations(th, corner)]
+    bad += group_law_violations(ds.G, thetas, corner, "theta")
     if bad:
         raise SystemError_("partial-action axioms violated: " +
                            "; ".join(bad))
@@ -163,7 +163,7 @@ class PartialCrossed:
         return self.gamma_s[s](x)
 
 
-def partial_crossed(spec, tol=MEMBER_TOL):
+def partial_crossed(spec):
     """Build the Gamma-model of the partial crossed product and verify it
     against the convolution law (x delta_s)(y delta_t) =
     theta_s(theta_{s^-1}(x) y) delta_{st} on all basis pairs."""
@@ -178,7 +178,7 @@ def partial_crossed(spec, tol=MEMBER_TOL):
                          for b in corner_c.basis])
         thetas_c.append(LinearMap(dom=corner_c, cod=corner_c.ambient,
                                   images=imgs))
-    cp = cstar_crossed(corner_c, G, thetas_c, tol=tol)
+    cp = cstar_crossed(corner_c, G, thetas_c)
     # complementary part (1-p)C on its own support
     q = cover.ambient.identity() - dec.p
     rest = orthonormal_span(cover.ambient,
@@ -231,11 +231,11 @@ def partial_crossed(spec, tol=MEMBER_TOL):
     pc = PartialCrossed(spec=spec, ambient=amb, algebra=algebra,
                         corner_crossed=cp, gamma_e=gamma_e, gamma_s=gamma_s)
     res = _convolution_residual(pc)
-    if res > 100 * tol:
+    if res > 100 * MEMBER_TOL:
         raise SystemError_(
             f"convolution law residual {res:.2e} above tolerance")
     pc.convolution_residual = res
-    bad = algebra.verify(tol)
+    bad = algebra.verify()
     if bad:
         raise SystemError_("partial crossed product span invalid: " +
                            "; ".join(bad))
@@ -281,18 +281,17 @@ class RecoveryReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def verify_partial_recovery(ds, cover, waive_maximality=False,
-                            tol=MEMBER_TOL):
+def verify_partial_recovery(ds, cover, waive_maximality=False):
     """Run the whole pipeline: B = span{j1(a) delta_s} inside the partial
     crossed product, compared with the full crossed product A x G via the
     canonical generator bijection, verified as a completely isometric
     isomorphism in both directions."""
     spec = build_partial_action(ds, cover,
-                                waive_maximality=waive_maximality, tol=tol)
-    pc = partial_crossed(spec, tol=tol)
+                                waive_maximality=waive_maximality)
+    pc = partial_crossed(spec)
     dec = spec.decomposition
     G = ds.G
-    fc = full_crossed(ds, tol=tol)
+    fc = full_crossed(ds)
     gen_b, gen_f = [], []
     for i, a in enumerate(ds.A.span.basis):
         j1a = dec.p @ cover.j(a)
@@ -317,10 +316,10 @@ def verify_partial_recovery(ds, cover, waive_maximality=False,
         for b in fc.subalgebra.basis:
             residual = max(residual,
                            float(np.linalg.norm(fwd(bwd(b)) - b)))
-        if residual > 100 * tol:
+        if residual > 100 * MEMBER_TOL:
             ok = False
             diagnostics["reason"] = "recovery maps are not mutually inverse"
-        elif not homomorphism_check(fwd, unital=False, tol=tol):
+        elif not homomorphism_check(fwd, unital=False):
             ok = False
             diagnostics["reason"] = "recovery map is not a homomorphism"
         else:

@@ -32,10 +32,12 @@ from .covers import (CoverError, MorphismAbsence, OperatorAlgebra, envelope,
 from .crossed import full_crossed, relative_crossed
 from .dynamics import (FiniteGroup, GroupError, admissible, inner_in_itself,
                        locally_inner, make_system)
-from .linalg import AlgebraSpan, Ambient, diagonal, orthonormal_span
+from .linalg import (MEMBER_TOL, AlgebraSpan, Ambient, current, diagonal,
+                     orthonormal_span)
 from .partialact import verify_partial_recovery
 from .serialize import digest, mat_from_json, mat_to_json
-from .structure import annihilator, ideal_blocks, minimal_central_projections
+from .structure import (annihilator, block_dims, ideal_blocks,
+                        minimal_central_projections)
 
 
 class ScenarioError(ValueError):
@@ -50,10 +52,15 @@ class Scenario:
     group: FiniteGroup | None = None
     systems: dict = field(default_factory=dict)
     _covers: dict = field(default_factory=dict)
-    tol: float = 1e-8
-    seed: int = 0
 
     def cover(self, name):
+        """The named cover; one failing its own validation is bad input."""
+        try:
+            return self.build_cover(name)
+        except CoverError as exc:
+            raise ScenarioError(f"cover {name!r}: {exc.args[0]}") from exc
+
+    def build_cover(self, name):
         """Build (and cache) a named cover; CoverError propagates so the
         check-cover op can report structured rejections."""
         if name in self._covers:
@@ -64,7 +71,7 @@ class Scenario:
         A = self._algebra(spec.get("algebra"))
         amb = self._ambient(spec.get("ambient"))
         try:
-            mats = [mat_from_json(m) for m in spec["j"]]
+            mats = [amb.check(mat_from_json(m)) for m in spec["j"]]
         except Exception as exc:
             raise ScenarioError(f"bad j matrices for cover {name!r}: {exc}")
         if len(mats) != A.dim:
@@ -91,7 +98,7 @@ class Scenario:
         return self.systems[name]
 
 
-def load_scenario(source, tol=1e-8, seed=0):
+def load_scenario(source):
     """Parse a scenario from a path, JSON text, or dict."""
     if isinstance(source, dict):
         raw = source
@@ -109,8 +116,7 @@ def load_scenario(source, tol=1e-8, seed=0):
             raise ScenarioError(f"scenario is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
-    sc = Scenario(raw=raw, tol=float(raw.get("tol", tol)),
-                  seed=int(raw.get("seed", seed)))
+    sc = Scenario(raw=raw)
     for name, dims in raw.get("ambients", {}).items():
         try:
             sc.ambients[name] = Ambient(tuple(dims))
@@ -125,7 +131,7 @@ def load_scenario(source, tol=1e-8, seed=0):
         span = orthonormal_span(amb, mats)
         span = AlgebraSpan(amb, span.basis, unital=True)
         alg = OperatorAlgebra(span, name=name)
-        bad = alg.verify(sc.tol)
+        bad = alg.verify()
         if bad:
             raise ScenarioError(f"algebra {name!r}: " + "; ".join(bad))
         sc.algebras[name] = alg
@@ -149,11 +155,10 @@ def load_scenario(source, tol=1e-8, seed=0):
                 actions = {s: [mat_from_json(m) for m in imgs]
                            for s, imgs in enumerate(act["images"])}
             else:
-                raise ScenarioError(
-                    f"system {name!r}: unknown action type {kind!r}")
+                raise ScenarioError(f"unknown action type {kind!r}")
+            sc.systems[name] = make_system(A, sc.group, actions)
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"system {name!r}: {exc}")
-        sc.systems[name] = make_system(A, sc.group, actions)
     return sc
 
 
@@ -161,13 +166,9 @@ def load_scenario(source, tol=1e-8, seed=0):
 # check dispatch
 
 
-def _blocks(span):
-    return list(minimal_central_projections(span).block_dims)
-
-
 def _op_check_cover(sc, args):
     try:
-        cov = sc.cover(args["cover"])
+        cov = sc.build_cover(args["cover"])
     except CoverError as exc:
         return {"verdict": type(exc).__name__, "detail": str(exc)}
     return {"verdict": "Valid", "dim": cov.C.dim}
@@ -196,7 +197,7 @@ def _op_shilov(sc, args):
 
 def _op_envelope(sc, args):
     env = envelope(sc.cover(args["cover"]))
-    return {"dim": env.C.dim, "blocks": _blocks(env.C)}
+    return {"dim": env.C.dim, "blocks": block_dims(env.C)}
 
 
 def _op_order(sc, args):
@@ -213,7 +214,7 @@ def _op_order(sc, args):
 
 def _op_join(sc, args):
     cov = join(*[sc.cover(n) for n in args["covers"]])
-    return {"dim": cov.C.dim, "blocks": _blocks(cov.C)}
+    return {"dim": cov.C.dim, "blocks": block_dims(cov.C)}
 
 
 def _op_meet(sc, args):
@@ -221,7 +222,7 @@ def _op_meet(sc, args):
     if len(names) != 2:
         raise ScenarioError("meet takes exactly two covers")
     cov = meet(sc.cover(names[0]), sc.cover(names[1]))
-    return {"dim": cov.C.dim, "blocks": _blocks(cov.C)}
+    return {"dim": cov.C.dim, "blocks": block_dims(cov.C)}
 
 
 def _op_admissible(sc, args):
@@ -264,9 +265,9 @@ def _op_crossed(sc, args):
     D = diagonal(cp.subalgebra)
     return {"cstar_dim": cp.algebra.dim,
             "dim": cp.subalgebra.dim,
-            "cstar_blocks": _blocks(cp.algebra),
+            "cstar_blocks": block_dims(cp.algebra),
             "diagonal_dim": D.dim,
-            "diagonal_blocks": _blocks(D),
+            "diagonal_blocks": block_dims(D),
             "covariance_residual": cp.covariance_residual()}
 
 
@@ -295,23 +296,23 @@ OPS = {
 }
 
 
-def expect_matches(expected, actual, tol=1e-6):
+def expect_matches(expected, actual):
     """Recursive containment check of an expectation against a result."""
     if isinstance(expected, dict):
         if not isinstance(actual, dict):
             return False
-        return all(k in actual and expect_matches(v, actual[k], tol)
+        return all(k in actual and expect_matches(v, actual[k])
                    for k, v in expected.items())
     if isinstance(expected, (list, tuple)):
         if not isinstance(actual, (list, tuple)) \
                 or len(expected) != len(actual):
             return False
-        return all(expect_matches(e, a, tol)
+        return all(expect_matches(e, a)
                    for e, a in zip(expected, actual))
     if isinstance(expected, bool) or isinstance(actual, bool):
         return expected is actual
     if isinstance(expected, (int, float)) and isinstance(actual, (int, float)):
-        return abs(float(expected) - float(actual)) <= tol
+        return abs(float(expected) - float(actual)) <= 1e-6
     return expected == actual
 
 
@@ -336,16 +337,16 @@ def run_check(sc, check):
     return entry
 
 
-def run_scenario(source, tol=1e-8, seed=0):
+def run_scenario(source):
     """Execute every check in a scenario; returns the report dict."""
-    sc = load_scenario(source, tol=tol, seed=seed)
+    sc = load_scenario(source)
     checks = sc.raw.get("checks", [])
     if not isinstance(checks, list):
         raise ScenarioError("checks must be a list")
     entries = [run_check(sc, c) for c in checks]
     report = {
-        "seed": sc.seed,
-        "tol": sc.tol,
+        "seed": current().seed,
+        "tol": MEMBER_TOL,
         "checks": entries,
         "all_pass": all(e["pass"] for e in entries),
         "inconclusive": any(e["status"] == "inconclusive" for e in entries),

@@ -34,10 +34,10 @@ def _fmt_float(x):
     return s
 
 
-def dumps(obj, indent=None, _level=0):
+def dumps(obj, indent=None, _depth=0):
     """JSON text with sorted keys and 17-significant-digit floats."""
-    pad = "" if indent is None else "\n" + " " * (indent * (_level + 1))
-    end = "" if indent is None else "\n" + " " * (indent * _level)
+    pad = "" if indent is None else "\n" + " " * (indent * (_depth + 1))
+    end = "" if indent is None else "\n" + " " * (indent * _depth)
     if obj is None:
         return "null"
     if obj is True:
@@ -49,19 +49,19 @@ def dumps(obj, indent=None, _level=0):
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, complex):
-        return dumps([obj.real, obj.imag], indent, _level)
+        return dumps([obj.real, obj.imag], indent, _depth)
     if isinstance(obj, str):
         out = obj.replace("\\", "\\\\").replace('"', '\\"')
         out = out.replace("\n", "\\n").replace("\t", "\\t")
         return f'"{out}"'
     if isinstance(obj, np.ndarray):
-        return dumps(mat_to_json(obj), indent, _level)
+        return dumps(mat_to_json(obj), indent, _depth)
     if isinstance(obj, (frozenset, set)):
-        return dumps(sorted(obj), indent, _level)
+        return dumps(sorted(obj), indent, _depth)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [dumps(v, indent, _level + 1) for v in obj]
+        items = [dumps(v, indent, _depth + 1) for v in obj]
         return "[" + pad + ("," + pad).join(items) + end + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -69,7 +69,7 @@ def dumps(obj, indent=None, _level=0):
         items = []
         for k in sorted(obj, key=str):
             items.append(f"{dumps(str(k))}: "
-                         f"{dumps(obj[k], indent, _level + 1)}")
+                         f"{dumps(obj[k], indent, _depth + 1)}")
         return "{" + pad + ("," + pad).join(items) + end + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (MEMBER_TOL, AlgebraSpan, hs_orthonormalize,
+from .linalg import (MEMBER_TOL, AlgebraSpan, current, hs_orthonormalize,
                      intertwiner_space, orthonormal_span)
 
 CLUSTER_GAP = 1e-6
@@ -53,23 +53,23 @@ class BlockStructure:
     def complement(self, S):
         return frozenset(range(self.num_blocks)) - frozenset(S)
 
-    def verify(self, tol=MEMBER_TOL):
+    def verify(self):
         bad = []
         zs = self.projections
         N = self.parent.ambient.dim
         total = np.sum(zs, axis=0) if len(zs) else np.zeros((N, N))
-        if np.linalg.norm(total - np.eye(N)) > tol * max(1, N):
+        if np.linalg.norm(total - np.eye(N)) > MEMBER_TOL * max(1, N):
             bad.append("central projections do not sum to the identity")
         for i, zi in enumerate(zs):
-            if np.linalg.norm(zi - zi.conj().T) > tol:
+            if np.linalg.norm(zi - zi.conj().T) > MEMBER_TOL:
                 bad.append("projection not self-adjoint")
             for jj, zj in enumerate(zs):
                 want = zi if i == jj else 0.0
-                if np.linalg.norm(zi @ zj - want) > tol:
+                if np.linalg.norm(zi @ zj - want) > MEMBER_TOL:
                     bad.append("projections not mutually orthogonal idempotents")
         for zi in zs:
             for b in self.parent.basis:
-                if np.linalg.norm(zi @ b - b @ zi) > tol:
+                if np.linalg.norm(zi @ b - b @ zi) > MEMBER_TOL:
                     bad.append("projection not central")
                     break
         if sum(m * m for m in self.block_dims) != self.parent.dim:
@@ -88,8 +88,8 @@ def center(C):
                        self_adjoint=True, unital=C.unital)
 
 
-def _cluster(vals, gap):
-    """Group sorted eigenvalues into clusters separated by more than gap.
+def _cluster(vals):
+    """Group sorted eigenvalues into clusters split at gaps > CLUSTER_GAP.
     Returns (slices, min separating gap)."""
     order = np.argsort(vals)
     sv = vals[order]
@@ -97,7 +97,7 @@ def _cluster(vals, gap):
     min_sep = np.inf
     for k in range(1, len(sv)):
         step = sv[k] - sv[k - 1]
-        if step > gap:
+        if step > CLUSTER_GAP:
             min_sep = min(min_sep, step)
             clusters.append([])
         clusters[-1].append(order[k])
@@ -109,13 +109,13 @@ def _corner_span(C, z):
     return orthonormal_span(C.ambient, mats)
 
 
-def minimal_central_projections(C, seed=0, gap=CLUSTER_GAP, tol=MEMBER_TOL):
+def minimal_central_projections(C):
     """Block structure of a self-adjoint unital span.
 
     Takes the spectral projections of a generic self-adjoint central element
-    (fixed-seed random combination of a hermitized center basis).  Eigenvalue
-    clusters merged at `gap`; retried with a fresh generic element when the
-    separating gaps come too close to the merge threshold.
+    (RunConfig-seeded random combination of a hermitized center basis).
+    Eigenvalue clusters merged at CLUSTER_GAP; retried with a fresh generic
+    element when the separating gaps come too close to the merge threshold.
     """
     cached = getattr(C, "_block_structure", None)
     if cached is not None:
@@ -126,15 +126,15 @@ def minimal_central_projections(C, seed=0, gap=CLUSTER_GAP, tol=MEMBER_TOL):
     # hermitized center basis
     herm = hs_orthonormalize(
         [b + b.conj().T for b in Z.basis] + [1j * (b - b.conj().T) for b in Z.basis])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(current().seed)
     last = None
     for _ in range(_MAX_RESAMPLE):
         w = rng.standard_normal(len(herm))
         g = np.tensordot(w, herm, axes=(0, 0))
         g = (g + g.conj().T) / 2
         vals, vecs = np.linalg.eigh(g)
-        clusters, min_sep = _cluster(vals, gap)
-        if len(clusters) > 1 and min_sep < 10 * gap:
+        clusters, min_sep = _cluster(vals)
+        if len(clusters) > 1 and min_sep < 10 * CLUSTER_GAP:
             last = min_sep
             continue
         zs = []
@@ -163,7 +163,7 @@ def minimal_central_projections(C, seed=0, gap=CLUSTER_GAP, tol=MEMBER_TOL):
             block_dims=tuple(t[0] for t in info),
             mults=tuple(t[1] for t in info),
         )
-        bad = bs.verify(tol)
+        bad = bs.verify()
         if bad:
             raise BlockStructureError("; ".join(bad))
         C._block_structure = bs
@@ -171,6 +171,11 @@ def minimal_central_projections(C, seed=0, gap=CLUSTER_GAP, tol=MEMBER_TOL):
     raise BlockStructureError(
         f"eigenvalue clustering ambiguous after {_MAX_RESAMPLE} resamples "
         f"(last separating gap {last:.2e})")
+
+
+def block_dims(C):
+    """Sizes of the simple blocks of C as a list, largest first."""
+    return list(minimal_central_projections(C).block_dims)
 
 
 def ideal_blocks(C, S):
@@ -181,15 +186,16 @@ def ideal_blocks(C, S):
     return AlgebraSpan(C.ambient, span.basis, self_adjoint=True, ideal_in=C)
 
 
-def blocks_of_ideal(C, J, tol=MEMBER_TOL):
+def blocks_of_ideal(C, J):
     """Block subset corresponding to an ideal J of C; raises when J is not a
     sum of blocks."""
     bs = minimal_central_projections(C)
     S = frozenset(
         i for i in range(bs.num_blocks)
-        if any(np.linalg.norm(bs.projections[i] @ b) > tol for b in J.basis))
+        if any(np.linalg.norm(bs.projections[i] @ b) > MEMBER_TOL
+               for b in J.basis))
     back = ideal_blocks(C, S)
-    if back.dim != J.dim or not all(back.contains(b, tol) for b in J.basis):
+    if back.dim != J.dim or not back.contains_span(J):
         raise BlockStructureError("subspace is not an ideal of the algebra")
     return S
 

@@ -19,19 +19,15 @@ from .covers import (MorphismAbsence, NotCompletelyIsometric, envelope,
 from .crossed import crossed_equivalent, full_crossed, trivialization_iso
 from .dynamics import (ADMISSIBLE, NOT_ADMISSIBLE, admissible,
                        inner_in_itself, invariant_kernel_check, locally_inner)
-from .linalg import diagonal
+from .linalg import MEMBER_TOL, diagonal, using
 from .partialact import decompose, verify_partial_recovery
 from .serialize import digest, dumps
-from .structure import annihilator, ideal_blocks, minimal_central_projections
-
-
-def _blocks(span):
-    return list(minimal_central_projections(span).block_dims)
+from .structure import annihilator, block_dims, ideal_blocks
 
 
 def _check_schur_cover_structure():
     c = corpus.a4_schur_cover()
-    data = {"dim": c.C.dim, "blocks": _blocks(c.C)}
+    data = {"dim": c.C.dim, "blocks": block_dims(c.C)}
     return data, data == {"dim": 22, "blocks": [4, 2, 1, 1]}
 
 
@@ -47,7 +43,7 @@ def _check_schur_rejection():
 
 def _check_t2_diag_cover_structure():
     c = corpus.t2_diag_cover()
-    data = {"dim": c.C.dim, "blocks": _blocks(c.C)}
+    data = {"dim": c.C.dim, "blocks": block_dims(c.C)}
     return data, data == {"dim": 6, "blocks": [2, 1, 1]}
 
 
@@ -92,7 +88,7 @@ def _check_shilov_schur():
     bs = c.structure()
     env = envelope(c)
     data = {"shilov_block_dims": sorted(bs.block_dims[i] for i in S),
-            "envelope_blocks": _blocks(env.C),
+            "envelope_blocks": block_dims(env.C),
             "envelope_matches_inclusion": equivalent(env,
                                                      corpus.a4_inclusion_cover()),
             "shilov_of_envelope": sorted(shilov(env))}
@@ -124,8 +120,8 @@ def _check_crossed_comparison():
     Di = diagonal(cp_i.subalgebra)
     data = {"dim_swap": cp_a.subalgebra.dim,
             "dim_trivial": cp_i.subalgebra.dim,
-            "diag_blocks_swap": _blocks(Da),
-            "diag_blocks_trivial": _blocks(Di),
+            "diag_blocks_swap": block_dims(Da),
+            "diag_blocks_trivial": block_dims(Di),
             "equivalent": crossed_equivalent(cp_a, cp_i)}
     ok = (data["dim_swap"] == 16 and data["dim_trivial"] == 16
           and data["diag_blocks_swap"] == [2, 2]
@@ -162,7 +158,7 @@ def _check_trivialization():
     D = diagonal(cp_t.subalgebra)
     data["tensor_model"] = {"dim": cp_t.subalgebra.dim,
                             "matches": bool(tensor_ok),
-                            "diag_blocks": _blocks(D)}
+                            "diag_blocks": block_dims(D)}
     ok = ok and tensor_ok and cp_t.subalgebra.dim == 6 \
         and data["tensor_model"]["diag_blocks"] == [1, 1, 1, 1]
     return data, ok
@@ -269,19 +265,21 @@ CHECKS = [
 ]
 
 
-def paper_suite(seed=0, tol=1e-8):
-    """Run every golden check; returns the full report dict.
+def paper_suite(seed=0):
+    """Run every golden check, searches seeded by `seed`; returns the
+    full report dict.
 
     report["verdicts"] is the deterministic section: serialize it with
     serialize.dumps for byte-stable comparison across runs."""
     entries = []
     timings = {}
-    for name, fn in CHECKS:
-        t0 = time.perf_counter()
-        data, ok = fn()
-        timings[name] = time.perf_counter() - t0
-        entries.append({"name": name, "pass": bool(ok), "data": data})
-    verdicts = {"seed": seed, "tol": tol, "checks": entries}
+    with using(seed=seed):
+        for name, fn in CHECKS:
+            t0 = time.perf_counter()
+            data, ok = fn()
+            timings[name] = time.perf_counter() - t0
+            entries.append({"name": name, "pass": bool(ok), "data": data})
+    verdicts = {"seed": seed, "tol": MEMBER_TOL, "checks": entries}
     return {
         "verdicts": verdicts,
         "verdict_text": dumps(verdicts, indent=2),

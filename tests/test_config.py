@@ -1,0 +1,87 @@
+"""The run configuration: the seed and the Choi solver's budget reach the
+oracles through one RunConfig, a CLI run leaves it as it found it, and no
+tolerance or tuning keyword comes back into the library."""
+
+import ast
+import json
+import pathlib
+import re
+import runpy
+
+import numpy as np
+from click.testing import CliRunner
+
+import opalg
+from opalg.cb import CC, LinearMap, cc_check, falsifier_search
+from opalg.cli import main
+from opalg.corpus import t2_algebra
+from opalg.linalg import Ambient, RunConfig, current, orthonormal_span, using
+
+EXAMPLE = pathlib.Path(__file__).parents[1] / "scripts" / \
+    "make_example_scenario.py"
+
+
+def example_file(tmp_path):
+    path = tmp_path / "t2.json"
+    path.write_text(json.dumps(runpy.run_path(str(EXAMPLE))["build"]()))
+    return str(path)
+
+
+def random_map(seed):
+    rng = np.random.default_rng(seed)
+    amb = Ambient((3,))
+
+    def rand():
+        return rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+
+    dom = orthonormal_span(amb, [rand() for _ in range(2)])
+    return LinearMap(dom=dom, cod=amb,
+                     images=np.array([3 * rand() for _ in dom.basis]))
+
+
+def test_falsifier_reads_the_configured_seed():
+    phi = random_map(11)
+    with using(seed=5):
+        ratio, _ = falsifier_search(phi)
+    assert ratio == falsifier_search(phi, seed=5)[0]
+    assert ratio != falsifier_search(phi, seed=0)[0]
+
+
+def test_cli_budget_does_not_outlive_the_command(tmp_path):
+    res = CliRunner().invoke(main, ["structure", example_file(tmp_path),
+                                    "--cover", "diag", "--max-iter", "1"])
+    assert res.exit_code == 2
+    assert current() == RunConfig()
+    assert current().max_iter == 50000
+    span = t2_algebra().span
+    identity = LinearMap(dom=span, cod=span.ambient, images=span.basis)
+    assert cc_check(identity).verdict == CC
+
+
+def test_run_reports_the_seed_it_used(tmp_path):
+    res = CliRunner().invoke(main, ["run", example_file(tmp_path),
+                                    "--seed", "3"])
+    assert res.exit_code == 0
+    report = json.loads(res.output)
+    assert report["seed"] == 3
+    assert report["all_pass"]
+
+
+KNOB = re.compile(r"tol|seed|max_iter|restarts|iters|level|margin|gap|stall")
+
+
+def test_run_settings_are_the_only_tuning_keywords():
+    found = set()
+    for path in sorted(pathlib.Path(opalg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            pos = a.posonlyargs + a.args
+            keywords = pos[len(pos) - len(a.defaults):] + a.kwonlyargs
+            found |= {(path.stem, node.name, p.arg) for p in keywords
+                      if KNOB.search(p.arg)}
+    assert found == {("cb", "falsifier_search", "seed"),
+                     ("cb", "falsifier_search", "restarts"),
+                     ("cb", "choi_feasibility", "max_iter"),
+                     ("suite", "paper_suite", "seed")}

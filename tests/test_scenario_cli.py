@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from opalg import cb
 from opalg.cli import main
 from opalg.scenario import (ScenarioError, expect_matches, load_scenario,
                             run_check, run_scenario)
@@ -58,18 +57,26 @@ def t2_scenario():
     }
 
 
+def swap_inc_images(raw):
+    j = raw["covers"]["inc"]["j"]
+    j[0], j[2] = j[2], j[0]
+
+
+def inc_into_wrong_ambient(raw):
+    raw["covers"]["inc"]["ambient"] = "M2pC2"
+
+
+def sign_not_multiplicative(raw):
+    basis = raw["algebras"]["T2"]["basis"]
+    raw["systems"]["sign"]["action"] = {
+        "type": "matrices", "images": [basis, [basis[1], basis[0], basis[2]]]}
+
+
 @pytest.fixture()
 def scenario_file(tmp_path):
     path = tmp_path / "t2.json"
     path.write_text(json.dumps(t2_scenario()))
     return str(path)
-
-
-@pytest.fixture()
-def budgets_guard():
-    saved = cb.MAX_ITER
-    yield
-    cb.MAX_ITER = saved
 
 
 class TestScenario:
@@ -164,6 +171,28 @@ class TestCli:
         res = CliRunner().invoke(main, ["run", str(path)])
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize("spoil", [swap_inc_images,
+                                       inc_into_wrong_ambient,
+                                       sign_not_multiplicative])
+    def test_malformed_object_exits_3(self, tmp_path, spoil):
+        raw = t2_scenario()
+        spoil(raw)
+        path = tmp_path / "spoilt.json"
+        path.write_text(json.dumps(raw))
+        res = CliRunner().invoke(main, ["run", str(path)])
+        assert res.exit_code == 3
+
+    def test_check_cover_reports_rejection(self, tmp_path):
+        raw = t2_scenario()
+        swap_inc_images(raw)
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps(raw))
+        res = CliRunner().invoke(main, ["check-cover", str(path),
+                                        "--cover", "inc"])
+        assert res.exit_code == 0
+        result = json.loads(res.output)["checks"][0]["result"]
+        assert result["verdict"] == "NotHomomorphism"
+
     def test_single_check_command(self, scenario_file):
         res = CliRunner().invoke(main, ["structure", scenario_file,
                                         "--cover", "diag"])
@@ -182,7 +211,7 @@ class TestCli:
                                         "--covers", "diag,inc"])
         assert res.exit_code == 0
 
-    def test_starved_solver_exits_2(self, scenario_file, budgets_guard):
+    def test_starved_solver_exits_2(self, scenario_file):
         # With a one-iteration feasibility budget the complete-isometry
         # check of the cover cannot conclude.
         res = CliRunner().invoke(main, ["structure", scenario_file,
