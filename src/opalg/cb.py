@@ -5,13 +5,19 @@ Two independent oracles back every verdict:
 
 * a feasibility search for a unital completely positive extension of the
   2x2 off-diagonal (Paulsen) companion map, certified by a PSD Choi matrix
-  satisfying the pinning affine constraints; and
+  satisfying the pinning affine constraints.  The search runs on a
+  block-diagonal Choi variable: the connected components of the compressed
+  domain and codomain coordinates split it into one independent problem
+  per codomain block, each with one PSD block per domain block (Smith's
+  lemma and Arveson extension; Paulsen 2002, ch. 3, 6, 7).  The certificate
+  is the dense Choi matrix assembled from the blocks; and
 * a falsifier search at amplification level k = codomain size, which (when it
   succeeds) returns an element whose norm provably grows, re-verifiable by
   two plain singular-value computations.
 
-Verdicts are three-valued; when neither oracle lands within budget the
-result is Inconclusive, with diagnostics, never a silent coercion.
+Verdicts are three-valued; when neither oracle lands within budget, or a
+certificate fails its independent re-verification, the result is
+Inconclusive, with diagnostics, never a silent coercion.
 """
 
 from __future__ import annotations
@@ -20,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (MEMBER_TOL, AlgebraSpan, Ambient, NotInSpan, current,
-                     hs_orthonormalize, operator_norm, support_isometry)
+from .linalg import (MEMBER_TOL, RANK_TOL, AlgebraSpan, Ambient, NotInSpan,
+                     current, hs_orthonormalize, operator_norm,
+                     support_isometry)
 
 FEAS_TOL = 1e-7
 FALSIFIER_MARGIN = 1e-6
@@ -206,17 +213,112 @@ def _paulsen_pins(S, images, N, n):
 
 def _choi_apply(B, X4):
     """Evaluate the map of Choi tensor X4 on each pin basis element."""
-    return np.einsum("lij,iajb->lab", B, X4, optimize=True)
+    return np.tensordot(B, X4, axes=([1, 2], [0, 2]))
+
+
+def _coordinate_blocks(mats):
+    """Connected components of the coordinates of the square matrices
+    `mats`: two coordinates are linked when some matrix has an entry
+    between them above RANK_TOL (times the largest entry, when above 1).
+    Returns one index array per component."""
+    mag = np.abs(mats).max(axis=0)
+    linked = np.maximum(mag, mag.T) > RANK_TOL * max(1.0, float(mag.max()))
+    blocks, free = [], np.ones(len(linked), dtype=bool)
+    for start in range(len(linked)):
+        if not free[start]:
+            continue
+        reach = np.zeros(len(linked), dtype=bool)
+        reach[start] = True
+        while True:
+            grown = reach | linked[reach].any(axis=0)
+            if (grown == reach).all():
+                break
+            reach = grown
+        free &= ~reach
+        blocks.append(np.flatnonzero(reach))
+    return blocks
+
+
+def _pin_layout(X, p, m):
+    """(p*m, p*m) Choi block -> (p*p, m*m): rows index the domain entry."""
+    return X.reshape(p, m, p, m).transpose(0, 2, 1, 3).reshape(p * p, m * m)
+
+
+def _choi_layout(V, p, m):
+    """Inverse of _pin_layout."""
+    return V.reshape(p, p, m, m).transpose(0, 2, 1, 3).reshape(p * m, p * m)
+
+
+def _psd_part(X):
+    """Projection onto the PSD cone, rebuilt from the positive eigenpairs."""
+    w, V = np.linalg.eigh((X + X.conj().T) / 2)
+    pos = np.searchsorted(w, 0.0, side="right")
+    Vp = V[:, pos:]
+    return (Vp * w[pos:]) @ Vp.conj().T
+
+
+def _dr_block(pins, R, max_iter, target):
+    """Douglas-Rachford on one codomain block.  The variable is one Choi
+    block per domain block; pins[i] (L, p_i, p_i) are the pins restricted to
+    domain block i and R (L, m, m) the required images, so A(X) is one GEMM
+    per domain block and, the pin rows being orthonormal, the affine
+    projection is X + A*(R - A X).  A(Z) is carried along instead of being
+    recomputed: Z' = Y + A*(R - 2AY + AZ) gives A(Z') = AZ + R - AY.
+
+    Returns (Choi blocks | None, iterations, residual)."""
+    L, m = R.shape[:2]
+    sizes = [P.shape[1] for P in pins]
+    ops = [P.reshape(L, -1) for P in pins]
+    adj = [op.conj().T for op in ops]
+    R = R.reshape(L, -1)
+
+    def apply(Xs):
+        return sum(op @ _pin_layout(X, p, m)
+                   for op, X, p in zip(ops, Xs, sizes))
+
+    Z = [_choi_layout(H @ R, p, m) for H, p in zip(adj, sizes)]
+    AZ = apply(Z)
+    best, since_best = np.inf, 0
+    it, res = -1, np.inf
+    for it in range(max_iter):
+        Y = [_psd_part(X) for X in Z]
+        AY = apply(Y)
+        diff = R - AY
+        res = float(np.linalg.norm(diff))
+        if res < target:
+            return Y, it + 1, res
+        if res < 0.999 * best:
+            best, since_best = res, 0
+        else:
+            since_best += 1
+            if since_best > 1000 and res > 100 * target:
+                break
+        step = diff - AY + AZ
+        Z = [X + _choi_layout(H @ step, p, m)
+             for X, H, p in zip(Y, adj, sizes)]
+        AZ = AZ + diff
+    return None, it + 1, res
 
 
 def choi_feasibility(phi, max_iter=None):
     """Search for a PSD Choi matrix of a UCP map pinned to the Paulsen
-    companion of phi, by alternating reflections through the PSD cone and
-    the affine pinning set (both built from the plain projections), for at
-    most `max_iter` iterations (None: the current RunConfig's).
+    companion of phi, by Douglas-Rachford splitting between the PSD cone
+    and the affine pinning set, for at most `max_iter` iterations per block
+    (None: the current RunConfig's).
 
-    Returns (certificate | None, diagnostics).  The certificate re-verifies
-    independently: PSD to tolerance and affine residual below tolerance.
+    The pins never link coordinates in different connected components of
+    the compressed domain (resp. codomain) coordinates, so a feasible Choi
+    matrix pinched to those blocks stays feasible: the variable is
+    block-diagonal, each codomain block is an independent problem with
+    residual target FEAS_TOL/sqrt(#blocks), and within it the PSD
+    projection is one eigh per domain block.  A single block is the dense
+    problem.
+
+    Returns (certificate | None, diagnostics).  The certificate is the dense
+    Choi matrix assembled from the blocks (zeros elsewhere), with its pin
+    residual recomputed on the dense pins; it re-verifies independently:
+    PSD to tolerance and affine residual below tolerance.  `iterations` is
+    summed over the blocks.
     """
     if max_iter is None:
         max_iter = current().max_iter
@@ -226,43 +328,30 @@ def choi_feasibility(phi, max_iter=None):
                 "dom_basis": np.zeros((0, 1, 1)), "images": np.zeros((0, 1, 1)),
                 "sizes": (0, 0)}, {"iterations": 0}
     B, R = _paulsen_pins(S, imgs, N, n)
-    dN, dn = 2 * N, 2 * n
-    D = dN * dn
-
-    def p_aff(X4):
-        diff = R - _choi_apply(B, X4)
-        corr = np.einsum("lij,lab->iajb", B.conj(), diff, optimize=True)
-        return X4 + corr, float(np.linalg.norm(diff))
-
-    def p_psd(X4):
-        X = X4.reshape(D, D)
-        X = (X + X.conj().T) / 2
-        w, V = np.linalg.eigh(X)
-        Xp = (V * np.clip(w, 0.0, None)) @ V.conj().T
-        return Xp.reshape(dN, dn, dN, dn)
-
-    Z, _ = p_aff(np.zeros((dN, dn, dN, dn), dtype=complex))
-    best = np.inf
-    since_best = 0
-    res = np.inf
-    for it in range(max_iter):
-        Y = p_psd(Z)
-        Wr, _ = p_aff(2 * Y - Z)
-        Z = Z + Wr - Y
-        _, res = p_aff(Y)
-        if res < FEAS_TOL:
-            cert = {"type": "choi", "choi": Y.reshape(D, D), "residual": res,
-                    "dom_basis": np.array(S), "images": np.array(imgs),
-                    "sizes": (N, n)}
-            return cert, {"iterations": it + 1, "residual": res}
-        if res < 0.999 * best:
-            best = res
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best > 1000 and res > 100 * FEAS_TOL:
-                break
-    return None, {"iterations": it + 1, "residual": res, "stalled": True}
+    dom_blocks = _coordinate_blocks(B)
+    cod_blocks = _coordinate_blocks(R)
+    target = FEAS_TOL / np.sqrt(len(cod_blocks))
+    pins = [B[:, P][:, :, P] for P in dom_blocks]
+    X4 = np.zeros((2 * N, 2 * n, 2 * N, 2 * n), dtype=complex)
+    iterations, sq = 0, 0.0
+    for Q in cod_blocks:
+        Ys, its, res = _dr_block(pins, R[:, Q][:, :, Q], max_iter, target)
+        iterations += its
+        sq += res ** 2
+        if Ys is None:
+            return None, {"iterations": iterations,
+                          "residual": float(np.sqrt(sq)), "stalled": True}
+        for P, Y in zip(dom_blocks, Ys):
+            X4[np.ix_(P, Q, P, Q)] = Y.reshape(len(P), len(Q), len(P), len(Q))
+    res = float(np.linalg.norm(R - _choi_apply(B, X4)))
+    if res >= FEAS_TOL:
+        return None, {"iterations": iterations, "residual": res,
+                      "stalled": True}
+    D = 4 * N * n
+    cert = {"type": "choi", "choi": X4.reshape(D, D), "residual": res,
+            "dom_basis": np.array(S), "images": np.array(imgs),
+            "sizes": (N, n)}
+    return cert, {"iterations": iterations, "residual": res}
 
 
 def verify_choi_certificate(cert):
@@ -290,6 +379,13 @@ def _amplified(coeffs, mats, k, sz):
     matrix."""
     blocks = np.tensordot(coeffs, mats, axes=(2, 0))  # (k, k, sz, sz)
     return blocks.transpose(0, 2, 1, 3).reshape(k * sz, k * sz)
+
+
+def _pairings(u, mats, v):
+    """g[k, l, d] = <u[k], mats[d] v[l]> = sum_ab conj(u[k, a]) mats[d, a, b]
+    v[l, b], as two tensordot contractions."""
+    return np.tensordot(np.tensordot(u.conj(), mats, axes=(1, 1)),
+                        v, axes=(2, 1)).transpose(0, 2, 1)
 
 
 def falsifier_search(phi, seed=None, restarts=32):
@@ -333,7 +429,7 @@ def falsifier_search(phi, seed=None, restarts=32):
                     break
             u = U[:, 0].reshape(k, n)
             v = Vh[0].conj().reshape(k, n)
-            g = np.einsum("ka,dab,lb->kld", u.conj(), imgs_c, v, optimize=True)
+            g = _pairings(u, imgs_c, v)
             if np.linalg.norm(g) < 1e-14:
                 break
             c = g.conj()
@@ -382,16 +478,25 @@ def verify_falsifier(phi, cert):
 def cc_check(phi):
     """Decide complete contractivity of phi.  Falsifier search runs first
     (cheap); on failure the feasibility oracle looks for a UCP-extension
-    certificate."""
+    certificate.  A decisive verdict is returned only with a certificate
+    that re-verifies; otherwise the verdict is Inconclusive and the
+    diagnostics name the failed check."""
     if phi.dom.dim == 0:
         return CbReport(CC, None, {"trivial": "zero-dimensional domain"})
     ratio, cert = falsifier_search(phi)
     if cert is not None:
-        return CbReport(NOT_CC, cert, {"best_ratio": ratio})
+        diag = {"best_ratio": ratio}
+        if verify_falsifier(phi, cert):
+            return CbReport(NOT_CC, cert, diag)
+        diag["failed_check"] = "verify_falsifier"
+        return CbReport(INCONCLUSIVE, None, diag)
     choi, diag = choi_feasibility(phi)
     diag["best_ratio"] = ratio
-    if choi is not None:
+    if choi is None:
+        return CbReport(INCONCLUSIVE, None, diag)
+    if verify_choi_certificate(choi):
         return CbReport(CC, choi, diag)
+    diag["failed_check"] = "verify_choi_certificate"
     return CbReport(INCONCLUSIVE, None, diag)
 
 

@@ -166,11 +166,24 @@ def load_scenario(source):
 # check dispatch
 
 
+def _message(exc):
+    """The message of an exception, without any payload passed after it."""
+    return str(exc.args[0]) if exc.args else ""
+
+
 def _op_check_cover(sc, args):
     try:
         cov = sc.build_cover(args["cover"])
     except CoverError as exc:
-        return {"verdict": type(exc).__name__, "detail": str(exc)}
+        out = {"verdict": type(exc).__name__, "detail": _message(exc)}
+        cert = exc.args[1] if len(exc.args) > 1 else None
+        if cert is not None:
+            out["certificate"] = {"type": cert["type"],
+                                  "level": int(cert["level"]),
+                                  "norm_x": float(cert["norm_x"]),
+                                  "norm_image": float(cert["norm_image"]),
+                                  "x_hash": digest(cert["x"])}
+        return out
     return {"verdict": "Valid", "dim": cov.C.dim}
 
 
@@ -333,6 +346,11 @@ def run_check(sc, check):
     except Undecided as exc:
         entry["status"] = "inconclusive"
         entry["detail"] = str(exc)
+        entry["pass"] = False
+    except CoverError as exc:
+        entry["status"] = "error"
+        entry["error"] = type(exc).__name__
+        entry["detail"] = _message(exc)
         entry["pass"] = False
     return entry
 

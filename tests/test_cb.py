@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opalg.cb import (CC, CI, NOT_CC, NOT_CI, LinearMap, Undecided, cc_check,
-                      ci_check, falsifier_search, choi_feasibility,
-                      homomorphism_check, require_decisive,
-                      star_hom_violations, verify_choi_certificate,
-                      verify_falsifier)
+from opalg import cb, corpus, crossed
+from opalg.cb import (CC, CI, FEAS_TOL, INCONCLUSIVE, NOT_CC, NOT_CI, CbReport,
+                      LinearMap, Undecided, cc_check, ci_check,
+                      falsifier_search, choi_feasibility, homomorphism_check,
+                      require_decisive, star_hom_violations,
+                      verify_choi_certificate, verify_falsifier)
 from opalg.corpus import a4_algebra, schur_projection_p
-from opalg.linalg import Ambient, generate_algebra, orthonormal_span
+from opalg.dynamics import inner_in_itself
+from opalg.linalg import (Ambient, direct_sum, generate_algebra,
+                          orthonormal_span)
 
 
 def rand_mat(rng, n):
@@ -190,3 +193,183 @@ def test_oracles_never_disagree_on_random_maps(seed):
         assert feas_cert is None
     if feas_cert is not None:
         assert verify_choi_certificate(feas_cert)
+
+
+def test_pairings_match_the_einsum_reference():
+    rng = np.random.default_rng(3)
+    u, v = rand_mat(rng, 3)[:, :2], rand_mat(rng, 3)[:, 1:]
+    mats = np.array([rand_mat(rng, 2) for _ in range(4)])
+    ref = np.einsum("ka,dab,lb->kld", u.conj(), mats, v)
+    assert np.allclose(cb._pairings(u, mats, v), ref, rtol=0, atol=1e-13)
+
+
+def test_zero_iteration_budget_gives_no_certificate(m2):
+    ident = map_from_images(m2, m2.ambient, list(m2.basis))
+    cert, diag = choi_feasibility(ident, max_iter=0)
+    assert cert is None
+    assert diag["iterations"] == 0
+
+
+# ---------------------------------------------------------------------------
+# re-verification gate
+
+
+def _negative_eigenvalue(cert):
+    X = cert["choi"]
+    w, V = np.linalg.eigh(X)
+    v = V[:, :1]
+    return dict(cert, choi=X - (w[0] + 1e-3) * (v @ v.conj().T))
+
+
+def _shifted_pin(cert):
+    n = cert["sizes"][1]
+    return dict(cert, images=cert["images"] + 1e-3 * np.eye(n))
+
+
+@pytest.mark.parametrize("spoil", [_negative_eigenvalue, _shifted_pin])
+def test_unverified_choi_certificate_is_inconclusive(m2, monkeypatch, spoil):
+    halved = map_from_images(m2, m2.ambient, [0.5 * b for b in m2.basis])
+    solve = cb.choi_feasibility
+
+    def corrupted(phi, max_iter=None):
+        cert, diag = solve(phi, max_iter)
+        return spoil(cert), diag
+
+    monkeypatch.setattr(cb, "choi_feasibility", corrupted)
+    rep = cc_check(halved)
+    assert rep.verdict == INCONCLUSIVE
+    assert rep.diagnostics["failed_check"] == "verify_choi_certificate"
+
+
+def test_unverified_falsifier_is_inconclusive(m2, monkeypatch):
+    doubled = map_from_images(m2, m2.ambient, [2 * b for b in m2.basis])
+    search = cb.falsifier_search
+
+    def corrupted(phi):
+        ratio, cert = search(phi)
+        return ratio, dict(cert, norm_image=cert["norm_image"] + 1.0)
+
+    monkeypatch.setattr(cb, "falsifier_search", corrupted)
+    rep = cc_check(doubled)
+    assert rep.verdict == INCONCLUSIVE
+    assert rep.diagnostics["failed_check"] == "verify_falsifier"
+
+
+# ---------------------------------------------------------------------------
+# the block-diagonal Choi solver
+
+
+@pytest.fixture(scope="module")
+def trivialization_map():
+    """The trivialization map of the T2 sign system over the diagonal
+    cover, taken where crossed.trivialization_iso hands it to ci_check."""
+    captured = []
+
+    def capture(phi):
+        captured.append(phi)
+        return CbReport(CI)
+
+    ds = corpus.t2_system()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crossed, "ci_check", capture)
+        crossed.trivialization_iso(ds, corpus.t2_diag_cover(),
+                                   inner_in_itself(ds))
+    return captured[0]
+
+
+def test_choi_solver_splits_along_coordinate_blocks(trivialization_map,
+                                                    monkeypatch):
+    phi = trivialization_map
+    assert (phi.dom.dim, phi.dom.ambient.dim, phi.cod.dim) == (6, 8, 8)
+    widths = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        widths.append(a.shape[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    cert, diag = choi_feasibility(phi)
+    monkeypatch.undo()
+    assert cert is not None
+    assert cert["choi"].shape == (4 * 8 * 8, 4 * 8 * 8)
+    assert cert["residual"] < FEAS_TOL
+    assert verify_choi_certificate(cert)
+    # Coordinate blocks (4, 2, 2) on both sides, doubled to (8, 4, 4) by
+    # the Paulsen companion: no Choi block is wider than 8 * 8.
+    assert widths and max(widths) <= 64
+
+
+def _dense_douglas_rachford(phi, max_iter):
+    """Reference: Douglas-Rachford on the dense Choi matrix, with the three
+    pin-operator applications per iteration written out."""
+    S, imgs, N, n, _, _ = cb._compressed_problem(phi)
+    B, R = cb._paulsen_pins(S, imgs, N, n)
+    D = 4 * N * n
+
+    def p_aff(X):
+        X4 = X.reshape(2 * N, 2 * n, 2 * N, 2 * n)
+        diff = R - np.einsum("lij,iajb->lab", B, X4)
+        corr = np.einsum("lij,lab->iajb", B.conj(), diff).reshape(D, D)
+        return X + corr, np.linalg.norm(diff)
+
+    def p_psd(X):
+        w, V = np.linalg.eigh((X + X.conj().T) / 2)
+        return (V * np.clip(w, 0.0, None)) @ V.conj().T
+
+    Z, _ = p_aff(np.zeros((D, D), dtype=complex))
+    for it in range(max_iter):
+        Y = p_psd(Z)
+        Z = Z + p_aff(2 * Y - Z)[0] - Y
+        if p_aff(Y)[1] < FEAS_TOL:
+            return Y, it + 1
+    return None, max_iter
+
+
+def _halved(m2):
+    return map_from_images(m2, m2.ambient, [0.5 * b for b in m2.basis])
+
+
+def _rotated_diagonal(m2):
+    D, basis = _diagonal_into_m2(m2)
+    c, s = np.cos(0.3), np.sin(0.3)
+    u = np.array([[c, -s], [s, c]])
+    return map_from_images(D, m2.ambient, [u @ b @ u.T for b in basis])
+
+
+@pytest.mark.parametrize("build", [_halved, _rotated_diagonal])
+def test_one_codomain_block_matches_dense_reference(m2, build):
+    # One codomain block: the split solver runs the dense iteration, with
+    # one PSD block per domain block (one for M_2, two for the diagonal).
+    phi = build(m2)
+    cert, diag = choi_feasibility(phi)
+    ref, iterations = _dense_douglas_rachford(phi, 1000)
+    assert diag["iterations"] == iterations
+    assert np.allclose(cert["choi"], ref, rtol=0, atol=1e-9)
+
+
+def _identity_plus_compression(m2, t, perm=(0, 1, 2)):
+    """psi (+) t chi from M_2 into M_3, coordinates permuted by `perm`:
+    psi is the identity and chi the compression to the (0, 0) corner, so
+    the cb norm is max(1, t)."""
+    P = np.eye(3)[list(perm)]
+    images = [P @ direct_sum(b, t * b[:1, :1]) @ P.T for b in m2.basis]
+    return map_from_images(m2, Ambient((3,)), images)
+
+
+def test_direct_sum_with_expanding_summand_is_not_cc(m2):
+    phi = _identity_plus_compression(m2, 1.5)
+    rep = cc_check(phi)
+    assert rep.verdict == NOT_CC
+    assert verify_falsifier(phi, rep.certificate)
+    cert, diag = choi_feasibility(phi, max_iter=2000)
+    assert cert is None
+    assert diag["stalled"]
+
+
+@pytest.mark.parametrize("t, want", [(0.5, CC), (1.5, NOT_CC)])
+def test_codomain_permutation_keeps_the_verdict(m2, t, want):
+    plain = _identity_plus_compression(m2, t)
+    permuted = _identity_plus_compression(m2, t, perm=(2, 0, 1))
+    assert cc_check(plain).verdict == want
+    assert cc_check(permuted).verdict == want

@@ -5,6 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 from opalg.cli import main
+from opalg.corpus import a4_algebra, a4_swap_unitary, schur_projection_p
+from opalg.linalg import direct_sum
 from opalg.scenario import (ScenarioError, expect_matches, load_scenario,
                             run_check, run_scenario)
 from opalg.serialize import mat_to_json
@@ -54,6 +56,27 @@ def t2_scenario():
              "expect": {"verdict": "Admissible"}},
             {"op": "crossed", "system": "sign", "expect": {"dim": 6}},
         ],
+    }
+
+
+def a4_swap_over_schur_scenario():
+    """The A4 swap system with a crossed check over the A4 Schur cover,
+    which admits no extension of the swap action."""
+    basis = list(a4_algebra().span.basis)
+    p = schur_projection_p()
+    return {
+        "ambients": {"M4": [4], "M4pM4": [4, 4]},
+        "algebras": {"A4": {"ambient": "M4",
+                            "basis": [mat_to_json(b) for b in basis]}},
+        "covers": {"schur": {"algebra": "A4", "ambient": "M4pM4",
+                             "j": [mat_to_json(direct_sum(b, p * b))
+                                   for b in basis]}},
+        "group": {"table": [[0, 1], [1, 0]]},
+        "systems": {"swap": {"algebra": "A4",
+                             "action": {"type": "ad", "unitaries": [
+                                 mat_to_json(np.eye(4, dtype=complex)),
+                                 mat_to_json(a4_swap_unitary())]}}},
+        "checks": [{"op": "crossed", "system": "swap", "cover": "schur"}],
     }
 
 
@@ -192,6 +215,41 @@ class TestCli:
         assert res.exit_code == 0
         result = json.loads(res.output)["checks"][0]["result"]
         assert result["verdict"] == "NotHomomorphism"
+
+    def test_check_cover_detail_is_plain_text(self, tmp_path):
+        # The diagonal compression of T2 into C (+) C kills E12.
+        raw = t2_scenario()
+        raw["ambients"]["C2"] = [1, 1]
+        raw["covers"]["compress"] = {
+            "algebra": "T2", "ambient": "C2",
+            "j": [_mat(np.diag(np.diag(m))) for m in
+                  ([[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [0, 0]])]}
+        path = tmp_path / "compress.json"
+        path.write_text(json.dumps(raw))
+        res = CliRunner().invoke(main, ["check-cover", str(path),
+                                        "--cover", "compress"])
+        assert res.exit_code == 0
+        result = json.loads(res.output)["checks"][0]["result"]
+        assert result["verdict"] == "NotCompletelyIsometric"
+        assert isinstance(result["detail"], str)
+        assert "array(" not in result["detail"]
+        cert = result["certificate"]
+        assert cert["type"] == "falsifier"
+        assert cert["norm_image"] < cert["norm_x"]
+
+    def test_op_error_is_reported_not_raised(self, tmp_path):
+        path = tmp_path / "a4.json"
+        path.write_text(json.dumps(a4_swap_over_schur_scenario()))
+        res = CliRunner().invoke(main, ["run", str(path)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        report = json.loads(res.output)
+        entry = report["checks"][0]
+        assert entry["status"] == "error"
+        assert entry["error"] == "NotAdmissibleCover"
+        assert isinstance(entry["detail"], str)
+        assert entry["pass"] is False
+        assert not report["all_pass"]
 
     def test_single_check_command(self, scenario_file):
         res = CliRunner().invoke(main, ["structure", scenario_file,
