@@ -63,9 +63,8 @@ class LinearMap:
             return self.cod.zero()
         return np.tensordot(c, self.images, axes=(0, 0))
 
-    def image_span(self, **flags):
-        return AlgebraSpan(self.cod,
-                           hs_orthonormalize(list(self.images)), **flags)
+    def image_span(self):
+        return AlgebraSpan(self.cod, hs_orthonormalize(list(self.images)))
 
     def compose(self, other):
         """self after other."""
@@ -494,10 +493,21 @@ def cc_check(phi):
     diag["best_ratio"] = ratio
     if choi is None:
         return CbReport(INCONCLUSIVE, None, diag)
-    if verify_choi_certificate(choi):
+    if not verify_choi_certificate(choi):
+        diag["failed_check"] = "verify_choi_certificate"
+    elif not _certifies(choi, phi):
+        diag["failed_check"] = "choi_certificate_binding"
+    else:
         return CbReport(CC, choi, diag)
-    diag["failed_check"] = "verify_choi_certificate"
     return CbReport(INCONCLUSIVE, None, diag)
+
+
+def _certifies(cert, phi):
+    """True when a Choi certificate pins phi's own compressed problem, not
+    that of another map."""
+    S, imgs = _compressed_problem(phi)[:2]
+    return np.array_equal(cert["dom_basis"], np.array(S)) \
+        and np.array_equal(cert["images"], np.array(imgs))
 
 
 def ci_check(phi):

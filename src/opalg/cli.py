@@ -57,17 +57,23 @@ def _exit_code(report):
     return EXIT_PASS if report.get("all_pass") else EXIT_FAIL
 
 
-def _report_and_exit(seed, max_iter, fmt, make_report):
-    """Build a report inside the run configuration, print it and exit."""
+def _build_report(seed, max_iter, make_report):
+    """Build a report inside the run configuration; exit 3 on malformed
+    input and 2 when a verdict the report needs is inconclusive."""
     try:
         with using(seed=seed, max_iter=max_iter):
-            report = make_report()
+            return make_report()
     except ScenarioError as exc:
         click.echo(dumps({"error": str(exc)}, indent=2), err=True)
         sys.exit(EXIT_INPUT)
     except Undecided as exc:
         click.echo(dumps({"inconclusive": str(exc)}, indent=2), err=True)
         sys.exit(EXIT_INCONCLUSIVE)
+
+
+def _report_and_exit(seed, max_iter, fmt, make_report):
+    """Build a report, print it and exit with its code."""
+    report = _build_report(seed, max_iter, make_report)
     _render(report, fmt)
     sys.exit(_exit_code(report))
 
@@ -150,8 +156,7 @@ main.command("meet")(_named_command(
 @_common
 def paper_suite_cmd(seed, max_iter, fmt):
     """Run the golden example corpus."""
-    with using(max_iter=max_iter):
-        report = paper_suite(seed=seed)
+    report = _build_report(seed, max_iter, lambda: paper_suite(seed=seed))
     if fmt == "json":
         click.echo(report["verdict_text"])
     else:

@@ -18,8 +18,8 @@ from .cb import (CI, INCONCLUSIVE, LinearMap, Undecided, ci_check,
                  homomorphism_check, map_from_generators, require_decisive,
                  star_hom_violations)
 from .linalg import (MEMBER_TOL, AlgebraSpan, compress_span,
-                     generate_algebra, generate_ideal, hs_orthonormalize,
-                     null_space, orthonormal_span)
+                     generate_algebra, generate_ideal, null_space,
+                     orthonormal_span)
 from .structure import blocks_of_ideal, corner_quotient, \
     minimal_central_projections
 
@@ -185,12 +185,30 @@ def graph_obstruction(amb1, amb2, G):
                                    if np.linalg.norm(m) > 1e-9])
 
 
-def graph_function(amb1, amb2, G, dom_span):
-    """Read the graph G as a linear map dom_span -> amb2 (assumes the
-    obstruction space is zero)."""
+def graph_map(amb1, amb2, pairs, dom, unital=True):
+    """The map x -> y on `dom` that the graph closure of `pairs` defines.
+
+    Returns (LinearMap | None, obstruction): the obstruction is the span of
+    {y : (0, y) in the closure}; when it is nonzero the closure is not a
+    graph and the map is None.  This one computation decides the cover
+    order, admissibility and the corner maps of the partial action.
+    """
+    G = graph_closure(amb1, amb2, pairs, unital=unital)
+    obstruction = graph_obstruction(amb1, amb2, G)
+    if obstruction.dim > 0:
+        return None, obstruction
     N1 = amb1.dim
-    return map_from_generators(dom_span, G.basis[:, :N1, :N1],
-                               G.basis[:, N1:, N1:], amb2)
+    return map_from_generators(dom, G.basis[:, :N1, :N1],
+                               G.basis[:, N1:, N1:], amb2), obstruction
+
+
+def extension_violations(phi, onto, pairs):
+    """Violated properties of phi as a *-homomorphism onto `onto` that
+    sends x to y for every pair (x, y) (empty when all hold)."""
+    bad = star_hom_violations(phi, onto)
+    if any(np.linalg.norm(phi(x) - y) > 10 * MEMBER_TOL for x, y in pairs):
+        bad.append("does not send x to y on every pair")
+    return bad
 
 
 def induced_morphism(upper, lower):
@@ -200,17 +218,17 @@ def induced_morphism(upper, lower):
     Existence of pi is exactly the statement that `lower` sits below `upper`
     in the cover order.
     """
-    amb1, amb2 = upper.ambient, lower.ambient
-    pairs = [(x, y) for x, y in zip(upper.j.images, lower.j.images)]
-    G = graph_closure(amb1, amb2, pairs, unital=True)
-    obstruction = graph_obstruction(amb1, amb2, G)
-    if obstruction.dim > 0:
+    pairs = list(zip(upper.j.images, lower.j.images))
+    pi, obstruction = graph_map(upper.ambient, lower.ambient, pairs, upper.C)
+    if pi is None:
         w = normalize_witness(obstruction.basis[0])
         return MorphismAbsence(source=upper, target=lower, witness=w,
                                obstruction_dim=obstruction.dim)
-    pi = graph_function(amb1, amb2, G, upper.C)
-    ker = graph_obstruction(amb2, amb1, _swap_graph(G, amb1, amb2))
-    kernel = AlgebraSpan(amb1, ker.basis, self_adjoint=True, ideal_in=upper.C)
+    # the kernel: combinations of C_upper's basis that pi sends to zero
+    ker = null_space(pi.images.reshape(upper.C.dim, -1), left=True)
+    kernel = AlgebraSpan(upper.ambient,
+                         np.tensordot(ker, upper.C.basis, axes=(1, 0)),
+                         self_adjoint=True, ideal_in=upper.C)
     morph = CoverMorphism(source=upper, target=lower, pi=pi, kernel=kernel)
     bad = verify_morphism(morph)
     if bad:
@@ -219,24 +237,10 @@ def induced_morphism(upper, lower):
     return morph
 
 
-def _swap_graph(G, amb1, amb2):
-    N1 = amb1.dim
-    swapped = []
-    for b in G.basis:
-        swapped.append(_pair_sum(amb2, amb1, b[N1:, N1:], b[:N1, :N1]))
-    D = amb2.direct_sum(amb1)
-    return AlgebraSpan(D, hs_orthonormalize(swapped), self_adjoint=True)
-
-
 def verify_morphism(m):
     """Invariant re-check: *-homomorphism onto the target, intertwines."""
-    pi = m.pi
-    bad = star_hom_violations(pi, m.target.C)
-    for a, want in zip(m.source.A.span.basis, m.target.j.images):
-        if np.linalg.norm(pi(m.source.j(a)) - want) > 10 * MEMBER_TOL:
-            bad.append("does not intertwine the embeddings")
-            break
-    return bad
+    return extension_violations(m.pi, m.target.C,
+                                zip(m.source.j.images, m.target.j.images))
 
 
 def equivalent(c1, c2):
@@ -297,16 +301,14 @@ def meet(c1, c2, name=None):
     if K.dim == 0:
         return v
     S = blocks_of_ideal(v.C, K)
-    return quotient_cover(v, S, name=name or f"meet({c1.name},{c2.name})",
-                          verify=True)
+    return quotient_cover(v, S, name=name or f"meet({c1.name},{c2.name})")
 
 
-def quotient_cover(cover, S, name="quotient", verify=True):
+def quotient_cover(cover, S, name="quotient"):
     """Cover obtained by quotienting C by the block ideal z_S C, realized on
     the complementary corner and compressed onto its support."""
     qj = _quotient_embedding(cover, S)
-    return make_cover(cover.A, qj.cod, list(qj.images), name=name,
-                      verify=verify)
+    return make_cover(cover.A, qj.cod, list(qj.images), name=name)
 
 
 def _quotient_embedding(cover, S):
@@ -366,8 +368,7 @@ def envelope(cover, name=None):
     if not S:
         env = cover
     else:
-        env = quotient_cover(cover, S, name=name or f"env({cover.name})",
-                             verify=True)
+        env = quotient_cover(cover, S, name=name or f"env({cover.name})")
         env._shilov = frozenset()
         env._envelope = env
     cover._envelope = env

@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cb import CI, LinearMap, ci_check, require_decisive, star_hom_violations
-from .covers import (fix_phase, graph_closure, graph_function,
-                     graph_obstruction, normalize_witness)
+from .covers import (extension_violations, fix_phase, graph_map,
+                     normalize_witness)
 from .linalg import MEMBER_TOL, current, diagonal, intertwiner_space
 
 ADMISSIBLE = "Admissible"
 NOT_ADMISSIBLE = "NotAdmissible"
-INCONCLUSIVE = "Inconclusive"
 
 
 class GroupError(ValueError):
@@ -191,13 +190,6 @@ class AdmissibilityReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _extension_graph(ds, cover, s):
-    amb = cover.ambient
-    pairs = [(cover.j(a), cover.j(ds.act(s, a)))
-             for a in ds.A.span.basis]
-    return graph_closure(amb, amb, pairs, unital=True)
-
-
 def _canonical_witness(ds, cover, s, obstruction):
     """Stable witness for non-admissibility: scan A's basis in order for an
     element whose j-image is clean of the obstruction space while the
@@ -221,28 +213,24 @@ def admissible(ds, cover):
     extensions are assembled and the group law re-verified.
     """
     amb = cover.ambient
-    betas = [None] * ds.G.order
+    betas, bad = [], []
     for s in range(ds.G.order):
+        pairs = [(cover.j(a), cover.j(ds.act(s, a)))
+                 for a in ds.A.span.basis]
         if s == ds.G.identity:
-            betas[s] = LinearMap(dom=cover.C, cod=amb,
-                                 images=cover.C.basis.copy())
-            continue
-        G = _extension_graph(ds, cover, s)
-        obstruction = graph_obstruction(amb, amb, G)
-        if obstruction.dim > 0:
-            y = _canonical_witness(ds, cover, s, obstruction)
-            return AdmissibilityReport(
-                verdict=NOT_ADMISSIBLE, witness=(s, y),
-                diagnostics={"element": s,
-                             "obstruction_dim": obstruction.dim})
-        betas[s] = graph_function(amb, amb, G, cover.C)
-    bad = []
-    for s, beta in enumerate(betas):
+            beta = LinearMap(dom=cover.C, cod=amb,
+                             images=cover.C.basis.copy())
+        else:
+            beta, obstruction = graph_map(amb, amb, pairs, cover.C)
+            if beta is None:
+                y = _canonical_witness(ds, cover, s, obstruction)
+                return AdmissibilityReport(
+                    verdict=NOT_ADMISSIBLE, witness=(s, y),
+                    diagnostics={"element": s,
+                                 "obstruction_dim": obstruction.dim})
         bad += [f"beta_{s} {v}"
-                for v in star_hom_violations(beta, cover.C)]
-        if any(np.linalg.norm(beta(cover.j(a)) - cover.j(ds.act(s, a)))
-               > 10 * MEMBER_TOL for a in ds.A.span.basis):
-            bad.append(f"beta_{s} does not intertwine j")
+                for v in extension_violations(beta, cover.C, pairs)]
+        betas.append(beta)
     bad += group_law_violations(ds.G, betas, cover.C, "beta")
     if bad:
         raise SystemError_("assembled extension failed verification: " +
@@ -319,59 +307,47 @@ def _unitary_from_space(null, space, seed):
     return None
 
 
-def locally_inner(ds, cover):
-    """Search for unitaries U_s in C with U_s j(a) = j(alpha_s(a)) U_s
-    (seeded by the RunConfig's seed + s).
+def _inner_search(ds, space, e):
+    """Unitaries U_s in `space` with U_s e(a) = e(alpha_s(a)) U_s for the
+    embedding e of A, each found from a generic solution seeded by the
+    RunConfig's seed + s and re-verified against that equation.
 
-    Success certifies that the action is (locally) inner in the cover;
-    failure is heuristic and reported with the solution-space dimensions."""
-    j_imgs = list(cover.j.images)
-    unitaries = []
-    dims = []
+    Success certifies that the action is inner in `space`; failure is
+    heuristic and reported with the solution-space dimensions."""
+    basis = ds.A.span.basis
+    dom_imgs = [e(a) for a in basis]
+    unitaries, dims = [], []
     for s in range(ds.G.order):
         if s == ds.G.identity:
             dims.append(1)
-            unitaries.append(np.eye(cover.ambient.dim, dtype=complex))
+            unitaries.append(np.eye(space.ambient.dim, dtype=complex))
             continue
-        cod_imgs = [cover.j(ds.act(s, a)) for a in ds.A.span.basis]
-        null = intertwiner_space(j_imgs, cod_imgs, cover.C)
+        cod_imgs = [e(ds.act(s, a)) for a in basis]
+        null = intertwiner_space(dom_imgs, cod_imgs, space)
         dims.append(len(null))
-        U = _unitary_from_space(null, cover.C, current().seed + s)
+        U = _unitary_from_space(null, space, current().seed + s)
         if U is None:
             return InnerReport(unitaries=None,
                                diagnostics={"solution_space_dims": dims,
                                             "failed_element": s})
         U = fix_phase(U)
-        for x, y in zip(j_imgs, cod_imgs):
-            if np.linalg.norm(U @ x - y @ U) > 100 * MEMBER_TOL:
-                return InnerReport(unitaries=None,
-                                   diagnostics={"verification_failed": s})
+        if any(np.linalg.norm(U @ x - y @ U) > 100 * MEMBER_TOL
+               for x, y in zip(dom_imgs, cod_imgs)):
+            return InnerReport(unitaries=None,
+                               diagnostics={"verification_failed": s})
         unitaries.append(U)
     return _group_law_report(ds.G, unitaries)
+
+
+def locally_inner(ds, cover):
+    """Search for unitaries U_s in C with U_s j(a) = j(alpha_s(a)) U_s."""
+    return _inner_search(ds, cover.C, cover.j)
 
 
 def inner_in_itself(ds):
     """Like locally_inner, but the unitaries must lie in the diagonal
     A * A* of the algebra itself (so ad(U_s) makes sense inside A)."""
-    span = ds.A.span
-    D = diagonal(span)
-    a_imgs = list(span.basis)
-    unitaries, dims = [], []
-    for s in range(ds.G.order):
-        if s == ds.G.identity:
-            dims.append(1)
-            unitaries.append(np.eye(span.ambient.dim, dtype=complex))
-            continue
-        cod_imgs = [ds.act(s, a) for a in a_imgs]
-        null = intertwiner_space(a_imgs, cod_imgs, D)
-        dims.append(len(null))
-        U = _unitary_from_space(null, D, current().seed + s)
-        if U is None:
-            return InnerReport(unitaries=None,
-                               diagnostics={"solution_space_dims": dims,
-                                            "failed_element": s})
-        unitaries.append(fix_phase(U))
-    return _group_law_report(ds.G, unitaries)
+    return _inner_search(ds, diagonal(ds.A.span), lambda a: a)
 
 
 def _group_law_report(G, unitaries):

@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cb import (CC, CI, NOT_CI, LinearMap, cc_check, ci_check,
-                 homomorphism_check, map_from_generators, require_decisive,
-                 star_hom_violations)
-from .covers import (CoverError, CstarCover, graph_closure, graph_function,
-                     graph_obstruction)
+                 homomorphism_check, map_from_generators, require_decisive)
+from .covers import CoverError, CstarCover, extension_violations, graph_map
 from .crossed import CrossedProduct, cstar_crossed, full_crossed
 from .dynamics import DynamicalSystem, SystemError_, group_law_violations
 from .linalg import (MEMBER_TOL, AlgebraSpan, Ambient, compress_span,
@@ -43,24 +41,21 @@ class Decomposition:
     j1: LinearMap
     j2: LinearMap
     shilov_blocks: frozenset
-    shilov_is_maximal: bool
     shilov_is_essential: bool
-    maximality_waived: bool = False
 
 
-def decompose(cover, waive_maximality=False):
+def decompose(cover):
     """Split a cover along its Shilov ideal.
 
     Raises ShilovNotMaximal when the envelope has more than one simple
-    block, unless waived.  The split maps are validated: j1 completely
-    isometric, j2 completely contractive and (for a nonzero Shilov ideal)
-    not completely isometric.
+    block.  The split maps are validated: j1 completely isometric, j2
+    completely contractive and (for a nonzero Shilov ideal) not completely
+    isometric.
     """
     S = shilov_set_of(cover)
     bs = cover.structure()
     env_blocks = bs.num_blocks - len(S)
-    maximal = env_blocks == 1
-    if not maximal and not waive_maximality:
+    if env_blocks != 1:
         raise ShilovNotMaximal(
             f"envelope has {env_blocks} blocks; Shilov ideal not maximal")
     p = bs.subset_projection(bs.complement(S))
@@ -87,9 +82,7 @@ def decompose(cover, waive_maximality=False):
             raise CoverError(
                 "(1-p) j is completely isometric; Shilov ideal misidentified")
     return Decomposition(cover=cover, p=p, j1=j1, j2=j2,
-                         shilov_blocks=S, shilov_is_maximal=maximal,
-                         shilov_is_essential=essential,
-                         maximality_waived=not maximal)
+                         shilov_blocks=S, shilov_is_essential=essential)
 
 
 @dataclass
@@ -109,32 +102,31 @@ class PartialActionSpec:
             else self.corner
 
 
-def build_partial_action(ds, cover, waive_maximality=False):
+def build_partial_action(ds, cover):
     """Construct and validate the partial action induced on a cover.
 
     The corner maps theta_s come from graph closure of the corner embedding
     pairs {(p j(a), p j(alpha_s(a)))}; the corner is equivalent to the
     envelope, which is always admissible, so the closure must be a graph."""
-    dec = decompose(cover, waive_maximality=waive_maximality)
+    dec = decompose(cover)
     amb = cover.ambient
     corner = orthonormal_span(amb, [dec.p @ b for b in cover.C.basis])
     corner = AlgebraSpan(amb, corner.basis, self_adjoint=True)
-    thetas = []
+    thetas, bad = [], []
     for s in range(ds.G.order):
-        if s == ds.G.identity:
-            thetas.append(LinearMap(dom=corner, cod=amb,
-                                    images=corner.basis.copy()))
-            continue
         pairs = [(dec.p @ cover.j(a), dec.p @ cover.j(ds.act(s, a)))
                  for a in ds.A.span.basis]
-        G = graph_closure(amb, amb, pairs, unital=False)
-        if graph_obstruction(amb, amb, G).dim > 0:
-            raise SystemError_(
-                "corner action closure is not a graph; envelope extension "
-                "missing")
-        thetas.append(graph_function(amb, amb, G, corner))
-    bad = [f"theta_{s} {v}" for s, th in enumerate(thetas)
-           for v in star_hom_violations(th, corner)]
+        if s == ds.G.identity:
+            theta = LinearMap(dom=corner, cod=amb, images=corner.basis.copy())
+        else:
+            theta, _ = graph_map(amb, amb, pairs, corner, unital=False)
+            if theta is None:
+                raise SystemError_(
+                    "corner action closure is not a graph; envelope "
+                    "extension missing")
+        bad += [f"theta_{s} {v}"
+                for v in extension_violations(theta, corner, pairs)]
+        thetas.append(theta)
     bad += group_law_violations(ds.G, thetas, corner, "theta")
     if bad:
         raise SystemError_("partial-action axioms violated: " +
@@ -281,13 +273,12 @@ class RecoveryReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def verify_partial_recovery(ds, cover, waive_maximality=False):
+def verify_partial_recovery(ds, cover):
     """Run the whole pipeline: B = span{j1(a) delta_s} inside the partial
     crossed product, compared with the full crossed product A x G via the
     canonical generator bijection, verified as a completely isometric
     isomorphism in both directions."""
-    spec = build_partial_action(ds, cover,
-                                waive_maximality=waive_maximality)
+    spec = build_partial_action(ds, cover)
     pc = partial_crossed(spec)
     dec = spec.decomposition
     G = ds.G

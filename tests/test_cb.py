@@ -241,6 +241,21 @@ def test_unverified_choi_certificate_is_inconclusive(m2, monkeypatch, spoil):
     assert rep.diagnostics["failed_check"] == "verify_choi_certificate"
 
 
+def test_choi_certificate_of_another_map_is_inconclusive(monkeypatch):
+    span = corpus.t2_algebra().span
+
+    def scaled(t):
+        return map_from_images(span, span.ambient, t * span.basis)
+
+    cert, diag = choi_feasibility(scaled(0.5))
+    assert verify_choi_certificate(cert)
+    monkeypatch.setattr(cb, "falsifier_search", lambda phi: (0.0, None))
+    monkeypatch.setattr(cb, "choi_feasibility", lambda phi: (cert, dict(diag)))
+    rep = cc_check(scaled(3.0))
+    assert rep.verdict == INCONCLUSIVE
+    assert rep.diagnostics["failed_check"] == "choi_certificate_binding"
+
+
 def test_unverified_falsifier_is_inconclusive(m2, monkeypatch):
     doubled = map_from_images(m2, m2.ambient, [2 * b for b in m2.basis])
     search = cb.falsifier_search

@@ -5,13 +5,15 @@ from opalg.corpus import (a4_envelope, a4_inclusion_cover,
                           a4_schur_cover, a4_schur_cover_swapped,
                           a4_symmetrized_cover, t2_algebra, t2_corner_cover,
                           t2_diag_cover, t2_envelope, t2_inclusion_cover)
+from opalg.cb import LinearMap
 from opalg.covers import (CoverMorphism, MorphismAbsence,
                           NotCompletelyIsometric, NotHomomorphism,
-                          envelope, equivalent, graph_closure,
+                          envelope, equivalent, extension_violations,
+                          graph_closure,
                           graph_obstruction, induced_morphism, is_boundary,
                           join, leq, make_cover, meet, normalize_witness,
                           quotient_cover, shilov, verify_morphism)
-from opalg.linalg import Ambient
+from opalg.linalg import Ambient, generate_algebra
 
 
 class TestMakeCover:
@@ -49,6 +51,17 @@ class TestGraphEngine:
                                       amb.matrix_unit(0, 1))])
         assert graph_obstruction(amb, amb, G).dim > 0
 
+    def test_extension_violations_names_the_pair_failure(self):
+        amb = Ambient((2,))
+        m2 = generate_algebra(amb, [amb.matrix_unit(i, j) for i in range(2)
+                                    for j in range(2)],
+                              self_adjoint=True, unital=True)
+        ident = LinearMap(dom=m2, cod=amb, images=m2.basis)
+        assert extension_violations(ident, m2, zip(m2.basis, m2.basis)) == []
+        pairs = [(amb.matrix_unit(0, 0), amb.matrix_unit(1, 1))]
+        assert extension_violations(ident, m2, pairs) == [
+            "does not send x to y on every pair"]
+
 
 class TestOrder:
     def test_schur_above_inclusion(self):
@@ -69,6 +82,17 @@ class TestOrder:
         assert not leq(a4_schur_cover(), a4_inclusion_cover())
         assert equivalent(t2_envelope(), t2_inclusion_cover())
         assert not equivalent(t2_diag_cover(), t2_inclusion_cover())
+
+    @pytest.mark.parametrize("upper, lower", [
+        (a4_schur_cover, a4_inclusion_cover),
+        (a4_symmetrized_cover, a4_schur_cover),
+        (t2_diag_cover, t2_envelope)])
+    def test_kernel_is_what_pi_kills(self, upper, lower):
+        m = induced_morphism(upper(), lower())
+        assert m.kernel.dim == m.source.C.dim - m.target.C.dim
+        for k in m.kernel.basis:
+            assert np.linalg.norm(m.pi(k)) < 1e-8
+        assert m.kernel.verify() == []
 
     def test_symmetrized_above_both_schur_covers(self):
         c = a4_symmetrized_cover()

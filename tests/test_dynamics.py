@@ -5,6 +5,7 @@ from opalg.corpus import (Z2, a4_envelope, a4_schur_cover, a4_swap_unitary,
                           a4_symmetrized_cover, a4_system,
                           a4_trivial_system, t2_algebra, t2_diag_cover,
                           t2_envelope, t2_system)
+from opalg import dynamics
 from opalg.covers import induced_morphism
 from opalg.dynamics import (ADMISSIBLE, NOT_ADMISSIBLE, FiniteGroup,
                             GroupError, SystemError_, admissible,
@@ -129,6 +130,15 @@ class TestInner:
         assert rep.exact_group_law
         U = rep.trivialized[1]
         assert np.allclose(np.abs(U), np.eye(2), atol=1e-8)
+
+    def test_inner_in_itself_reverifies_each_unitary(self, monkeypatch):
+        # The identity does not implement the sign action on T2.
+        monkeypatch.setattr(dynamics, "_unitary_from_space",
+                            lambda null, space, seed:
+                            np.eye(space.ambient.dim, dtype=complex))
+        rep = inner_in_itself(t2_system())
+        assert not rep.found
+        assert rep.diagnostics == {"verification_failed": 1}
 
     def test_identity_unitary_is_identity(self):
         rep = locally_inner(t2_system(), t2_envelope())

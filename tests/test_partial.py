@@ -3,9 +3,11 @@ import pytest
 
 from opalg.corpus import (a4_envelope, a4_schur_cover, a4_system, t2_algebra,
                           t2_diag_cover, t2_system)
+from opalg import covers
+from opalg.cb import LinearMap
 from opalg.linalg import AlgebraSpan, Ambient, orthonormal_span
 from opalg.covers import OperatorAlgebra, make_cover
-from opalg.dynamics import FiniteGroup, trivial_system
+from opalg.dynamics import FiniteGroup, SystemError_, trivial_system
 from opalg.partialact import (ShilovNotMaximal, build_partial_action,
                               decompose, partial_crossed,
                               verify_partial_recovery)
@@ -24,7 +26,6 @@ class TestDecompose:
         want = np.zeros((8, 8), dtype=complex)
         want[:4, :4] = np.eye(4)
         assert np.allclose(dec.p, want)
-        assert dec.shilov_is_maximal
         assert not dec.shilov_is_essential
 
     def test_split_maps_reassemble_j(self):
@@ -49,8 +50,6 @@ class TestDecompose:
         cov = make_cover(A, amb, list(span.basis), verify=False)
         with pytest.raises(ShilovNotMaximal):
             decompose(cov)
-        dec = decompose(cov, waive_maximality=True)
-        assert np.allclose(dec.p, np.eye(2))
 
 
 class TestPartialAction:
@@ -68,6 +67,16 @@ class TestPartialAction:
                 got = th(p @ cov.j(a))
                 want = p @ cov.j(ds.act(s, a))
                 assert np.allclose(got, want, atol=1e-8)
+
+    def test_corner_maps_are_checked_against_their_pairs(self, monkeypatch):
+        # Read the identity off every graph: a *-automorphism of the corner
+        # obeying the group law, but it does not carry the swap.
+        monkeypatch.setattr(
+            covers, "map_from_generators",
+            lambda dom, gens, imgs, cod: LinearMap(dom=dom, cod=cod,
+                                                   images=dom.basis))
+        with pytest.raises(SystemError_, match="theta_1 does not send"):
+            build_partial_action(a4_system(), a4_schur_cover())
 
     def test_theta_inverse_law(self, schur_spec):
         G = schur_spec.ds.G

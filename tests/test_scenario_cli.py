@@ -276,3 +276,8 @@ class TestCli:
                                         "--cover", "diag",
                                         "--max-iter", "1"])
         assert res.exit_code == 2
+
+    def test_starved_paper_suite_exits_2(self):
+        res = CliRunner().invoke(main, ["paper-suite", "--max-iter", "1"])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
