@@ -5,7 +5,9 @@ recovery.
 Everything is concrete and dense-matrix: operator algebras are unital
 subspaces of block-diagonal complex matrix ambients; covers, envelopes and
 crossed products are computed, not postulated, and every completely
-bounded claim is certified by one of two independent numerical oracles.
+bounded claim is certified, by the structure of the map (a *-homomorphism,
+a composition with one, a direct sum) or by one of two independent
+numerical oracles.
 """
 
 __version__ = "0.1.0"

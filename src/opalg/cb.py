@@ -1,7 +1,20 @@
 """Complete-contractivity and complete-isometry decisions for linear maps
 between subspaces of matrix algebras.
 
-Two independent oracles back every verdict:
+Most maps the library asks about are completely contractive because of how
+they were built: a *-homomorphism is, and so are its restrictions, its
+compositions with completely contractive maps and direct sums of completely
+contractive maps (Paulsen 2002, ch. 1 and 3).  `cc_check` first tries three
+structural certificates, each re-verified against the map:
+
+* ``homomorphism``: the extension of the map to a *-homomorphism of the
+  C*-algebra its domain generates, read off the graph closure;
+* ``composition``: a *-homomorphism after a map that carries a certificate
+  (`LinearMap.compose` records the two factors);
+* ``direct-sum``: the certificates of the summands of j1 (+) j2 (attached by
+  `covers.join`).
+
+Two independent oracles back every other verdict:
 
 * a feasibility search for a unital completely positive extension of the
   2x2 off-diagonal (Paulsen) companion map, certified by a PSD Choi matrix
@@ -27,7 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (MEMBER_TOL, RANK_TOL, AlgebraSpan, Ambient, NotInSpan,
-                     current, hs_orthonormalize, operator_norm,
+                     current, graph_closure, graph_obstruction,
+                     hs_orthonormalize, operator_norm, orthonormal_span,
                      support_isometry)
 
 FEAS_TOL = 1e-7
@@ -39,6 +53,9 @@ CI = "CompletelyIsometric"
 NOT_CI = "NotCI"
 INCONCLUSIVE = "Inconclusive"
 
+# certificate types that certify complete contractivity
+CC_CERTIFICATES = ("choi", "homomorphism", "composition", "direct-sum")
+
 
 class Undecided(RuntimeError):
     """Raised by callers that need a decisive verdict but got Inconclusive."""
@@ -47,11 +64,18 @@ class Undecided(RuntimeError):
 @dataclass
 class LinearMap:
     """A linear map defined on a subspace S of a matrix ambient, recorded by
-    the images of S's orthonormal basis."""
+    the images of S's orthonormal basis.
+
+    `factors` (outer, inner) records a map built by `compose`, and
+    `certificate` a certificate of complete contractivity; cc_check
+    re-verifies either before it relies on it."""
 
     dom: AlgebraSpan
     cod: Ambient
     images: np.ndarray  # (dom.dim, n, n)
+    factors: tuple | None = field(default=None, repr=False, compare=False)
+    certificate: dict | None = field(default=None, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=complex).reshape(
@@ -69,7 +93,8 @@ class LinearMap:
     def compose(self, other):
         """self after other."""
         return LinearMap(dom=other.dom, cod=self.cod,
-                         images=np.array([self(img) for img in other.images]))
+                         images=np.array([self(img) for img in other.images]),
+                         factors=(self, other))
 
     def is_injective(self):
         if self.dom.dim == 0:
@@ -118,18 +143,25 @@ class CbReport:
         return self.verdict != INCONCLUSIVE
 
 
-def homomorphism_check(phi, unital=True):
-    """True when phi is multiplicative on its domain, and unit-preserving
-    if requested.  A product that leaves the domain counts as a failure."""
+def homomorphism_check(phi, unital=True, gens=None):
+    """True when phi is multiplicative on the algebra generated by `gens`
+    (default: its domain basis), and unit-preserving if requested.
+
+    phi(b g) = phi(b) phi(g) is checked for every domain basis element b
+    and generator g; by induction on word length that makes phi
+    multiplicative on every word in the generators.  A generator or a
+    product outside the domain counts as a failure."""
     basis = phi.dom.basis
-    imgs = [phi(b) for b in basis]
-    for a, fa in zip(basis, imgs):
+    try:
+        imgs = [phi(b) for b in basis]
+        gen_imgs = imgs if gens is None else [phi(g) for g in gens]
+        gens = basis if gens is None else gens
         for b, fb in zip(basis, imgs):
-            try:
-                if np.linalg.norm(phi(a @ b) - fa @ fb) > MEMBER_TOL * 10:
+            for g, fg in zip(gens, gen_imgs):
+                if np.linalg.norm(phi(b @ g) - fb @ fg) > MEMBER_TOL * 10:
                     return False
-            except NotInSpan:
-                return False
+    except NotInSpan:
+        return False
     return not unital or _unit_preserved(phi)
 
 
@@ -155,6 +187,167 @@ def star_hom_violations(phi, onto):
     if img.dim != onto.dim or not onto.contains_span(img):
         bad.append("not onto the target")
     return bad
+
+
+def graph_map(amb1, amb2, pairs, dom=None, unital=True):
+    """The map x -> y that the graph closure of `pairs` defines, on `dom`
+    (default: the span of the closure's first components, the C*-algebra
+    the x generate, with 1 when `unital`).
+
+    Returns (LinearMap | None, obstruction): the obstruction is the span of
+    {y : (0, y) in the closure}; when it is nonzero the closure is not a
+    graph and the map is None.  This one computation decides the cover
+    order, admissibility, the corner maps of the partial action and the
+    homomorphism certificates.
+    """
+    G = graph_closure(amb1, amb2, pairs, unital=unital)
+    obstruction = graph_obstruction(amb1, amb2, G)
+    if obstruction.dim > 0:
+        return None, obstruction
+    N1 = amb1.dim
+    firsts = G.basis[:, :N1, :N1]
+    if dom is None:
+        dom = orthonormal_span(amb1, list(firsts))
+    return map_from_generators(dom, firsts, G.basis[:, N1:, N1:],
+                               amb2), obstruction
+
+
+# ---------------------------------------------------------------------------
+# structural certificates
+
+
+def _star_hom_on(psi, gens):
+    """True when psi is a *-homomorphism on the C*-algebra generated by
+    `gens`: multiplicative on words in the generators and their adjoints,
+    and adjoint-preserving on the generators, hence on every word."""
+    gens = list(gens)
+    adjoints = [g.conj().T for g in gens]
+    try:
+        if any(np.linalg.norm(psi(a) - psi(g).conj().T) > 10 * MEMBER_TOL
+               for g, a in zip(gens, adjoints)):
+            return False
+    except NotInSpan:
+        return False
+    return homomorphism_check(psi, unital=False, gens=gens + adjoints)
+
+
+def sends(f, pairs):
+    """True when f(x) = y, to 10 * MEMBER_TOL, on every pair (x, y); False
+    when f is not defined at some x or its value has another shape."""
+    try:
+        for x, y in pairs:
+            fx = f(x)
+            if fx.shape != y.shape \
+                    or np.linalg.norm(fx - y) > 10 * MEMBER_TOL:
+                return False
+    except ValueError:  # NotInSpan, or a domain of another shape
+        return False
+    return True
+
+
+def _homomorphism_extension(phi):
+    """phi's extension to a *-homomorphism of C*(dom), read off the graph
+    closure of {(x, phi(x))}, or None when the closure is not a graph.
+    A *-homomorphism sends 1 to a projection, so when 1 is in the domain
+    and phi(1) is not one the closure is skipped."""
+    one = phi.dom.ambient.identity()
+    if phi.dom.contains(one):
+        p = phi(one)
+        if np.linalg.norm(p @ p - p) > 10 * MEMBER_TOL \
+                or np.linalg.norm(p - p.conj().T) > 10 * MEMBER_TOL:
+            return None
+    ext, _ = graph_map(phi.dom.ambient, phi.cod,
+                       zip(phi.dom.basis, phi.images), unital=False)
+    return ext
+
+
+def _structural_certificates(phi):
+    """Candidate certificates that phi is completely contractive by
+    construction, cheapest first: the one it carries, the composition it
+    was built as, and its extension to a *-homomorphism of C*(dom)."""
+    if phi.certificate is not None \
+            and phi.certificate["type"] in CC_CERTIFICATES:
+        yield phi.certificate
+    if phi.factors is not None and phi.factors[1].certificate is not None:
+        outer, inner = phi.factors
+        yield {"type": "composition", "outer": outer, "inner": inner}
+    ext = _homomorphism_extension(phi)
+    if ext is not None:
+        yield {"type": "homomorphism", "extension": ext}
+
+
+def _certifies_cc(cert, phi):
+    return cert is not None and cert["type"] in CC_CERTIFICATES \
+        and verify_certificate(cert, phi)
+
+
+def _summands(phi, cods):
+    """The two diagonal corners of phi along the codomain split
+    cods[0] (+) cods[1], or None when phi's images leave those corners."""
+    N1 = cods[0].dim
+    imgs = phi.images
+    if N1 + cods[1].dim != phi.cod.dim \
+            or np.linalg.norm(imgs[:, :N1, N1:]) > 10 * MEMBER_TOL \
+            or np.linalg.norm(imgs[:, N1:, :N1]) > 10 * MEMBER_TOL:
+        return None
+    return [LinearMap(dom=phi.dom, cod=cods[0],
+                      images=imgs[:, :N1, :N1].copy()),
+            LinearMap(dom=phi.dom, cod=cods[1],
+                      images=imgs[:, N1:, N1:].copy())]
+
+
+def _verify_kernel(cert, phi):
+    """A kernel certificate holds a nonzero domain element that phi sends
+    to zero, up to 10 * MEMBER_TOL relative to its norm."""
+    x = np.asarray(cert["x"])
+    N = phi.dom.ambient.dim
+    if x.shape != (N, N) or not phi.dom.contains(x):
+        return False
+    nx = operator_norm(x)
+    return nx > 0 and operator_norm(phi(x)) <= 10 * MEMBER_TOL * nx
+
+
+def verify_certificate(cert, phi):
+    """Re-verify against phi any certificate that cc_check or ci_check
+    returns (True when it holds):
+
+    * ``choi``: the Choi matrix re-verifies and pins phi's own problem;
+    * ``falsifier``: both norms recomputed, or for ``direction: kernel`` a
+      domain element that phi kills;
+    * ``homomorphism``: the extension agrees with phi on its domain and is a
+      *-homomorphism on C*(dom), checked on basis x generator products;
+    * ``composition``: phi = outer . inner, outer a *-homomorphism on the
+      C*-algebra of inner's image, and inner's own certificate holds;
+    * ``direct-sum``: phi = phi1 (+) phi2 and each part's certificate holds;
+    * ``pair``: phi is injective, and the forward and inverse certificates
+      hold for phi and its inverse on the image.
+    """
+    kind = cert["type"]
+    if kind == "choi":
+        return verify_choi_certificate(cert) and _certifies(cert, phi)
+    if kind == "falsifier":
+        if cert.get("direction") == "kernel":
+            return _verify_kernel(cert, phi)
+        return verify_falsifier(phi, cert)
+    if kind == "homomorphism":
+        ext = cert["extension"]
+        return sends(ext, zip(phi.dom.basis, phi.images)) \
+            and _star_hom_on(ext, phi.dom.basis)
+    if kind == "composition":
+        outer, inner = cert["outer"], cert["inner"]
+        return sends(lambda x: outer(inner(x)),
+                     zip(phi.dom.basis, phi.images)) \
+            and _star_hom_on(outer, inner.images) \
+            and _certifies_cc(inner.certificate, inner)
+    if kind == "direct-sum":
+        parts = _summands(phi, cert["cods"])
+        return parts is not None and all(
+            _certifies_cc(c, part) for c, part in zip(cert["parts"], parts))
+    if kind == "pair":
+        return phi.is_injective() \
+            and _certifies_cc(cert["forward"], phi) \
+            and _certifies_cc(cert["inverse"], phi.inverse_on_image())
+    raise ValueError(f"unknown certificate type {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -475,17 +668,25 @@ def verify_falsifier(phi, cert):
 
 
 def cc_check(phi):
-    """Decide complete contractivity of phi.  Falsifier search runs first
-    (cheap); on failure the feasibility oracle looks for a UCP-extension
-    certificate.  A decisive verdict is returned only with a certificate
-    that re-verifies; otherwise the verdict is Inconclusive and the
-    diagnostics name the failed check."""
+    """Decide complete contractivity of phi.  The structural certificates
+    come first (see _structural_certificates); then the falsifier search
+    (cheap), and on failure the feasibility oracle looks for a
+    UCP-extension certificate.  A decisive verdict is returned only with a
+    certificate that re-verifies against phi, and its diagnostics name what
+    decided it (`decided_by`: the certificate type, or "falsifier");
+    otherwise the verdict is Inconclusive and the diagnostics name the
+    failed check."""
     if phi.dom.dim == 0:
-        return CbReport(CC, None, {"trivial": "zero-dimensional domain"})
+        return CbReport(CC, None, {"trivial": "zero-dimensional domain",
+                                   "decided_by": "trivial"})
+    for cert in _structural_certificates(phi):
+        if verify_certificate(cert, phi):
+            return CbReport(CC, cert, {"decided_by": cert["type"]})
     ratio, cert = falsifier_search(phi)
     if cert is not None:
         diag = {"best_ratio": ratio}
         if verify_falsifier(phi, cert):
+            diag["decided_by"] = "falsifier"
             return CbReport(NOT_CC, cert, diag)
         diag["failed_check"] = "verify_falsifier"
         return CbReport(INCONCLUSIVE, None, diag)
@@ -498,6 +699,7 @@ def cc_check(phi):
     elif not _certifies(choi, phi):
         diag["failed_check"] = "choi_certificate_binding"
     else:
+        diag["decided_by"] = "choi"
         return CbReport(CC, choi, diag)
     return CbReport(INCONCLUSIVE, None, diag)
 
@@ -512,16 +714,24 @@ def _certifies(cert, phi):
 
 def ci_check(phi):
     """Decide complete isometry: injectivity plus complete contractivity of
-    the map and of its inverse on the image."""
+    the map and of its inverse on the image.  A kernel certificate is
+    re-verified like the others; the CI certificate is the pair of the two
+    directions' certificates, and `decided_by` is recorded per direction."""
     if phi.dom.dim == 0:
-        return CbReport(CI, None, {"trivial": "zero-dimensional domain"})
+        return CbReport(CI, None, {"trivial": "zero-dimensional domain",
+                                   "decided_by": "trivial"})
     if not phi.is_injective():
         x = phi.kernel_element()
         nx = operator_norm(x)
         cert = {"type": "falsifier", "level": 1, "x": x, "norm_x": nx,
                 "norm_image": operator_norm(phi(x)),
                 "margin": FALSIFIER_MARGIN, "direction": "kernel"}
-        return CbReport(NOT_CI, cert, {"reason": "not injective"})
+        diag = {"reason": "not injective"}
+        if verify_certificate(cert, phi):
+            diag["decided_by"] = "kernel"
+            return CbReport(NOT_CI, cert, diag)
+        diag["failed_check"] = "kernel_certificate"
+        return CbReport(INCONCLUSIVE, None, diag)
     fwd = cc_check(phi)
     if fwd.verdict == NOT_CC:
         return CbReport(NOT_CI, fwd.certificate, fwd.diagnostics)
@@ -532,7 +742,7 @@ def ci_check(phi):
         d["direction"] = "inverse"
         return CbReport(NOT_CI, bwd.certificate, d)
     if fwd.verdict == CC and bwd.verdict == CC:
-        return CbReport(CI, {"type": "choi-pair",
+        return CbReport(CI, {"type": "pair",
                              "forward": fwd.certificate,
                              "inverse": bwd.certificate},
                         {"forward": fwd.diagnostics,

@@ -104,8 +104,7 @@ def a4_symmetrized_cover():
 def a4_inclusion_cover():
     """A4 inside M4 as given."""
     A = a4_algebra()
-    return make_cover(A, A.ambient, list(A.span.basis), name="a4-inclusion",
-                      verify=False)
+    return make_cover(A, A.ambient, list(A.span.basis), name="a4-inclusion")
 
 
 @lru_cache(maxsize=None)
@@ -142,8 +141,7 @@ def t2_trivial_system():
 def t2_inclusion_cover():
     """T2 inside M2; this is already the C*-envelope."""
     A = t2_algebra()
-    return make_cover(A, A.ambient, list(A.span.basis), name="t2-inclusion",
-                      verify=False)
+    return make_cover(A, A.ambient, list(A.span.basis), name="t2-inclusion")
 
 
 @lru_cache(maxsize=None)
@@ -188,3 +186,11 @@ SYSTEM_BUILDERS = {
     "t2-sign": t2_system,
     "t2-trivial": t2_trivial_system,
 }
+
+
+def clear_caches():
+    """Forget every memoised corpus object, so that the next builder calls
+    rebuild and re-certify their covers from scratch."""
+    for builder in (a4_algebra, t2_algebra, *COVER_BUILDERS.values(),
+                    *SYSTEM_BUILDERS.values()):
+        builder.cache_clear()

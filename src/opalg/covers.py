@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cb import (CI, INCONCLUSIVE, LinearMap, Undecided, ci_check,
-                 homomorphism_check, map_from_generators, require_decisive,
+                 graph_map, homomorphism_check, require_decisive, sends,
                  star_hom_violations)
-from .linalg import (MEMBER_TOL, AlgebraSpan, compress_span,
-                     generate_algebra, generate_ideal, null_space,
-                     orthonormal_span)
+from .linalg import (AlgebraSpan, compress_span, direct_sum,
+                     generate_algebra, generate_ideal, null_space)
+from .linalg import graph_closure  # noqa: F401  (stays a public name here)
 from .structure import blocks_of_ideal, corner_quotient, \
     minimal_central_projections
 
@@ -130,13 +130,23 @@ def make_cover(A, ambient, j_images, name="cover", verify=True):
 
     Raises NotHomomorphism or NotCompletelyIsometric on a violated
     invariant; raises Undecided if the complete-isometry check is
-    inconclusive.  With verify=False the (expensive) complete-isometry check
-    is skipped; callers use that only when CI holds by construction.
+    inconclusive.  The forward half of the CI certificate stays on `j`, so
+    maps built from j later (quotients, joins) are certified by structure.
+    With verify=False the complete-isometry check is skipped and j carries
+    no certificate; every cover the library builds itself is checked
+    (`join` attaches a direct-sum certificate instead), and the option
+    stays for callers whose maps are CI by construction.
     """
     if isinstance(A, AlgebraSpan):
         A = OperatorAlgebra(A)
     j = LinearMap(dom=A.span, cod=ambient,
                   images=np.array([ambient.check(m) for m in j_images]))
+    return _validated_cover(A, j, name, verify)
+
+
+def _validated_cover(A, j, name, verify=True):
+    """make_cover on an embedding given as a LinearMap, which keeps the
+    provenance (factors) that its certificate may rest on."""
     if not homomorphism_check(j, unital=True):
         raise NotHomomorphism(
             "j is not a unital homomorphism on the operator algebra")
@@ -147,66 +157,22 @@ def make_cover(A, ambient, j_images, name="cover", verify=True):
         if rep.verdict != CI:
             raise NotCompletelyIsometric(
                 "j is not completely isometric", rep.certificate)
-    C = generate_algebra(ambient, list(j.images), self_adjoint=True,
+        if rep.certificate is not None:
+            j.certificate = rep.certificate["forward"]
+    C = generate_algebra(j.cod, list(j.images), self_adjoint=True,
                          unital=True)
     return CstarCover(A=A, C=C, j=j, name=name)
 
 
 # ---------------------------------------------------------------------------
-# graph closure
-
-
-def _pair_sum(amb1, amb2, x, y):
-    N1 = amb1.dim
-    out = np.zeros((N1 + amb2.dim,) * 2, dtype=complex)
-    out[:N1, :N1] = x
-    out[N1:, N1:] = y
-    return out
-
-
-def graph_closure(amb1, amb2, pairs, unital=True):
-    """Self-adjoint algebra generated by {x (+) y} in the direct sum
-    ambient; the engine behind induced morphisms and admissibility."""
-    D = amb1.direct_sum(amb2)
-    gens = [_pair_sum(amb1, amb2, x, y) for x, y in pairs]
-    return generate_algebra(D, gens, self_adjoint=True, unital=unital)
-
-
-def graph_obstruction(amb1, amb2, G):
-    """Span of {y : (0, y) in G}, the obstruction to G being a graph."""
-    N1 = amb1.dim
-    firsts = np.array([b[:N1, :N1].ravel() for b in G.basis])
-    if firsts.size == 0:
-        return orthonormal_span(amb2, [])
-    # combinations of the graph basis whose first components cancel
-    mats = [np.tensordot(c, G.basis, axes=(0, 0))[N1:, N1:]
-            for c in null_space(firsts, left=True)]
-    return orthonormal_span(amb2, [m for m in mats
-                                   if np.linalg.norm(m) > 1e-9])
-
-
-def graph_map(amb1, amb2, pairs, dom, unital=True):
-    """The map x -> y on `dom` that the graph closure of `pairs` defines.
-
-    Returns (LinearMap | None, obstruction): the obstruction is the span of
-    {y : (0, y) in the closure}; when it is nonzero the closure is not a
-    graph and the map is None.  This one computation decides the cover
-    order, admissibility and the corner maps of the partial action.
-    """
-    G = graph_closure(amb1, amb2, pairs, unital=unital)
-    obstruction = graph_obstruction(amb1, amb2, G)
-    if obstruction.dim > 0:
-        return None, obstruction
-    N1 = amb1.dim
-    return map_from_generators(dom, G.basis[:, :N1, :N1],
-                               G.basis[:, N1:, N1:], amb2), obstruction
+# cover order
 
 
 def extension_violations(phi, onto, pairs):
     """Violated properties of phi as a *-homomorphism onto `onto` that
     sends x to y for every pair (x, y) (empty when all hold)."""
     bad = star_hom_violations(phi, onto)
-    if any(np.linalg.norm(phi(x) - y) > 10 * MEMBER_TOL for x, y in pairs):
+    if not sends(phi, pairs):
         bad.append("does not send x to y on every pair")
     return bad
 
@@ -268,7 +234,8 @@ def join(*covers, name=None):
     """Supremum: direct-sum ambient, j = (+) j_i, C generated by the image.
 
     The joined embedding is completely isometric by construction (each
-    summand already is), so validation is structural only.
+    summand already is), so validation is structural only; when both
+    summands carry certificates, j carries their direct-sum certificate.
     """
     if len(covers) == 1:
         return covers[0]
@@ -279,11 +246,14 @@ def join(*covers, name=None):
         return out
     c1, c2 = covers
     amb = c1.ambient.direct_sum(c2.ambient)
-    imgs = []
-    for x, y in zip(c1.j.images, c2.j.images):
-        imgs.append(_pair_sum(c1.ambient, c2.ambient, x, y))
-    return make_cover(c1.A, amb, imgs, verify=False,
-                      name=name or f"join({c1.name},{c2.name})")
+    imgs = [direct_sum(x, y) for x, y in zip(c1.j.images, c2.j.images)]
+    out = make_cover(c1.A, amb, imgs, verify=False,
+                     name=name or f"join({c1.name},{c2.name})")
+    if c1.j.certificate is not None and c2.j.certificate is not None:
+        out.j.certificate = {"type": "direct-sum",
+                             "cods": (c1.ambient, c2.ambient),
+                             "parts": (c1.j.certificate, c2.j.certificate)}
+    return out
 
 
 def meet(c1, c2, name=None):
@@ -307,8 +277,7 @@ def meet(c1, c2, name=None):
 def quotient_cover(cover, S, name="quotient"):
     """Cover obtained by quotienting C by the block ideal z_S C, realized on
     the complementary corner and compressed onto its support."""
-    qj = _quotient_embedding(cover, S)
-    return make_cover(cover.A, qj.cod, list(qj.images), name=name)
+    return _validated_cover(cover.A, _quotient_embedding(cover, S), name)
 
 
 def _quotient_embedding(cover, S):

@@ -155,7 +155,7 @@ def full_crossed(ds):
     relative crossed products over admissible covers agree for finite G)."""
     span = ds.A.span
     inclusion = make_cover(ds.A, span.ambient, list(span.basis),
-                           name="inclusion", verify=False)
+                           name="inclusion")
     env = envelope(inclusion)
     return relative_crossed(ds, env)
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cb import CI, LinearMap, ci_check, require_decisive, star_hom_violations
-from .covers import (extension_violations, fix_phase, graph_map,
-                     normalize_witness)
+from .cb import (CI, LinearMap, ci_check, graph_map, require_decisive,
+                 star_hom_violations)
+from .covers import extension_violations, fix_phase, normalize_witness
 from .linalg import MEMBER_TOL, current, diagonal, intertwiner_space
 
 ADMISSIBLE = "Admissible"

@@ -367,6 +367,28 @@ def generate_ideal(C, gens):
     return AlgebraSpan(C.ambient, basis, self_adjoint=True, ideal_in=C)
 
 
+def graph_closure(amb1, amb2, pairs, unital=True):
+    """Self-adjoint algebra generated by {x (+) y} in the direct sum
+    ambient; the engine behind induced morphisms, admissibility and the
+    homomorphism certificates of complete contractivity."""
+    gens = [direct_sum(x, y) for x, y in pairs]
+    return generate_algebra(amb1.direct_sum(amb2), gens, self_adjoint=True,
+                            unital=unital)
+
+
+def graph_obstruction(amb1, amb2, G):
+    """Span of {y : (0, y) in G}, the obstruction to G being a graph."""
+    N1 = amb1.dim
+    firsts = np.array([b[:N1, :N1].ravel() for b in G.basis])
+    if firsts.size == 0:
+        return orthonormal_span(amb2, [])
+    # combinations of the graph basis whose first components cancel
+    mats = [np.tensordot(c, G.basis, axes=(0, 0))[N1:, N1:]
+            for c in null_space(firsts, left=True)]
+    return orthonormal_span(amb2, [m for m in mats
+                                   if np.linalg.norm(m) > 1e-9])
+
+
 def support_isometry(mats, N):
     """Isometry V (N x m) onto the joint support of the given matrices, or
     None when the support is full.  Coordinate selection when the support

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cb import (CC, CI, NOT_CI, LinearMap, cc_check, ci_check,
+from .cb import (CC, CI, NOT_CI, LinearMap, cc_check, ci_check, graph_map,
                  homomorphism_check, map_from_generators, require_decisive)
-from .covers import CoverError, CstarCover, extension_violations, graph_map
+from .covers import CoverError, CstarCover, extension_violations
 from .crossed import CrossedProduct, cstar_crossed, full_crossed
 from .dynamics import DynamicalSystem, SystemError_, group_law_violations
 from .linalg import (MEMBER_TOL, AlgebraSpan, Ambient, compress_span,
@@ -59,12 +59,14 @@ def decompose(cover):
         raise ShilovNotMaximal(
             f"envelope has {env_blocks} blocks; Shilov ideal not maximal")
     p = bs.subset_projection(bs.complement(S))
-    amb = cover.ambient
-    span = cover.A.span
-    j1 = LinearMap(dom=span, cod=amb,
-                   images=np.array([p @ m for m in cover.j.images]))
-    j2 = LinearMap(dom=span, cod=amb,
-                   images=np.array([m - p @ m for m in cover.j.images]))
+
+    def after_j(z):
+        """x -> z x on C (a *-homomorphism, z being central), after j."""
+        zx = LinearMap(dom=cover.C, cod=cover.ambient,
+                       images=np.array([z @ b for b in cover.C.basis]))
+        return zx.compose(cover.j)
+
+    j1, j2 = after_j(p), after_j(cover.ambient.identity() - p)
     rep1 = require_decisive(ci_check(j1), "envelope part of the splitting")
     if rep1.verdict != CI:
         raise CoverError("p j is not completely isometric")

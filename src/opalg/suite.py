@@ -266,13 +266,16 @@ CHECKS = [
 
 
 def paper_suite(seed=0):
-    """Run every golden check, searches seeded by `seed`; returns the
-    full report dict.
+    """Run every golden check on a freshly built corpus, searches seeded
+    by `seed`; returns the full report dict.  Covers certified earlier in
+    the process are not reused, so the run does the same work, under the
+    current RunConfig, wherever it is called.
 
     report["verdicts"] is the deterministic section: serialize it with
     serialize.dumps for byte-stable comparison across runs."""
     entries = []
     timings = {}
+    corpus.clear_caches()
     with using(seed=seed):
         for name, fn in CHECKS:
             t0 = time.perf_counter()

@@ -10,6 +10,7 @@ from opalg.cb import (CC, CI, FEAS_TOL, INCONCLUSIVE, NOT_CC, NOT_CI, CbReport,
                       require_decisive, star_hom_violations,
                       verify_choi_certificate, verify_falsifier)
 from opalg.corpus import a4_algebra, schur_projection_p
+from opalg.covers import join
 from opalg.dynamics import inner_in_itself
 from opalg.linalg import (Ambient, direct_sum, generate_algebra,
                           orthonormal_span)
@@ -388,3 +389,143 @@ def test_codomain_permutation_keeps_the_verdict(m2, t, want):
     permuted = _identity_plus_compression(m2, t, perm=(2, 0, 1))
     assert cc_check(plain).verdict == want
     assert cc_check(permuted).verdict == want
+
+
+# ---------------------------------------------------------------------------
+# structural certificates
+
+
+def _identity(span):
+    return map_from_images(span, span.ambient, list(span.basis))
+
+
+def _off_diagonal_corner(m2):
+    """span{E12} in M_2; the C*-algebra it generates is all of M_2."""
+    amb = m2.ambient
+    return orthonormal_span(amb, [amb.matrix_unit(0, 1)])
+
+
+def test_decided_by_names_each_route(m2):
+    ident = _identity(m2)
+    halved = map_from_images(m2, m2.ambient, [0.5 * b for b in m2.basis])
+    doubled = map_from_images(m2, m2.ambient, [2 * b for b in m2.basis])
+    assert cc_check(ident).diagnostics["decided_by"] == "homomorphism"
+    assert cc_check(halved).diagnostics["decided_by"] == "choi"
+    assert cc_check(doubled).diagnostics["decided_by"] == "falsifier"
+    rep = ci_check(ident)
+    assert rep.verdict == CI and rep.certificate["type"] == "pair"
+    assert rep.diagnostics["forward"]["decided_by"] == "homomorphism"
+    assert rep.diagnostics["inverse"]["decided_by"] == "homomorphism"
+    assert cb.verify_certificate(rep.certificate, ident)
+    assert not cb.verify_certificate(rep.certificate, doubled)
+
+
+def test_non_unital_homomorphism_is_cc_by_structure(m2):
+    # x -> x (+) 0 sends 1 to a projection that is not the unit
+    phi = map_from_images(m2, Ambient((2, 2)),
+                          [direct_sum(b, 0 * b) for b in m2.basis])
+    rep = cc_check(phi)
+    assert rep.verdict == CC
+    assert rep.diagnostics["decided_by"] == "homomorphism"
+    assert cb.verify_certificate(rep.certificate, phi)
+
+
+def test_corrupted_extension_falls_back_to_the_oracles(m2, monkeypatch):
+    # The identity on span{E12} extends to the identity of M_2.  Read off
+    # instead a map that agrees on E12 but swaps E11 and E22: it is not
+    # multiplicative, so the certificate must fail and the oracles decide.
+    phi = _identity(_off_diagonal_corner(m2))
+    assert cc_check(phi).diagnostics["decided_by"] == "homomorphism"
+
+    def swapped_diagonal(dom, gens, imgs, cod):
+        flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+        return LinearMap(dom=dom, cod=cod, images=np.array(
+            [b - np.diag(np.diag(b)) + np.diag(flip @ np.diag(b))
+             for b in dom.basis]))
+
+    monkeypatch.setattr(cb, "map_from_generators", swapped_diagonal)
+    rep = cc_check(phi)
+    assert rep.verdict == CC
+    assert rep.diagnostics["decided_by"] == "choi"
+
+
+def test_composition_with_a_borrowed_inner_certificate_is_not_trusted(m2):
+    ident = _identity(m2)
+    doubled = map_from_images(m2, m2.ambient, [2 * b for b in m2.basis])
+    doubled.certificate = cc_check(ident).certificate
+    phi = ident.compose(doubled)
+    assert phi.factors == (ident, doubled)
+    cert = {"type": "composition", "outer": ident, "inner": doubled}
+    assert not cb.verify_certificate(cert, phi)
+    rep = cc_check(phi)
+    assert rep.verdict == NOT_CC
+    assert rep.diagnostics["decided_by"] == "falsifier"
+    # the same composition over a certified inner map is cc by structure
+    ident.certificate = cc_check(ident).certificate
+    rep = cc_check(_identity(m2).compose(ident))
+    assert rep.diagnostics["decided_by"] == "composition"
+
+
+def test_direct_sum_with_a_corrupted_part_falls_back_to_the_oracles():
+    joined = join(corpus.t2_diag_cover(), corpus.t2_corner_cover())
+    j = joined.j
+    assert j.certificate["type"] == "direct-sum"
+    rep = cc_check(j)
+    assert rep.verdict == CC
+    assert rep.diagnostics["decided_by"] == "direct-sum"
+    # j1 (+) 2 j2 carrying the certificate of j1 (+) j2
+    N1 = corpus.t2_diag_cover().ambient.dim
+    images = j.images.copy()
+    images[:, N1:, N1:] *= 2
+    spoilt = LinearMap(dom=j.dom, cod=j.cod, images=images,
+                       certificate=j.certificate)
+    assert not cb.verify_certificate(j.certificate, spoilt)
+    rep = cc_check(spoilt)
+    assert rep.verdict == NOT_CC
+    assert rep.diagnostics["decided_by"] == "falsifier"
+
+
+def test_homomorphism_certificate_of_another_map_is_not_trusted(m2):
+    cert = cc_check(_identity(m2)).certificate
+    assert cert["type"] == "homomorphism"
+    transpose = map_from_images(m2, m2.ambient, [b.T for b in m2.basis])
+    assert not cb.verify_certificate(cert, transpose)
+    transpose.certificate = cert
+    rep = cc_check(transpose)
+    assert rep.verdict == NOT_CC
+    assert rep.diagnostics["decided_by"] == "falsifier"
+
+
+def test_contractive_compression_never_enters_the_closure(monkeypatch):
+    # x -> t V*xV with t < 1 on a unital subspace of M_4, as in the
+    # benchmark's fuzz stream: t 1 is not a projection
+    rng = np.random.default_rng(11)
+    amb = Ambient((4,))
+    dom = orthonormal_span(amb, [np.eye(4)] + [rand_mat(rng, 4)
+                                               for _ in range(2)])
+    V = np.linalg.qr(rng.standard_normal((4, 2))
+                     + 1j * rng.standard_normal((4, 2)))[0]
+    phi = map_from_images(dom, Ambient((2,)),
+                          [0.9 * V.conj().T @ b @ V for b in dom.basis])
+    closures = []
+    monkeypatch.setattr(cb, "graph_closure",
+                        lambda *args, **kwargs: closures.append(args))
+    rep = cc_check(phi)
+    assert closures == []
+    assert rep.verdict == CC and rep.diagnostics["decided_by"] == "choi"
+
+
+def test_kernel_certificate_is_reverified(m2, monkeypatch):
+    amb = m2.ambient
+    p = amb.matrix_unit(0, 0)
+    comp = map_from_images(m2, amb, [p @ b @ p for b in m2.basis])
+    rep = ci_check(comp)
+    assert rep.verdict == NOT_CI
+    assert rep.diagnostics["decided_by"] == "kernel"
+    assert rep.certificate["direction"] == "kernel"
+    assert cb.verify_certificate(rep.certificate, comp)
+    # an element the map does not kill is no kernel certificate
+    monkeypatch.setattr(LinearMap, "kernel_element", lambda self: p)
+    rep = ci_check(comp)
+    assert rep.verdict == INCONCLUSIVE
+    assert rep.diagnostics["failed_check"] == "kernel_certificate"

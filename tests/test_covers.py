@@ -5,15 +5,16 @@ from opalg.corpus import (a4_envelope, a4_inclusion_cover,
                           a4_schur_cover, a4_schur_cover_swapped,
                           a4_symmetrized_cover, t2_algebra, t2_corner_cover,
                           t2_diag_cover, t2_envelope, t2_inclusion_cover)
+from opalg import cb
 from opalg.cb import LinearMap
 from opalg.covers import (CoverMorphism, MorphismAbsence,
                           NotCompletelyIsometric, NotHomomorphism,
                           envelope, equivalent, extension_violations,
-                          graph_closure,
-                          graph_obstruction, induced_morphism, is_boundary,
+                          induced_morphism, is_boundary,
                           join, leq, make_cover, meet, normalize_witness,
                           quotient_cover, shilov, verify_morphism)
-from opalg.linalg import Ambient, generate_algebra
+from opalg.linalg import (Ambient, generate_algebra, graph_closure,
+                          graph_obstruction)
 
 
 class TestMakeCover:
@@ -172,6 +173,21 @@ class TestBoundary:
         for cov in (t2_diag_cover(), t2_corner_cover(),
                     t2_inclusion_cover()):
             assert leq(t2_envelope(), cov)
+
+    @pytest.mark.parametrize("builder, want", [
+        (a4_schur_cover, [1, 1, 2]), (t2_diag_cover, [1, 1])])
+    def test_shilov_of_a_built_cover_calls_no_oracle(self, builder, want,
+                                                     monkeypatch):
+        # Every boundary test is a quotient after the certified embedding
+        # (composition) with a *-homomorphism inverse, or not injective.
+        cov = builder.__wrapped__()  # a fresh cover, Shilov data not cached
+        calls = []
+        for name in ("falsifier_search", "choi_feasibility"):
+            monkeypatch.setattr(cb, name,
+                                lambda *a, name=name, **k: calls.append(name))
+        S = shilov(cov)
+        assert calls == []
+        assert sorted(cov.structure().block_dims[i] for i in S) == want
 
 
 def test_cover_morphism_composes_with_embedding():

@@ -3,7 +3,7 @@ import pytest
 
 from opalg.corpus import (a4_envelope, a4_schur_cover, a4_system, t2_algebra,
                           t2_diag_cover, t2_system)
-from opalg import covers
+from opalg import partialact
 from opalg.cb import LinearMap
 from opalg.linalg import AlgebraSpan, Ambient, orthonormal_span
 from opalg.covers import OperatorAlgebra, make_cover
@@ -72,9 +72,9 @@ class TestPartialAction:
         # Read the identity off every graph: a *-automorphism of the corner
         # obeying the group law, but it does not carry the swap.
         monkeypatch.setattr(
-            covers, "map_from_generators",
-            lambda dom, gens, imgs, cod: LinearMap(dom=dom, cod=cod,
-                                                   images=dom.basis))
+            partialact, "graph_map",
+            lambda amb1, amb2, pairs, dom, unital: (
+                LinearMap(dom=dom, cod=amb2, images=dom.basis), None))
         with pytest.raises(SystemError_, match="theta_1 does not send"):
             build_partial_action(a4_system(), a4_schur_cover())
 
