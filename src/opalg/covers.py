@@ -18,7 +18,7 @@ from .cb import (CI, INCONCLUSIVE, LinearMap, Undecided, ci_check,
                  graph_map, homomorphism_check, require_decisive, sends,
                  star_hom_violations)
 from .linalg import (AlgebraSpan, compress_span, direct_sum,
-                     generate_algebra, generate_ideal, null_space)
+                     generate_algebra, null_space)
 from .linalg import graph_closure  # noqa: F401  (stays a public name here)
 from .structure import blocks_of_ideal, corner_quotient, \
     minimal_central_projections
@@ -258,19 +258,16 @@ def join(*covers, name=None):
 
 def meet(c1, c2, name=None):
     """Infimum: quotient of the join by the block ideal generated by the
-    kernels of its two projection morphisms."""
+    kernels of its two projection morphisms (each already a block ideal,
+    so that ideal is the one on the union of their blocks)."""
     v = join(c1, c2)
     m1 = induced_morphism(v, c1)
     m2 = induced_morphism(v, c2)
     if isinstance(m1, MorphismAbsence) or isinstance(m2, MorphismAbsence):
         raise CoverError("join does not project onto its factors")
-    ker_gens = list(m1.kernel.basis) + list(m2.kernel.basis)
-    if not ker_gens:
+    S = m1.kernel_blocks() | m2.kernel_blocks()
+    if not S:
         return v
-    K = generate_ideal(v.C, ker_gens)
-    if K.dim == 0:
-        return v
-    S = blocks_of_ideal(v.C, K)
     return quotient_cover(v, S, name=name or f"meet({c1.name},{c2.name})")
 
 

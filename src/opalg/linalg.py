@@ -302,21 +302,25 @@ def orthonormal_span(ambient, mats):
                        if mats else np.zeros((0, ambient.dim, ambient.dim), complex))
 
 
-def _closure_rounds(ambient, seed_mats, extend):
-    """Iterate span <- orthonormalize(span + extend(span)) until the
-    dimension stops growing (at most N^2 + 1 rounds)."""
+def _closure(ambient, seed, left, right):
+    """Smallest subspace holding `seed` and closed under x -> l @ x for l
+    in `left` and x -> x @ r for r in `right`.
+
+    Spinning, as in the Meat-Axe: each round multiplies only the elements
+    the previous round added, projects the products off the basis (twice,
+    so the residuals stay orthogonal to it) and orthonormalizes what is
+    left.  The loop ends when a round adds nothing.
+    """
     N = ambient.dim
-    basis = hs_orthonormalize(seed_mats) if seed_mats else \
-        np.zeros((0, N, N), complex)
-    for _ in range(N * N + 1):
-        new = extend(basis)
-        if not new:
-            break
-        grown = hs_orthonormalize(list(basis) + new)
-        if len(grown) == len(basis):
-            basis = grown
-            break
-        basis = grown
+    basis = new = hs_orthonormalize(seed)
+    while len(new) and len(left) + len(right):
+        flat = basis.reshape(len(basis), N * N)
+        res = np.concatenate([l @ new for l in left]
+                             + [new @ r for r in right]).reshape(-1, N * N)
+        for _ in range(2):
+            res = res - (res @ flat.conj().T) @ flat
+        new = hs_orthonormalize(res.reshape(-1, N, N))
+        basis = np.concatenate([basis, new])
     return basis
 
 
@@ -324,46 +328,32 @@ def generate_algebra(ambient, gens, self_adjoint=False, unital=True):
     """Smallest multiplicatively closed subspace containing the generators
     (plus the identity when unital, adjoints when self_adjoint).
 
-    One multiplication sweep per round with re-orthonormalization; terminates
-    because the ambient is finite-dimensional.
+    That is the span of the words in the generators: it is grown from the
+    generators (and the identity) by left multiplication with an
+    orthonormal basis of the generators' span, so that every product has
+    HS norm at most 1 as the rank rule expects.  Each round multiplies only
+    the elements the previous round added.
     """
     gens = [ambient.check(g) for g in gens]
-    seed = list(gens)
-    if unital:
-        seed.append(ambient.identity())
     if self_adjoint:
-        seed += [g.conj().T for g in gens]
-
-    def extend(basis):
-        out = [a @ b for a in basis for b in basis]
-        if self_adjoint:
-            out += [b.conj().T for b in basis]
-        return out
-
-    basis = _closure_rounds(ambient, seed, extend)
+        gens += [g.conj().T for g in gens]
+    seed = gens + [ambient.identity()] if unital else gens
+    basis = _closure(ambient, seed, hs_orthonormalize(gens), [])
     return AlgebraSpan(ambient, basis, self_adjoint=self_adjoint, unital=unital)
 
 
 def generate_ideal(C, gens):
-    """Smallest subspace of C containing `gens` that is a two-sided ideal,
-    closed under adjoint.  Generators must already lie in C."""
+    """Smallest subspace of the C*-algebra C containing `gens` that is a
+    two-sided ideal, closed under adjoint.  Generators must already lie in
+    C.  Grown from the generators and their adjoints by multiplication with
+    C's basis on both sides, only the newly added elements each round."""
     gens = [np.asarray(g, dtype=complex) for g in gens]
     for g in gens:
         if not C.contains(g):
             raise NotInSpan("ideal generator not in the enclosing algebra")
     seed = [g for g in gens if np.linalg.norm(g) > MEMBER_TOL]
     seed += [g.conj().T for g in seed]
-
-    def extend(basis):
-        out = []
-        for b in basis:
-            out.append(b.conj().T)
-            for c in C.basis:
-                out.append(c @ b)
-                out.append(b @ c)
-        return out
-
-    basis = _closure_rounds(C.ambient, seed, extend)
+    basis = _closure(C.ambient, seed, C.basis, C.basis)
     return AlgebraSpan(C.ambient, basis, self_adjoint=True, ideal_in=C)
 
 
@@ -386,7 +376,7 @@ def graph_obstruction(amb1, amb2, G):
     mats = [np.tensordot(c, G.basis, axes=(0, 0))[N1:, N1:]
             for c in null_space(firsts, left=True)]
     return orthonormal_span(amb2, [m for m in mats
-                                   if np.linalg.norm(m) > 1e-9])
+                                   if np.linalg.norm(m) > RANK_TOL])
 
 
 def support_isometry(mats, N):

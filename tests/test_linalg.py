@@ -8,6 +8,7 @@ from opalg.linalg import (RANK_TOL, AlgebraSpan, Ambient, AmbientMismatch,
                           generate_algebra, generate_ideal, hs_inner,
                           hs_orthonormalize, intersect_spans, null_space,
                           operator_norm, orthonormal_span, support_isometry)
+from opalg.structure import ideal_blocks, minimal_central_projections
 
 
 def rand_mat(rng, n):
@@ -145,6 +146,99 @@ class TestGeneration:
                              self_adjoint=True, unital=True)
         with pytest.raises(NotInSpan):
             generate_ideal(C, [amb.matrix_unit(0, 1)])
+
+
+def _naive_span(mats):
+    """Orthonormal rows spanning the flattened mats (reference rank rule)."""
+    flat = np.array([np.ravel(m) for m in mats])
+    _, s, vh = np.linalg.svd(flat, full_matrices=False)
+    return vh[s > 1e-9 * max(1.0, s[0])]
+
+
+def _naive_algebra(amb, gens, self_adjoint, unital):
+    """Every pairwise product of the basis, until the dimension stops
+    growing."""
+    N = amb.dim
+    seed = list(gens) + ([g.conj().T for g in gens] if self_adjoint else [])
+    seed += [amb.identity()] if unital else []
+    rows = _naive_span(seed)
+    while True:
+        basis = rows.reshape(-1, N, N)
+        grown = _naive_span(list(basis)
+                            + [a @ b for a in basis for b in basis])
+        if len(grown) == len(rows):
+            return AlgebraSpan(amb, basis)
+        rows = grown
+
+
+def _sparse_generators(rng, amb, count):
+    """`count` random elements with one to four nonzero in-block entries."""
+    r, c = np.nonzero(amb.mask())
+    gens = []
+    for _ in range(count):
+        g = amb.zero()
+        pick = rng.choice(len(r), size=rng.integers(2, 5))
+        g[r[pick], c[pick]] = rng.choice([-2, -1, 1, 2], len(pick)) \
+            + 1j * rng.integers(-2, 3, len(pick))
+        gens.append(g)
+    return gens
+
+
+_ambients = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+    lambda dims: Ambient(tuple(dims)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ambients, st.integers(0, 10 ** 6), st.integers(1, 3), st.booleans(),
+       st.booleans())
+def test_generate_algebra_matches_naive_closure(amb, seed, count,
+                                                self_adjoint, unital):
+    gens = _sparse_generators(np.random.default_rng(seed), amb, count)
+    alg = generate_algebra(amb, gens, self_adjoint=self_adjoint, unital=unital)
+    ref = _naive_algebra(amb, gens, self_adjoint, unital)
+    assert alg.dim == ref.dim
+    assert alg.contains_span(ref) and ref.contains_span(alg)
+    assert alg.verify() == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(_ambients, st.integers(0, 10 ** 6))
+def test_generate_ideal_is_the_ideal_of_the_touched_blocks(amb, seed):
+    rng = np.random.default_rng(seed)
+    C = generate_algebra(amb, _sparse_generators(rng, amb, 2),
+                         self_adjoint=True, unital=True)
+    zs = minimal_central_projections(C).projections
+    x = C.from_coeffs(rng.standard_normal(C.dim)
+                      + 1j * rng.standard_normal(C.dim))
+    gen = sum((z for z in zs if rng.random() < 0.5), amb.zero()) @ x
+    touched = frozenset(i for i, z in enumerate(zs)
+                        if np.linalg.norm(z @ gen) > 1e-6)
+    J = generate_ideal(C, [gen])
+    ref = ideal_blocks(C, touched)
+    assert J.dim == ref.dim
+    assert J.contains_span(ref) and ref.contains_span(J)
+    assert J.verify() == []
+
+
+def test_closure_never_orthonormalizes_all_products(monkeypatch):
+    """Closing M_6 from the shift and its adjoint multiplies only the
+    elements each round adds, so no SVD sees more than 2 * 36 rows.  The
+    all-pairs closure stacked the basis, its 36^2 products and its 36
+    adjoints: 1,368 rows."""
+    rows = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        rows.append(np.shape(a)[0])
+        return svd(a, *args, **kwargs)
+
+    amb = Ambient((6,))
+    shift = sum(amb.matrix_unit(i, i + 1) for i in range(5))
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    alg = generate_algebra(amb, [shift], self_adjoint=True, unital=True)
+    monkeypatch.undo()
+    assert alg.dim == 36
+    assert rows and max(rows) <= 2 * 36
 
 
 @pytest.mark.parametrize("shape, left, want", [
