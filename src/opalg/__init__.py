@@ -13,7 +13,7 @@ numerical oracles.
 __version__ = "0.1.0"
 
 from .cb import (CC, CI, INCONCLUSIVE, NOT_CC, NOT_CI, CbReport, LinearMap,
-                 Undecided, cc_check, ci_check, homomorphism_check)
+                 Undecided, cc_check, ci_check, star_hom_violations)
 from .covers import (CoverError, CoverMorphism, CstarCover, MorphismAbsence,
                      NotCompletelyIsometric, NotHomomorphism,
                      OperatorAlgebra, envelope, equivalent, induced_morphism,

@@ -14,6 +14,9 @@ structural certificates, each re-verified against the map:
 * ``direct-sum``: the certificates of the summands of j1 (+) j2 (attached by
   `covers.join`).
 
+`star_hom_violations` is the one *-homomorphism verifier, for these
+certificates and for every map the other modules build.
+
 Two independent oracles back every other verdict:
 
 * a feasibility search for a unital completely positive extension of the
@@ -39,10 +42,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (MEMBER_TOL, RANK_TOL, AlgebraSpan, Ambient, NotInSpan,
-                     current, graph_closure, graph_obstruction,
-                     hs_orthonormalize, operator_norm, orthonormal_span,
-                     support_isometry)
+from .linalg import (ASCENT_GAIN, MEMBER_TOL, NORM_RECHECK_TOL, RANK_TOL,
+                     TINY_NORM, AlgebraSpan, Ambient, current, graph_closure,
+                     graph_obstruction, hs_orthonormalize, operator_norm,
+                     orthonormal_span, support_isometry)
 
 FEAS_TOL = 1e-7
 FALSIFIER_MARGIN = 1e-6
@@ -82,10 +85,9 @@ class LinearMap:
             self.dom.dim, self.cod.dim, self.cod.dim)
 
     def __call__(self, x):
+        """phi(x), or the (k, n, n) stack of images of a (k, N, N) stack."""
         c = self.dom.coeffs(x)
-        if len(c) == 0:
-            return self.cod.zero()
-        return np.tensordot(c, self.images, axes=(0, 0))
+        return np.tensordot(c, self.images, axes=(c.ndim - 1, 0))
 
     def image_span(self):
         return AlgebraSpan(self.cod, hs_orthonormalize(list(self.images)))
@@ -143,49 +145,54 @@ class CbReport:
         return self.verdict != INCONCLUSIVE
 
 
-def homomorphism_check(phi, unital=True, gens=None):
-    """True when phi is multiplicative on the algebra generated by `gens`
-    (default: its domain basis), and unit-preserving if requested.
-
-    phi(b g) = phi(b) phi(g) is checked for every domain basis element b
-    and generator g; by induction on word length that makes phi
-    multiplicative on every word in the generators.  A generator or a
-    product outside the domain counts as a failure."""
-    basis = phi.dom.basis
-    try:
-        imgs = [phi(b) for b in basis]
-        gen_imgs = imgs if gens is None else [phi(g) for g in gens]
-        gens = basis if gens is None else gens
-        for b, fb in zip(basis, imgs):
-            for g, fg in zip(gens, gen_imgs):
-                if np.linalg.norm(phi(b @ g) - fb @ fg) > MEMBER_TOL * 10:
-                    return False
-    except NotInSpan:
-        return False
-    return not unital or _unit_preserved(phi)
+def _adjoints(mats):
+    return np.conj(np.swapaxes(mats, -1, -2))
 
 
-def _unit_preserved(phi):
-    return np.linalg.norm(phi(phi.dom.ambient.identity())
-                          - phi.cod.identity()) <= MEMBER_TOL * 10
+def star_hom_violations(phi, onto=None, *, gens=None, unital=False,
+                        pairs=None):
+    """Violated properties of phi as a *-homomorphism, to 10 * MEMBER_TOL
+    (empty when it is one): multiplicative on domain basis x `gens`
+    (default: the basis), hence on every word in the generators;
+    adjoint-preserving on the generators when they are given (they are
+    then joined by their adjoints) or the domain is self-adjoint;
+    unit-preserving when `unital`; onto the span `onto`; and phi(xs) = ys
+    for `pairs` = (xs, ys), two stacks.  phi is evaluated on one stack per
+    basis element; a generator, product or pair outside the domain, or of
+    another shape, is a violation, never an exception."""
+    tol = 10 * MEMBER_TOL
 
+    def value(x):
+        try:
+            return phi(x)
+        except ValueError:  # NotInSpan, or a matrix of another shape
+            return None
 
-def star_hom_violations(phi, onto):
-    """Violated properties of phi as a *-homomorphism onto the span `onto`
-    (empty when it is one).  Unit preservation is checked when the domain
-    is flagged unital, adjoint preservation when it is self-adjoint."""
+    def misses(x, y):
+        fx = value(x)
+        return fx is None or fx.shape != np.shape(y) \
+            or bool((np.linalg.norm(fx - y, axis=(-2, -1)) > tol).any())
+
+    star = gens is not None or phi.dom.self_adjoint
+    if gens is None:
+        gens, imgs = phi.dom.basis, phi.images
+    else:
+        gens = np.concatenate([gens, _adjoints(gens)])
+        imgs = value(gens)
     bad = []
-    if not homomorphism_check(phi, unital=False):
+    if imgs is None or any(misses(b @ gens, fb @ imgs)
+                           for b, fb in zip(phi.dom.basis, phi.images)):
         bad.append("not multiplicative")
-    if phi.dom.unital and not _unit_preserved(phi):
+    if unital and misses(phi.dom.ambient.identity(), phi.cod.identity()):
         bad.append("not unit-preserving")
-    if phi.dom.self_adjoint and any(
-            np.linalg.norm(phi(b.conj().T) - phi(b).conj().T)
-            > 10 * MEMBER_TOL for b in phi.dom.basis):
+    if star and (imgs is None or misses(_adjoints(gens), _adjoints(imgs))):
         bad.append("not adjoint-preserving")
-    img = phi.image_span()
-    if img.dim != onto.dim or not onto.contains_span(img):
-        bad.append("not onto the target")
+    if onto is not None:
+        img = phi.image_span()
+        if img.dim != onto.dim or not onto.contains_span(img):
+            bad.append("not onto the target")
+    if pairs is not None and misses(*pairs):
+        bad.append("does not send x to y on every pair")
     return bad
 
 
@@ -214,35 +221,6 @@ def graph_map(amb1, amb2, pairs, dom=None, unital=True):
 
 # ---------------------------------------------------------------------------
 # structural certificates
-
-
-def _star_hom_on(psi, gens):
-    """True when psi is a *-homomorphism on the C*-algebra generated by
-    `gens`: multiplicative on words in the generators and their adjoints,
-    and adjoint-preserving on the generators, hence on every word."""
-    gens = list(gens)
-    adjoints = [g.conj().T for g in gens]
-    try:
-        if any(np.linalg.norm(psi(a) - psi(g).conj().T) > 10 * MEMBER_TOL
-               for g, a in zip(gens, adjoints)):
-            return False
-    except NotInSpan:
-        return False
-    return homomorphism_check(psi, unital=False, gens=gens + adjoints)
-
-
-def sends(f, pairs):
-    """True when f(x) = y, to 10 * MEMBER_TOL, on every pair (x, y); False
-    when f is not defined at some x or its value has another shape."""
-    try:
-        for x, y in pairs:
-            fx = f(x)
-            if fx.shape != y.shape \
-                    or np.linalg.norm(fx - y) > 10 * MEMBER_TOL:
-                return False
-    except ValueError:  # NotInSpan, or a domain of another shape
-        return False
-    return True
 
 
 def _homomorphism_extension(phi):
@@ -330,14 +308,17 @@ def verify_certificate(cert, phi):
             return _verify_kernel(cert, phi)
         return verify_falsifier(phi, cert)
     if kind == "homomorphism":
-        ext = cert["extension"]
-        return sends(ext, zip(phi.dom.basis, phi.images)) \
-            and _star_hom_on(ext, phi.dom.basis)
+        return not star_hom_violations(
+            cert["extension"], gens=phi.dom.basis,
+            pairs=(phi.dom.basis, phi.images))
     if kind == "composition":
         outer, inner = cert["outer"], cert["inner"]
-        return sends(lambda x: outer(inner(x)),
-                     zip(phi.dom.basis, phi.images)) \
-            and _star_hom_on(outer, inner.images) \
+        try:
+            xs = inner(phi.dom.basis)
+        except ValueError:  # phi's domain is not inner's
+            return False
+        return not star_hom_violations(outer, gens=inner.images,
+                                       pairs=(xs, phi.images)) \
             and _certifies_cc(inner.certificate, inner)
     if kind == "direct-sum":
         parts = _summands(phi, cert["cods"])
@@ -606,14 +587,14 @@ def falsifier_search(phi, seed=None, restarts=32):
         for _ in range(40):
             x = _amplified(c, S, k, N)
             nx = operator_norm(x)
-            if nx < 1e-14:
+            if nx < TINY_NORM:
                 break
             y = _amplified(c, imgs_c, k, n)
             U, sv, Vh = np.linalg.svd(y)
             ratio = float(sv[0]) / nx
             if ratio > best_ratio:
                 best_ratio, best_c = ratio, c / nx
-            if ratio > local_best * (1 + 1e-9):
+            if ratio > local_best * (1 + ASCENT_GAIN):
                 local_best, stale = ratio, 0
             else:
                 stale += 1
@@ -622,7 +603,7 @@ def falsifier_search(phi, seed=None, restarts=32):
             u = U[:, 0].reshape(k, n)
             v = Vh[0].conj().reshape(k, n)
             g = _pairings(u, imgs_c, v)
-            if np.linalg.norm(g) < 1e-14:
+            if np.linalg.norm(g) < TINY_NORM:
                 break
             c = g.conj()
         if best_ratio > 1 + FALSIFIER_MARGIN:
@@ -657,8 +638,8 @@ def verify_falsifier(phi, cert):
                     for a in range(k)])
     y = img.transpose(0, 2, 1, 3).reshape(k * n, k * n)
     nx, ny = operator_norm(x), operator_norm(y)
-    if abs(nx - cert["norm_x"]) > 1e-9 \
-            or abs(ny - cert["norm_image"]) > 1e-9:
+    if abs(nx - cert["norm_x"]) > NORM_RECHECK_TOL \
+            or abs(ny - cert["norm_image"]) > NORM_RECHECK_TOL:
         return False
     return ny > nx * (1 + cert["margin"])
 

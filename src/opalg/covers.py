@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cb import (CI, INCONCLUSIVE, LinearMap, Undecided, ci_check,
-                 graph_map, homomorphism_check, require_decisive, sends,
-                 star_hom_violations)
-from .linalg import (AlgebraSpan, compress_span, direct_sum,
-                     generate_algebra, null_space)
+                 graph_map, require_decisive, star_hom_violations)
+from .linalg import (SIGNIFICANT, WITNESS_FLOOR, AlgebraSpan, compress_span,
+                     direct_sum, generate_algebra, null_space)
 from .linalg import graph_closure  # noqa: F401  (stays a public name here)
 from .structure import blocks_of_ideal, corner_quotient, \
     minimal_central_projections
@@ -112,7 +111,7 @@ def fix_phase(y):
     magnitude, making it positive real.  Keeps golden outputs stable."""
     flat = y.ravel()
     mags = np.abs(flat)
-    idx = int(np.argmax(mags > 1e-6 * mags.max()))
+    idx = int(np.argmax(mags > SIGNIFICANT * mags.max()))
     return y / (flat[idx] / abs(flat[idx]))
 
 
@@ -120,7 +119,7 @@ def normalize_witness(y):
     """Unit Frobenius norm, phase fixed by fix_phase."""
     y = np.asarray(y, dtype=complex)
     nrm = np.linalg.norm(y)
-    if nrm < 1e-12:
+    if nrm < WITNESS_FLOOR:
         return y
     return fix_phase(y / nrm)
 
@@ -147,7 +146,7 @@ def make_cover(A, ambient, j_images, name="cover", verify=True):
 def _validated_cover(A, j, name, verify=True):
     """make_cover on an embedding given as a LinearMap, which keeps the
     provenance (factors) that its certificate may rest on."""
-    if not homomorphism_check(j, unital=True):
+    if star_hom_violations(j, unital=True):
         raise NotHomomorphism(
             "j is not a unital homomorphism on the operator algebra")
     if verify:
@@ -168,15 +167,6 @@ def _validated_cover(A, j, name, verify=True):
 # cover order
 
 
-def extension_violations(phi, onto, pairs):
-    """Violated properties of phi as a *-homomorphism onto `onto` that
-    sends x to y for every pair (x, y) (empty when all hold)."""
-    bad = star_hom_violations(phi, onto)
-    if not sends(phi, pairs):
-        bad.append("does not send x to y on every pair")
-    return bad
-
-
 def induced_morphism(upper, lower):
     """The unique *-homomorphism pi: C_upper -> C_lower with
     pi . j_upper = j_lower, or a MorphismAbsence with a witness.
@@ -184,8 +174,8 @@ def induced_morphism(upper, lower):
     Existence of pi is exactly the statement that `lower` sits below `upper`
     in the cover order.
     """
-    pairs = list(zip(upper.j.images, lower.j.images))
-    pi, obstruction = graph_map(upper.ambient, lower.ambient, pairs, upper.C)
+    pi, obstruction = graph_map(upper.ambient, lower.ambient,
+                                zip(upper.j.images, lower.j.images), upper.C)
     if pi is None:
         w = normalize_witness(obstruction.basis[0])
         return MorphismAbsence(source=upper, target=lower, witness=w,
@@ -196,17 +186,12 @@ def induced_morphism(upper, lower):
                          np.tensordot(ker, upper.C.basis, axes=(1, 0)),
                          self_adjoint=True, ideal_in=upper.C)
     morph = CoverMorphism(source=upper, target=lower, pi=pi, kernel=kernel)
-    bad = verify_morphism(morph)
+    bad = star_hom_violations(pi, lower.C, unital=True,
+                              pairs=(upper.j.images, lower.j.images))
     if bad:
         raise CoverError("induced morphism failed verification: " +
                          "; ".join(bad))
     return morph
-
-
-def verify_morphism(m):
-    """Invariant re-check: *-homomorphism onto the target, intertwines."""
-    return extension_violations(m.pi, m.target.C,
-                                zip(m.source.j.images, m.target.j.images))
 
 
 def equivalent(c1, c2):

@@ -180,7 +180,7 @@ def trivialization_iso(ds, cover, inner_report):
             gen_imgs.append(cp_i.hat(cover.j(a @ us[s])) @ cp_i.lambdas[s])
     phi = map_from_generators(cp_a.subalgebra, gen_mats, gen_imgs,
                               cp_i.ambient)
-    bad = star_hom_violations(phi, cp_i.subalgebra)
+    bad = star_hom_violations(phi, cp_i.subalgebra, unital=True)
     if bad:
         raise CoverError("trivialization map is " + "; ".join(bad))
     rep = require_decisive(ci_check(phi), "trivialization isomorphism")
@@ -206,7 +206,7 @@ def crossed_equivalent(cp1, cp2):
             gen_imgs.append(cp2.generator(i, s))
     phi = map_from_generators(cp1.subalgebra, gen_mats, gen_imgs,
                               cp2.ambient)
-    if star_hom_violations(phi, cp2.subalgebra):
+    if star_hom_violations(phi, cp2.subalgebra, unital=True):
         return False
     rep = require_decisive(ci_check(phi), "crossed-product comparison")
     return rep.verdict == CI

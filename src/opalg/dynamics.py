@@ -17,8 +17,9 @@ import numpy as np
 
 from .cb import (CI, LinearMap, ci_check, graph_map, require_decisive,
                  star_hom_violations)
-from .covers import extension_violations, fix_phase, normalize_witness
-from .linalg import MEMBER_TOL, current, diagonal, intertwiner_space
+from .covers import fix_phase, normalize_witness
+from .linalg import (MEMBER_TOL, SIGNIFICANT, current, diagonal,
+                     intertwiner_space)
 
 ADMISSIBLE = "Admissible"
 NOT_ADMISSIBLE = "NotAdmissible"
@@ -146,7 +147,7 @@ def make_system(A, G, actions, verify=True):
             if np.linalg.norm(maps[e](b) - b) > 10 * MEMBER_TOL:
                 raise SystemError_("identity element does not act trivially")
         for s, m in enumerate(maps):
-            bad = star_hom_violations(m, span)
+            bad = star_hom_violations(m, span, unital=span.unital)
             if bad:
                 raise SystemError_(f"alpha_{s} " + "; ".join(bad))
         bad = group_law_violations(G, maps, span, "alpha")
@@ -169,8 +170,8 @@ def group_law_violations(G, maps, span, name):
     for s in range(G.order):
         for t in range(G.order):
             st = G.mul(s, t)
-            if any(np.linalg.norm(maps[s](maps[t](b)) - maps[st](b))
-                   > 10 * MEMBER_TOL for b in span.basis):
+            diff = maps[s](maps[t](span.basis)) - maps[st](span.basis)
+            if (np.linalg.norm(diff, axis=(1, 2)) > 10 * MEMBER_TOL).any():
                 bad.append(f"group law fails: {name}_{s} {name}_{t} != "
                            f"{name}_{st}")
     return bad
@@ -199,7 +200,8 @@ def _canonical_witness(ds, cover, s, obstruction):
     for a in ds.A.span.basis:
         u = obstruction.project(cover.j(a))
         v = obstruction.project(cover.j(ds.act(s, a)))
-        if np.linalg.norm(u) < 1e-6 and np.linalg.norm(v) > 1e-6:
+        if np.linalg.norm(u) < SIGNIFICANT \
+                and np.linalg.norm(v) > SIGNIFICANT:
             return normalize_witness(v)
     return normalize_witness(obstruction.basis[0])
 
@@ -213,23 +215,23 @@ def admissible(ds, cover):
     extensions are assembled and the group law re-verified.
     """
     amb = cover.ambient
+    xs = np.array([cover.j(a) for a in ds.A.span.basis])
     betas, bad = [], []
     for s in range(ds.G.order):
-        pairs = [(cover.j(a), cover.j(ds.act(s, a)))
-                 for a in ds.A.span.basis]
+        ys = np.array([cover.j(ds.act(s, a)) for a in ds.A.span.basis])
         if s == ds.G.identity:
             beta = LinearMap(dom=cover.C, cod=amb,
                              images=cover.C.basis.copy())
         else:
-            beta, obstruction = graph_map(amb, amb, pairs, cover.C)
+            beta, obstruction = graph_map(amb, amb, zip(xs, ys), cover.C)
             if beta is None:
                 y = _canonical_witness(ds, cover, s, obstruction)
                 return AdmissibilityReport(
                     verdict=NOT_ADMISSIBLE, witness=(s, y),
                     diagnostics={"element": s,
                                  "obstruction_dim": obstruction.dim})
-        bad += [f"beta_{s} {v}"
-                for v in extension_violations(beta, cover.C, pairs)]
+        bad += [f"beta_{s} {v}" for v in star_hom_violations(
+            beta, cover.C, unital=True, pairs=(xs, ys))]
         betas.append(beta)
     bad += group_law_violations(ds.G, betas, cover.C, "beta")
     if bad:

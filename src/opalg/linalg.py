@@ -20,6 +20,17 @@ import numpy as np
 # accumulated products cannot flip them; membership uses the looser one.
 RANK_TOL = 1e-9
 MEMBER_TOL = 1e-8
+# The other fixed cutoffs: falsifier iterates below TINY_NORM are zero, an
+# ascent step must gain ASCENT_GAIN (relative) and re-verified norms match to
+# NORM_RECHECK_TOL; witnesses below WITNESS_FLOOR stay unnormalized, entries
+# and norms below SIGNIFICANT are ignored when a phase or witness is picked,
+# and expected scenario numbers match to EXPECT_TOL.
+TINY_NORM = 1e-14
+ASCENT_GAIN = 1e-9
+NORM_RECHECK_TOL = 1e-9
+WITNESS_FLOOR = 1e-12
+SIGNIFICANT = 1e-6
+EXPECT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -249,14 +260,19 @@ class AlgebraSpan:
         return self.residual(x) <= MEMBER_TOL
 
     def coeffs(self, x):
-        """Coefficients of x against the basis; raises NotInSpan if the
-        residual exceeds MEMBER_TOL."""
+        """Coefficients of x against the basis, or of each matrix of a
+        (k, N, N) stack as a (k, dim) array; raises NotInSpan if a residual
+        exceeds MEMBER_TOL, and AmbientMismatch on another shape."""
         x = np.asarray(x, dtype=complex)
-        c = self._flat.conj() @ x.ravel() if self.dim else np.zeros(0, complex)
-        r = float(np.linalg.norm(x.ravel() - c @ self._flat)) if self.dim \
-            else float(np.linalg.norm(x))
-        if r > MEMBER_TOL:
-            raise NotInSpan(f"residual {r:.3e} above {MEMBER_TOL:.1e}")
+        N = self.ambient.dim
+        if x.shape[-2:] != (N, N) or x.ndim > 3:
+            raise AmbientMismatch(f"expected (N, N) or (k, N, N) with N = {N},"
+                                  f" got {x.shape}")
+        flat = x.reshape(x.shape[:-2] + (N * N,))
+        c = (self._flat.conj() @ flat.T).T
+        r = np.linalg.norm(flat - c @ self._flat, axis=-1)
+        if (r > MEMBER_TOL).any():
+            raise NotInSpan(f"residual {r.max():.3e} above {MEMBER_TOL:.1e}")
         return c
 
     def from_coeffs(self, c):

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cb import (CC, CI, NOT_CI, LinearMap, cc_check, ci_check, graph_map,
-                 homomorphism_check, map_from_generators, require_decisive)
-from .covers import CoverError, CstarCover, extension_violations
+                 map_from_generators, require_decisive, star_hom_violations)
+from .covers import CoverError, CstarCover
 from .crossed import CrossedProduct, cstar_crossed, full_crossed
 from .dynamics import DynamicalSystem, SystemError_, group_law_violations
 from .linalg import (MEMBER_TOL, AlgebraSpan, Ambient, compress_span,
                      direct_sum, orthonormal_span)
-from .structure import annihilator, ideal_blocks, minimal_central_projections
+from .structure import (corner, ideal_blocks, is_essential,
+                        minimal_central_projections)
 from .covers import shilov as shilov_set_of
 
 
@@ -72,9 +73,8 @@ def decompose(cover):
         raise CoverError("p j is not completely isometric")
     essential = False
     if S:
-        J = ideal_blocks(cover.C, S)
-        essential = annihilator(cover.C, J).dim == 0
-        if not homomorphism_check(j2, unital=False):
+        essential = is_essential(cover.C, ideal_blocks(cover.C, S))
+        if star_hom_violations(j2):
             raise CoverError("(1-p) j is not a homomorphism")
         rep2 = require_decisive(cc_check(j2), "boundary part of the splitting")
         if rep2.verdict != CC:
@@ -112,29 +112,29 @@ def build_partial_action(ds, cover):
     envelope, which is always admissible, so the closure must be a graph."""
     dec = decompose(cover)
     amb = cover.ambient
-    corner = orthonormal_span(amb, [dec.p @ b for b in cover.C.basis])
-    corner = AlgebraSpan(amb, corner.basis, self_adjoint=True)
+    pC = corner(cover.C, dec.p)
+    basis = ds.A.span.basis
+    xs = np.array([dec.p @ cover.j(a) for a in basis])
     thetas, bad = [], []
     for s in range(ds.G.order):
-        pairs = [(dec.p @ cover.j(a), dec.p @ cover.j(ds.act(s, a)))
-                 for a in ds.A.span.basis]
+        ys = np.array([dec.p @ cover.j(ds.act(s, a)) for a in basis])
         if s == ds.G.identity:
-            theta = LinearMap(dom=corner, cod=amb, images=corner.basis.copy())
+            theta = LinearMap(dom=pC, cod=amb, images=pC.basis.copy())
         else:
-            theta, _ = graph_map(amb, amb, pairs, corner, unital=False)
+            theta, _ = graph_map(amb, amb, zip(xs, ys), pC, unital=False)
             if theta is None:
                 raise SystemError_(
                     "corner action closure is not a graph; envelope "
                     "extension missing")
         bad += [f"theta_{s} {v}"
-                for v in extension_violations(theta, corner, pairs)]
+                for v in star_hom_violations(theta, pC, pairs=(xs, ys))]
         thetas.append(theta)
-    bad += group_law_violations(ds.G, thetas, corner, "theta")
+    bad += group_law_violations(ds.G, thetas, pC, "theta")
     if bad:
         raise SystemError_("partial-action axioms violated: " +
                            "; ".join(bad))
     return PartialActionSpec(ds=ds, cover=cover, decomposition=dec,
-                             corner=corner, thetas=thetas)
+                             corner=pC, thetas=thetas)
 
 
 @dataclass
@@ -175,9 +175,7 @@ def partial_crossed(spec):
     cp = cstar_crossed(corner_c, G, thetas_c)
     # complementary part (1-p)C on its own support
     q = cover.ambient.identity() - dec.p
-    rest = orthonormal_span(cover.ambient,
-                            [q @ b for b in cover.C.basis])
-    rest = AlgebraSpan(cover.ambient, rest.basis, self_adjoint=True)
+    rest = corner(cover.C, q)
     if rest.dim:
         rest_c, W = compress_span(rest)
         amb = cp.ambient.direct_sum(rest_c.ambient)
@@ -312,7 +310,7 @@ def verify_partial_recovery(ds, cover):
         if residual > 100 * MEMBER_TOL:
             ok = False
             diagnostics["reason"] = "recovery maps are not mutually inverse"
-        elif not homomorphism_check(fwd, unital=False):
+        elif star_hom_violations(fwd):
             ok = False
             diagnostics["reason"] = "recovery map is not a homomorphism"
         else:

@@ -32,8 +32,8 @@ from .covers import (CoverError, MorphismAbsence, OperatorAlgebra, envelope,
 from .crossed import full_crossed, relative_crossed
 from .dynamics import (FiniteGroup, GroupError, admissible, inner_in_itself,
                        locally_inner, make_system)
-from .linalg import (MEMBER_TOL, AlgebraSpan, Ambient, current, diagonal,
-                     orthonormal_span)
+from .linalg import (EXPECT_TOL, MEMBER_TOL, AlgebraSpan, Ambient, current,
+                     diagonal, orthonormal_span)
 from .partialact import verify_partial_recovery
 from .serialize import digest, mat_from_json, mat_to_json
 from .structure import (annihilator, block_dims, ideal_blocks,
@@ -325,16 +325,28 @@ def expect_matches(expected, actual):
     if isinstance(expected, bool) or isinstance(actual, bool):
         return expected is actual
     if isinstance(expected, (int, float)) and isinstance(actual, (int, float)):
-        return abs(float(expected) - float(actual)) <= 1e-6
+        return abs(float(expected) - float(actual)) <= EXPECT_TOL
     return expected == actual
+
+
+class _Args(dict):
+    """A check's arguments; a missing one is a ScenarioError."""
+
+    def __init__(self, op, items):
+        super().__init__(items)
+        self.op = op
+
+    def __missing__(self, key):
+        raise ScenarioError(f"op {self.op!r} needs argument {key!r}")
 
 
 def run_check(sc, check):
     op = check.get("op")
     if op not in OPS:
         raise ScenarioError(f"unknown op {op!r}")
-    args = {k: v for k, v in check.items() if k not in ("op", "expect")}
-    entry = {"op": op, "args": {k: v for k, v in args.items()}}
+    args = _Args(op, {k: v for k, v in check.items()
+                      if k not in ("op", "expect")})
+    entry = {"op": op, "args": dict(args)}
     try:
         result = OPS[op](sc, args)
         entry["result"] = result

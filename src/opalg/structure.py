@@ -104,9 +104,11 @@ def _cluster(vals):
     return clusters, min_sep
 
 
-def _corner_span(C, z):
-    mats = [z @ b @ z for b in C.basis]
-    return orthonormal_span(C.ambient, mats)
+def corner(C, z):
+    """The corner zC of C for a central projection z of C: a self-adjoint
+    ideal of C."""
+    span = orthonormal_span(C.ambient, [z @ b for b in C.basis])
+    return AlgebraSpan(C.ambient, span.basis, self_adjoint=True, ideal_in=C)
 
 
 def minimal_central_projections(C):
@@ -144,14 +146,12 @@ def minimal_central_projections(C):
         # order blocks deterministically: big blocks first, then by support
         info = []
         for z in zs:
-            corner = _corner_span(C, z)
-            m2 = corner.dim
-            m = int(round(np.sqrt(m2)))
-            if m * m != m2:
+            zC = corner(C, z)
+            m = int(round(np.sqrt(zC.dim)))
+            if m * m != zC.dim:
                 raise BlockStructureError(
-                    f"corner dimension {m2} is not a perfect square")
-            cz = center(AlgebraSpan(C.ambient, corner.basis, self_adjoint=True))
-            if cz.dim != 1:
+                    f"corner dimension {zC.dim} is not a perfect square")
+            if center(zC).dim != 1:
                 raise BlockStructureError("corner is not simple")
             r = int(round(float(np.real(np.trace(z))) / m))
             first = int(np.argmax(np.real(np.diag(z)) > 0.5))
@@ -180,10 +180,7 @@ def block_dims(C):
 
 def ideal_blocks(C, S):
     """The ideal z_S C for a subset S of block indices."""
-    bs = minimal_central_projections(C)
-    z = bs.subset_projection(S)
-    span = orthonormal_span(C.ambient, [z @ b for b in C.basis])
-    return AlgebraSpan(C.ambient, span.basis, self_adjoint=True, ideal_in=C)
+    return corner(C, minimal_central_projections(C).subset_projection(S))
 
 
 def blocks_of_ideal(C, J):
@@ -206,12 +203,9 @@ def corner_quotient(C, S):
     from .cb import LinearMap  # local import to keep module layering acyclic
     bs = minimal_central_projections(C)
     zc = bs.subset_projection(bs.complement(S))
-    images = np.array([zc @ b for b in C.basis])
-    corner = orthonormal_span(C.ambient, list(images))
-    corner = AlgebraSpan(C.ambient, corner.basis, self_adjoint=True,
-                         unital=False)
-    q = LinearMap(dom=C, cod=C.ambient, images=images)
-    return corner, q
+    q = LinearMap(dom=C, cod=C.ambient,
+                  images=np.array([zc @ b for b in C.basis]))
+    return corner(C, zc), q
 
 
 def annihilator(C, J):

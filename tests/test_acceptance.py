@@ -7,6 +7,7 @@ criterion (the explicit verdict line below also shows under `-s`)."""
 import time
 
 import numpy as np
+import pytest
 
 from opalg import corpus
 from opalg.cb import (Undecided, choi_feasibility, falsifier_search,
@@ -163,6 +164,7 @@ def test_criterion_7_partial_recovery():
     _report("7 partial-recovery", ok)
 
 
+@pytest.mark.slow
 def test_criterion_8_oracle_consistency():
     """The two cb oracles never contradict each other on 100 seeded random
     maps between subspaces of M4, every certificate re-verifies, and the
@@ -207,6 +209,7 @@ def test_criterion_8_oracle_consistency():
     _report("8 oracle-consistency", ok)
 
 
+@pytest.mark.slow
 def test_criterion_9_determinism():
     """Two from-scratch runs of the golden suite give byte-identical
     verdict text."""

@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 from opalg import cb, corpus, crossed
 from opalg.cb import (CC, CI, FEAS_TOL, INCONCLUSIVE, NOT_CC, NOT_CI, CbReport,
                       LinearMap, Undecided, cc_check, ci_check,
-                      falsifier_search, choi_feasibility, homomorphism_check,
-                      require_decisive, star_hom_violations,
+                      falsifier_search, choi_feasibility, require_decisive,
+                      star_hom_violations,
                       verify_choi_certificate, verify_falsifier)
 from opalg.corpus import a4_algebra, schur_projection_p
 from opalg.covers import join
 from opalg.dynamics import inner_in_itself
-from opalg.linalg import (Ambient, direct_sum, generate_algebra,
-                          orthonormal_span)
+from opalg.linalg import (AlgebraSpan, Ambient, direct_sum,
+                          generate_algebra, orthonormal_span)
 
 
 def rand_mat(rng, n):
@@ -38,6 +38,7 @@ class TestLinearMap:
         ident = map_from_images(m2, amb, list(m2.basis))
         x = rand_mat(np.random.default_rng(0), 2)
         assert np.allclose(ident(x), x)
+        assert np.allclose(ident(np.array([x, 2 * x])), [x, 2 * x])
         assert np.allclose(ident.compose(ident)(x), x)
 
     def test_inverse_on_image(self, m2):
@@ -69,43 +70,98 @@ class TestLinearMap:
         assert np.linalg.norm(k) == pytest.approx(1.0)
 
 
-def test_homomorphism_check(m2):
-    amb = m2.ambient
-    ident = map_from_images(m2, amb, list(m2.basis))
-    assert homomorphism_check(ident)
-    # The transpose is linear but anti-multiplicative on M2.
-    transpose = map_from_images(m2, amb, [b.T for b in m2.basis])
-    assert not homomorphism_check(transpose)
-
-
 def _doubled(m2):
-    return m2, [2 * b for b in m2.basis]
+    phi = map_from_images(m2, m2.ambient, [2 * b for b in m2.basis])
+    return phi, {"onto": m2, "unital": True}
 
 
 def _similarity(m2):
     S = np.array([[1.0, 1.0], [0.0, 2.0]])
     Si = np.linalg.inv(S)
-    return m2, [S @ b @ Si for b in m2.basis]
+    phi = map_from_images(m2, m2.ambient, [S @ b @ Si for b in m2.basis])
+    return phi, {"onto": m2}
 
 
 def _diagonal_into_m2(m2):
     amb = m2.ambient
     D = generate_algebra(amb, [amb.matrix_unit(0, 0), amb.matrix_unit(1, 1)],
                          self_adjoint=True, unital=True)
-    return D, list(D.basis)
+    return map_from_images(D, amb, list(D.basis)), {"onto": m2}
+
+
+def _transpose(m2):
+    # linear, but anti-multiplicative on M2
+    return map_from_images(m2, m2.ambient, [b.T for b in m2.basis]), {}
+
+
+def _pair_missed(m2):
+    amb = m2.ambient
+    pairs = ([amb.matrix_unit(0, 0)], [amb.matrix_unit(1, 1)])
+    return _identity(m2), {"onto": m2, "pairs": pairs}
+
+
+def _adjoint_off_generators(m2):
+    # x -> S x S^-1 is multiplicative on every word, but with a non-unitary
+    # S it misses phi(g*) = phi(g)* on the generator E01 of M2; the domain
+    # is not flagged self-adjoint, so only the generators ask for adjoints
+    S = np.array([[1.0, 1.0], [0.0, 2.0]])
+    Si = np.linalg.inv(S)
+    dom = AlgebraSpan(m2.ambient, m2.basis)
+    phi = map_from_images(dom, m2.ambient, [S @ b @ Si for b in m2.basis])
+    return phi, {"gens": [m2.ambient.matrix_unit(0, 1)]}
+
+
+def _non_unital(m2):
+    # x -> x (+) 0 is a *-homomorphism that sends 1 to a proper projection
+    amb = m2.ambient.direct_sum(Ambient((1,)))
+    phi = map_from_images(m2, amb, [direct_sum(b, np.zeros((1, 1)))
+                                    for b in m2.basis])
+    return phi, {"unital": True}
+
+
+def _product_outside_domain(m2):
+    # the off-diagonal span of M2 is self-adjoint but E01 E10 = E00 leaves it
+    amb = m2.ambient
+    off = orthonormal_span(amb, [amb.matrix_unit(0, 1), amb.matrix_unit(1, 0)])
+    off.self_adjoint = True
+    return _identity(off), {}
 
 
 @pytest.mark.parametrize("build, want", [
     (_doubled, ["not multiplicative", "not unit-preserving"]),
     (_similarity, ["not adjoint-preserving"]),
     (_diagonal_into_m2, ["not onto the target"]),
+    (_transpose, ["not multiplicative"]),
+    (_pair_missed, ["does not send x to y on every pair"]),
+    (_adjoint_off_generators, ["not adjoint-preserving"]),
+    (_non_unital, ["not unit-preserving"]),
+    (_product_outside_domain, ["not multiplicative"]),
 ])
 def test_star_hom_violations_names_each_failure(m2, build, want):
-    dom, images = build(m2)
-    phi = map_from_images(dom, m2.ambient, images)
-    assert star_hom_violations(phi, m2) == want
-    ident = map_from_images(m2, m2.ambient, list(m2.basis))
-    assert star_hom_violations(ident, m2) == []
+    phi, kwargs = build(m2)
+    assert star_hom_violations(phi, **kwargs) == want
+    assert star_hom_violations(_identity(m2), m2, unital=True,
+                               pairs=(m2.basis, m2.basis)) == []
+
+
+def test_star_hom_violations_evaluates_one_stack_per_basis_row(monkeypatch):
+    """Checking the identity on M4 evaluates coefficients O(dim) times,
+    not once per basis x generator product."""
+    amb = Ambient((4,))
+    m4 = generate_algebra(amb, [amb.matrix_unit(i, j) for i in range(4)
+                                for j in range(4)],
+                          self_adjoint=True, unital=True)
+    calls = []
+    coeffs = AlgebraSpan.coeffs
+
+    def counting(self, x):
+        calls.append(np.shape(x))
+        return coeffs(self, x)
+
+    monkeypatch.setattr(AlgebraSpan, "coeffs", counting)
+    assert star_hom_violations(_identity(m4), onto=m4) == []
+    assert m4.dim == 16
+    assert len(calls) <= 2 * m4.dim
 
 
 class TestOracles:
@@ -347,10 +403,10 @@ def _halved(m2):
 
 
 def _rotated_diagonal(m2):
-    D, basis = _diagonal_into_m2(m2)
+    D = _diagonal_into_m2(m2)[0].dom
     c, s = np.cos(0.3), np.sin(0.3)
     u = np.array([[c, -s], [s, c]])
-    return map_from_images(D, m2.ambient, [u @ b @ u.T for b in basis])
+    return map_from_images(D, m2.ambient, [u @ b @ u.T for b in D.basis])
 
 
 @pytest.mark.parametrize("build", [_halved, _rotated_diagonal])
@@ -457,6 +513,10 @@ def test_composition_with_a_borrowed_inner_certificate_is_not_trusted(m2):
     assert phi.factors == (ident, doubled)
     cert = {"type": "composition", "outer": ident, "inner": doubled}
     assert not cb.verify_certificate(cert, phi)
+    # nor for a map on a domain outside inner's (no exception either)
+    amb3 = Ambient((3,))
+    e00 = orthonormal_span(amb3, [amb3.matrix_unit(0, 0)])
+    assert not cb.verify_certificate(cert, _identity(e00))
     rep = cc_check(phi)
     assert rep.verdict == NOT_CC
     assert rep.diagnostics["decided_by"] == "falsifier"

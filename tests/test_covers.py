@@ -6,15 +6,13 @@ from opalg.corpus import (a4_envelope, a4_inclusion_cover,
                           a4_symmetrized_cover, t2_algebra, t2_corner_cover,
                           t2_diag_cover, t2_envelope, t2_inclusion_cover)
 from opalg import cb
-from opalg.cb import LinearMap
+from opalg.cb import star_hom_violations
 from opalg.covers import (CoverMorphism, MorphismAbsence,
                           NotCompletelyIsometric, NotHomomorphism,
-                          envelope, equivalent, extension_violations,
-                          induced_morphism, is_boundary,
-                          join, leq, make_cover, meet, normalize_witness,
-                          quotient_cover, shilov, verify_morphism)
-from opalg.linalg import (Ambient, generate_algebra, graph_closure,
-                          graph_obstruction)
+                          envelope, equivalent, induced_morphism,
+                          is_boundary, join, leq, make_cover, meet,
+                          normalize_witness, quotient_cover, shilov)
+from opalg.linalg import Ambient, graph_closure, graph_obstruction
 
 
 class TestMakeCover:
@@ -52,23 +50,13 @@ class TestGraphEngine:
                                       amb.matrix_unit(0, 1))])
         assert graph_obstruction(amb, amb, G).dim > 0
 
-    def test_extension_violations_names_the_pair_failure(self):
-        amb = Ambient((2,))
-        m2 = generate_algebra(amb, [amb.matrix_unit(i, j) for i in range(2)
-                                    for j in range(2)],
-                              self_adjoint=True, unital=True)
-        ident = LinearMap(dom=m2, cod=amb, images=m2.basis)
-        assert extension_violations(ident, m2, zip(m2.basis, m2.basis)) == []
-        pairs = [(amb.matrix_unit(0, 0), amb.matrix_unit(1, 1))]
-        assert extension_violations(ident, m2, pairs) == [
-            "does not send x to y on every pair"]
-
-
 class TestOrder:
     def test_schur_above_inclusion(self):
         m = induced_morphism(a4_schur_cover(), a4_inclusion_cover())
         assert isinstance(m, CoverMorphism)
-        assert verify_morphism(m) == []
+        assert star_hom_violations(
+            m.pi, m.target.C, unital=True,
+            pairs=(m.source.j.images, m.target.j.images)) == []
         assert m.kernel.dim == 22 - 16
 
     def test_inclusion_not_above_schur(self):

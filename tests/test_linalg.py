@@ -99,12 +99,20 @@ class TestAlgebraSpan:
         c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         x = span.from_coeffs(c)
         assert np.allclose(span.coeffs(x), c)
+        cs = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        stack = np.array([span.from_coeffs(row) for row in cs])
+        assert np.allclose(span.coeffs(stack), cs)
 
     def test_coeffs_rejects_outside_element(self):
         amb = Ambient((2,))
         span = orthonormal_span(amb, [amb.matrix_unit(0, 0)])
         with pytest.raises(NotInSpan):
             span.coeffs(amb.matrix_unit(1, 1))
+        with pytest.raises(NotInSpan):  # one row of a stack is enough
+            span.coeffs(np.array([amb.matrix_unit(0, 0),
+                                  amb.matrix_unit(1, 1)]))
+        with pytest.raises(AmbientMismatch):
+            span.coeffs(np.eye(3))
 
     def test_verify_flags(self):
         amb = Ambient((2,))

@@ -194,6 +194,16 @@ class TestCli:
         res = CliRunner().invoke(main, ["run", str(path)])
         assert res.exit_code == 3
 
+    def test_missing_argument_exits_3(self, tmp_path):
+        raw = t2_scenario()
+        raw["checks"].append({"op": "admissible", "system": "sign"})
+        with pytest.raises(ScenarioError, match="'admissible'.*'cover'"):
+            run_check(load_scenario(raw), raw["checks"][-1])
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(raw))
+        res = CliRunner().invoke(main, ["run", str(path)])
+        assert res.exit_code == 3
+
     @pytest.mark.parametrize("spoil", [swap_inc_images,
                                        inc_into_wrong_ambient,
                                        sign_not_multiplicative])
