@@ -13,6 +13,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -247,14 +248,21 @@ class AlgebraSpan:
         return len(self.basis)
 
     def project(self, x):
+        """Orthogonal projection of x onto the span, or of each matrix of a
+        (k, N, N) stack."""
         x = np.asarray(x, dtype=complex)
         if self.dim == 0:
             return np.zeros_like(x)
-        c = self._flat.conj() @ x.ravel()
+        flat = x.reshape(x.shape[:-2] + (-1,))
+        c = (self._flat.conj() @ flat.T).T
         return (c @ self._flat).reshape(x.shape)
 
     def residual(self, x):
-        return float(np.linalg.norm(np.asarray(x, dtype=complex) - self.project(x)))
+        """HS distance of x from the span; of a (k, N, N) stack, the largest
+        over its matrices (0 for an empty stack)."""
+        x = np.asarray(x, dtype=complex)
+        return float(np.linalg.norm(x - self.project(x), axis=(-2, -1))
+                     .max(initial=0.0))
 
     def contains(self, x):
         return self.residual(x) <= MEMBER_TOL
@@ -280,7 +288,7 @@ class AlgebraSpan:
             self.ambient.dim, self.ambient.dim)
 
     def contains_span(self, other):
-        return all(self.contains(b) for b in other.basis)
+        return self.contains(other.basis)
 
     def identity_residual(self):
         return self.residual(self.ambient.identity())
@@ -295,18 +303,19 @@ class AlgebraSpan:
             if self.ambient.off_block_norm(b) > MEMBER_TOL:
                 bad.append("basis leaves ambient block pattern")
                 break
-        if any(self.residual(a @ b) > MEMBER_TOL
-               for a in self.basis for b in self.basis):
+        # one stack of products per basis row, never all dim^2 at once
+        if any(self.residual(a @ self.basis) > MEMBER_TOL
+               for a in self.basis):
             bad.append("not closed under multiplication")
-        if self.self_adjoint and any(self.residual(b.conj().T) > MEMBER_TOL
-                                     for b in self.basis):
+        if self.self_adjoint and self.residual(
+                np.conj(np.transpose(self.basis, (0, 2, 1)))) > MEMBER_TOL:
             bad.append("not closed under adjoint")
         if self.unital and self.identity_residual() > MEMBER_TOL:
             bad.append("does not contain the ambient identity")
         if self.ideal_in is not None and any(
-                self.residual(c @ b) > MEMBER_TOL
-                or self.residual(b @ c) > MEMBER_TOL
-                for c in self.ideal_in.basis for b in self.basis):
+                self.residual(c @ self.basis) > MEMBER_TOL
+                or self.residual(self.basis @ c) > MEMBER_TOL
+                for c in self.ideal_in.basis):
             bad.append("not an ideal in the enclosing algebra")
         return bad
 
@@ -322,21 +331,33 @@ def _closure(ambient, seed, left, right):
     """Smallest subspace holding `seed` and closed under x -> l @ x for l
     in `left` and x -> x @ r for r in `right`.
 
-    Spinning, as in the Meat-Axe: each round multiplies only the elements
-    the previous round added, projects the products off the basis (twice,
-    so the residuals stay orthogonal to it) and orthonormalizes what is
-    left.  The loop ends when a round adds nothing.
+    Blocked spinning, as in the Meat-Axe: each round takes one multiplier
+    at a time, multiplies only the elements the previous round added,
+    projects the products off the basis grown so far (twice, so the
+    residuals stay orthogonal to it) and appends the orthonormalized
+    residuals at once, so later multipliers' products are reduced against
+    them.  A residual block of HS norm at most RANK_TOL after either pass
+    is skipped without an SVD: no singular value of it can pass the rank
+    rule (RANK_TOL relative to the largest, floored at 1).  The round's
+    new elements are all it appended; the loop ends when a round appends
+    nothing.
     """
     N = ambient.dim
     basis = new = hs_orthonormalize(seed)
     while len(new) and len(left) + len(right):
-        flat = basis.reshape(len(basis), N * N)
-        res = np.concatenate([l @ new for l in left]
-                             + [new @ r for r in right]).reshape(-1, N * N)
-        for _ in range(2):
-            res = res - (res @ flat.conj().T) @ flat
-        new = hs_orthonormalize(res.reshape(-1, N, N))
-        basis = np.concatenate([basis, new])
+        start = len(basis)
+        for prods in chain((l @ new for l in left), (new @ r for r in right)):
+            flat = basis.reshape(len(basis), N * N)
+            flat_h = flat.conj().T
+            res = prods.reshape(-1, N * N)
+            for _ in range(2):
+                res = res - (res @ flat_h) @ flat
+                if np.linalg.norm(res) <= RANK_TOL:
+                    break  # a second pass cannot make it larger
+            else:
+                basis = np.concatenate(
+                    [basis, hs_orthonormalize(res.reshape(-1, N, N))])
+        new = basis[start:]
     return basis
 
 
@@ -348,7 +369,8 @@ def generate_algebra(ambient, gens, self_adjoint=False, unital=True):
     generators (and the identity) by left multiplication with an
     orthonormal basis of the generators' span, so that every product has
     HS norm at most 1 as the rank rule expects.  Each round multiplies only
-    the elements the previous round added.
+    the elements the previous round added, by one basis element at a time
+    (see _closure).
     """
     gens = [ambient.check(g) for g in gens]
     if self_adjoint:
@@ -362,7 +384,8 @@ def generate_ideal(C, gens):
     """Smallest subspace of the C*-algebra C containing `gens` that is a
     two-sided ideal, closed under adjoint.  Generators must already lie in
     C.  Grown from the generators and their adjoints by multiplication with
-    C's basis on both sides, only the newly added elements each round."""
+    C's basis on both sides, one basis element and side at a time, only the
+    newly added elements each round (see _closure)."""
     gens = [np.asarray(g, dtype=complex) for g in gens]
     for g in gens:
         if not C.contains(g):

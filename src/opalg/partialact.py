@@ -235,29 +235,30 @@ def partial_crossed(spec):
 
 
 def _convolution_residual(pc):
+    """Largest HS residual of the convolution law, one x against the whole
+    stack of y's per (s, t) block."""
     spec = pc.spec
     G = spec.ds.G
     e = G.identity
     corner = spec.corner
     th = spec.thetas
+    stacks = [spec.domain(s).basis for s in range(G.order)]
+    gammas = [pc.gamma(s, stacks[s]) for s in range(G.order)]
     res = 0.0
     for s in range(G.order):
-        xs = list(spec.cover.C.basis) if s == e else list(corner.basis)
-        for t in range(G.order):
-            ys = list(spec.cover.C.basis) if t == e else list(corner.basis)
-            st = G.mul(s, t)
-            for x in xs:
-                for y in ys:
-                    # theta_s(theta_{s^-1}(x) y) delta_{st}
-                    xi = x if s == e else th[G.inv(s)](x)
-                    prod = xi @ y
-                    if s != e:
-                        prod = th[s](corner.project(prod))
-                    if st != e:
-                        prod = corner.project(prod)
-                    lhs = pc.gamma(s, x) @ pc.gamma(t, y)
-                    rhs = pc.gamma(st, prod)
-                    res = max(res, float(np.linalg.norm(lhs - rhs)))
+        # theta_s(theta_{s^-1}(x) y) delta_{st}
+        xis = stacks[s] if s == e else th[G.inv(s)](stacks[s])
+        for i, xi in enumerate(xis):
+            for t in range(G.order):
+                st = G.mul(s, t)
+                prod = xi @ stacks[t]
+                if s != e:
+                    prod = th[s](corner.project(prod))
+                if st != e:
+                    prod = corner.project(prod)
+                diff = gammas[s][i] @ gammas[t] - pc.gamma(st, prod)
+                res = max(res, float(np.linalg.norm(
+                    diff, axis=(-2, -1)).max(initial=0.0)))
     return res
 
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opalg.linalg import (RANK_TOL, AlgebraSpan, Ambient, AmbientMismatch,
-                          NotInSpan, compress_span, diagonal, direct_sum,
+                          NotInSpan, _closure, compress_span, diagonal,
+                          direct_sum,
                           generate_algebra, generate_ideal, hs_inner,
                           hs_orthonormalize, intersect_spans, null_space,
                           operator_norm, orthonormal_span, support_isometry)
@@ -123,6 +124,31 @@ class TestAlgebraSpan:
         not_closed = AlgebraSpan(amb, hs_orthonormalize(
             [amb.matrix_unit(0, 1) + amb.matrix_unit(1, 0)]))
         assert "not closed under multiplication" in not_closed.verify()
+        M2 = generate_algebra(amb, [amb.matrix_unit(0, 1)],
+                              self_adjoint=True, unital=True)
+        assert AlgebraSpan(amb, M2.basis, ideal_in=M2, self_adjoint=True,
+                           unital=True).verify() == []
+
+    @pytest.mark.parametrize("basis, flags, in_M2, want", [
+        # E01 squares to zero, but its adjoint E10 is not in the span
+        ([(0, 1)], dict(self_adjoint=True), False,
+         "not closed under adjoint"),
+        ([(0, 0)], dict(self_adjoint=True, unital=True), False,
+         "does not contain the ambient identity"),
+        # a corner, a left ideal (first column), a right ideal (first row)
+        ([(0, 0)], dict(self_adjoint=True), True,
+         "not an ideal in the enclosing algebra"),
+        ([(0, 0), (1, 0)], {}, True, "not an ideal in the enclosing algebra"),
+        ([(0, 0), (0, 1)], {}, True, "not an ideal in the enclosing algebra"),
+    ])
+    def test_verify_names_each_flag(self, basis, flags, in_M2, want):
+        amb = Ambient((2,))
+        M2 = generate_algebra(amb, [amb.matrix_unit(0, 1)],
+                              self_adjoint=True, unital=True)
+        span = AlgebraSpan(amb, hs_orthonormalize(
+            [amb.matrix_unit(r, c) for r, c in basis]),
+            ideal_in=M2 if in_M2 else None, **flags)
+        assert span.verify() == [want]
 
 
 class TestGeneration:
@@ -228,11 +254,8 @@ def test_generate_ideal_is_the_ideal_of_the_touched_blocks(amb, seed):
     assert J.verify() == []
 
 
-def test_closure_never_orthonormalizes_all_products(monkeypatch):
-    """Closing M_6 from the shift and its adjoint multiplies only the
-    elements each round adds, so no SVD sees more than 2 * 36 rows.  The
-    all-pairs closure stacked the basis, its 36^2 products and its 36
-    adjoints: 1,368 rows."""
+def _recording_svd(monkeypatch):
+    """Record the row count of every SVD until the patch is undone."""
     rows = []
     svd = np.linalg.svd
 
@@ -240,13 +263,48 @@ def test_closure_never_orthonormalizes_all_products(monkeypatch):
         rows.append(np.shape(a)[0])
         return svd(a, *args, **kwargs)
 
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return rows
+
+
+def test_closure_never_orthonormalizes_all_products(monkeypatch):
+    """Closing M_6 from the shift and its adjoint orthonormalizes one
+    multiplier's products with one round's new elements at a time, so no
+    SVD sees more than 36 rows.  One SVD per round over every multiplier's
+    products saw up to 2 * 36; the all-pairs closure stacked the basis, its
+    36^2 products and its 36 adjoints: 1,368 rows."""
     amb = Ambient((6,))
     shift = sum(amb.matrix_unit(i, i + 1) for i in range(5))
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    rows = _recording_svd(monkeypatch)
     alg = generate_algebra(amb, [shift], self_adjoint=True, unital=True)
     monkeypatch.undo()
     assert alg.dim == 36
-    assert rows and max(rows) <= 2 * 36
+    assert rows and max(rows) <= 36
+
+
+def test_closure_round_inside_the_span_makes_no_svd(monkeypatch):
+    """span{E00, I} is already closed: the one SVD orthonormalizes the seed,
+    and the products of the first round are skipped on their norm."""
+    amb = Ambient((3,))
+    rows = _recording_svd(monkeypatch)
+    alg = generate_algebra(amb, [amb.matrix_unit(0, 0)])
+    monkeypatch.undo()
+    assert alg.dim == 2
+    assert rows == [2]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_ambients, st.integers(0, 10 ** 6), st.booleans())
+def test_closure_does_not_depend_on_the_order_of_left(amb, seed, right):
+    rng = np.random.default_rng(seed)
+    seed_mats = _sparse_generators(rng, amb, 1)
+    left = list(hs_orthonormalize(_sparse_generators(rng, amb, 3)))
+    shuffled = [left[i] for i in rng.permutation(len(left))]
+    rights = left[:1] if right else []
+    one = AlgebraSpan(amb, _closure(amb, seed_mats, left, rights))
+    other = AlgebraSpan(amb, _closure(amb, seed_mats, shuffled, rights))
+    assert one.dim == other.dim
+    assert one.contains_span(other) and other.contains_span(one)
 
 
 @pytest.mark.parametrize("shape, left, want", [

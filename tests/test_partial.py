@@ -96,6 +96,38 @@ class TestPartialCrossed:
         assert pc.algebra.dim == 38
         assert pc.convolution_residual < 1e-8
 
+    def test_convolution_residual_matches_the_pairwise_law(self, schur_spec):
+        """The stacked residual equals the law checked one (x, y) pair at a
+        time, also on a model whose gamma_s is broken."""
+        def pairwise(pc):
+            G, th, corner = pc.spec.ds.G, pc.spec.thetas, pc.spec.corner
+            e, res = G.identity, 0.0
+            for s in range(G.order):
+                for t in range(G.order):
+                    st = G.mul(s, t)
+                    for x in pc.spec.domain(s).basis:
+                        for y in pc.spec.domain(t).basis:
+                            prod = (x if s == e else th[G.inv(s)](x)) @ y
+                            if s != e:
+                                prod = th[s](corner.project(prod))
+                            if st != e:
+                                prod = corner.project(prod)
+                            res = max(res, float(np.linalg.norm(
+                                pc.gamma(s, x) @ pc.gamma(t, y)
+                                - pc.gamma(st, prod))))
+            return res
+
+        pc = partial_crossed(schur_spec)
+        assert partialact._convolution_residual(pc) == pytest.approx(
+            pairwise(pc), abs=1e-12)
+        s = next(s for s in range(pc.spec.ds.G.order)
+                 if s != pc.spec.ds.G.identity)
+        pc.gamma_s[s] = LinearMap(dom=pc.gamma_s[s].dom, cod=pc.ambient,
+                                  images=2 * pc.gamma_s[s].images)
+        broken = partialact._convolution_residual(pc)
+        assert broken > 1e-3
+        assert broken == pytest.approx(pairwise(pc), rel=1e-12)
+
     def test_gamma_e_is_injective_on_c(self, schur_spec):
         pc = partial_crossed(schur_spec)
         assert pc.gamma_e.is_injective()
