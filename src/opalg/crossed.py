@@ -61,13 +61,14 @@ class CrossedProduct:
         return self.generators[(i, s)]
 
     def covariance_residual(self):
+        """Largest HS norm of lambda_s hat(c) lambda_s* - hat(beta_s(c)) over
+        the group elements s and the basis elements c of the base."""
+        basis = self.base.basis
+        hats = self.hat(basis)
         out = 0.0
-        for s in range(self.G.order):
-            ls = self.lambdas[s]
-            for c in self.base.basis:
-                lhs = ls @ self.hat(c) @ ls.conj().T
-                rhs = self.hat(self.betas[s](c))
-                out = max(out, float(np.linalg.norm(lhs - rhs)))
+        for s, ls in enumerate(self.lambdas):
+            diff = ls @ hats @ ls.conj().T - self.hat(self.betas[s](basis))
+            out = float(np.linalg.norm(diff, axis=(1, 2)).max(initial=out))
         return out
 
 

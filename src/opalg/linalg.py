@@ -13,6 +13,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -89,15 +90,21 @@ class Ambient:
     def dim(self):
         return sum(self.block_dims)
 
-    def mask(self):
-        """Boolean N x N mask of the allowed block pattern."""
+    @cached_property
+    def _mask(self):
         N = self.dim
         m = np.zeros((N, N), dtype=bool)
         off = 0
         for d in self.block_dims:
             m[off:off + d, off:off + d] = True
             off += d
+        m.flags.writeable = False
         return m
+
+    def mask(self):
+        """Boolean N x N mask of the allowed block pattern (read-only; built
+        once per ambient)."""
+        return self._mask
 
     def identity(self):
         return np.eye(self.dim, dtype=complex)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,8 @@ from opalg.cb import (CC, CI, FEAS_TOL, INCONCLUSIVE, NOT_CC, NOT_CI, CbReport,
 from opalg.corpus import a4_algebra, schur_projection_p
 from opalg.covers import join
 from opalg.dynamics import inner_in_itself
-from opalg.linalg import (AlgebraSpan, Ambient, direct_sum,
-                          generate_algebra, orthonormal_span)
+from opalg.linalg import (ASCENT_GAIN, TINY_NORM, AlgebraSpan, Ambient,
+                          direct_sum, generate_algebra, orthonormal_span)
 
 
 def rand_mat(rng, n):
@@ -258,6 +260,120 @@ def test_pairings_match_the_einsum_reference():
     mats = np.array([rand_mat(rng, 2) for _ in range(4)])
     ref = np.einsum("ka,dab,lb->kld", u.conj(), mats, v)
     assert np.allclose(cb._pairings(u, mats, v), ref, rtol=0, atol=1e-13)
+
+
+def _sequential_falsifier_ratio(phi, seed, restarts=32):
+    """Reference search: one restart at a time, each ascending until it
+    stalls, stopping after the first restart that exceeds the margin."""
+    S, imgs, N, n, _, _ = cb._compressed_problem(phi)
+    S, imgs = np.array(S), np.array(imgs)
+    k, d = n, len(S)
+
+    def amplified(c, mats):
+        return np.block([[np.tensordot(c[a, b], mats, 1) for b in range(k)]
+                         for a in range(k)])
+
+    rng = np.random.default_rng(seed)
+    best_ratio = 0.0
+    for _ in range(restarts):
+        c = rng.standard_normal((k, k, d)) + 1j * rng.standard_normal((k, k, d))
+        stale, local_best = 0, 0.0
+        for _ in range(40):
+            nx = np.linalg.norm(amplified(c, S), 2)
+            if nx < TINY_NORM:
+                break
+            U, sv, Vh = np.linalg.svd(amplified(c, imgs))
+            ratio = float(sv[0]) / nx
+            best_ratio = max(best_ratio, ratio)
+            if ratio > local_best * (1 + ASCENT_GAIN):
+                local_best, stale = ratio, 0
+            else:
+                stale += 1
+                if stale > 6:
+                    break
+            g = cb._pairings(U[:, 0].reshape(k, n), imgs,
+                             Vh[0].conj().reshape(k, n))
+            if np.linalg.norm(g) < TINY_NORM:
+                break
+            c = g.conj()
+        if best_ratio > 1 + cb.FALSIFIER_MARGIN:
+            break
+    return best_ratio
+
+
+def _unital_subspace(rng, n):
+    amb = Ambient((n,))
+    span = orthonormal_span(amb, [np.eye(n)] + [
+        rand_mat(rng, n) for _ in range(int(rng.integers(2, 5)))])
+    return AlgebraSpan(amb, span.basis, unital=True)
+
+
+def _compression(seed):
+    """x -> t V*xV from a unital subspace of M4 into M2; cb norm exactly t,
+    within 3-20% of 1 on either side."""
+    rng = np.random.default_rng(seed)
+    lo, hi = ((0.85, 0.97), (1.03, 1.2))[seed % 2]
+    t = float(rng.uniform(lo, hi))
+    dom = _unital_subspace(rng, 4)
+    V = np.linalg.qr(rng.standard_normal((4, 2))
+                     + 1j * rng.standard_normal((4, 2)))[0]
+    return map_from_images(dom, Ambient((2,)),
+                           [t * V.conj().T @ b @ V for b in dom.basis])
+
+
+def _random_on_m4(seed):
+    """A random map between subspaces of M4, as in the oracle-agreement
+    acceptance criterion."""
+    rng = np.random.default_rng(seed)
+    amb = Ambient((4,))
+    dom = orthonormal_span(amb, [rand_mat(rng, 4)
+                                 for _ in range(int(rng.integers(1, 9)))])
+    scale = float(rng.uniform(0.4, 1.6))
+    return map_from_images(dom, amb,
+                           [scale * rand_mat(rng, 4) for _ in dom.basis])
+
+
+def _doubled_on_m2(_seed):
+    amb = Ambient((2,))
+    m2 = generate_algebra(amb, [amb.matrix_unit(i, j) for i in range(2)
+                                for j in range(2)],
+                          self_adjoint=True, unital=True)
+    return map_from_images(m2, amb, [2 * b for b in m2.basis])
+
+
+@pytest.mark.parametrize("build, seed",
+                         [(_compression, s) for s in range(10)]
+                         + [(_random_on_m4, s) for s in range(6)]
+                         + [(_doubled_on_m2, 0)])
+def test_stacked_falsifier_matches_sequential_restarts(build, seed):
+    phi = build(seed)
+    ref = _sequential_falsifier_ratio(phi, seed)
+    ratio, cert = falsifier_search(phi, seed=seed)
+    assert (cert is not None) == (ref > 1 + cb.FALSIFIER_MARGIN)
+    if cert is not None:
+        assert verify_falsifier(phi, cert)
+    else:
+        assert ratio == pytest.approx(ref, rel=0, abs=1e-12)
+
+
+def test_falsifier_svd_count_does_not_scale_with_restarts(monkeypatch):
+    """The restarts ascend as one stack: at most two stacked SVDs per step,
+    counting the one inside np.linalg.norm(x, 2), and no certificate on a
+    completely contractive map."""
+    phi = _compression(2)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(sys.modules[np.linalg.norm.__module__], "svd",
+                        counting)
+    ratio, cert = falsifier_search(phi, seed=0, restarts=32)
+    assert cert is None and 0.8 < ratio <= 1
+    assert 0 < len(calls) <= 2 * 40
 
 
 def test_zero_iteration_budget_gives_no_certificate(m2):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,19 @@ class TestConstruction:
 
     def test_covariance(self, swap_crossed):
         assert swap_crossed.covariance_residual() < 1e-9
+
+    @pytest.mark.parametrize("spoil", [False, True])
+    def test_covariance_matches_the_per_element_loop(self, swap_crossed,
+                                                     spoil):
+        cp = swap_crossed
+        if spoil:  # lambda_e and lambda_s swapped: covariance fails
+            cp = replace(cp, lambdas=cp.lambdas[::-1])
+        ref = max(float(np.linalg.norm(
+            ls @ cp.hat(c) @ ls.conj().T - cp.hat(cp.betas[s](c))))
+            for s, ls in enumerate(cp.lambdas) for c in cp.base.basis)
+        assert cp.covariance_residual() == pytest.approx(ref, rel=0,
+                                                         abs=1e-12)
+        assert (ref > 0.1) == spoil
 
     def test_lambdas_are_unitary(self, swap_crossed):
         for lam in swap_crossed.lambdas:
