@@ -27,8 +27,8 @@ from .dynamics import (ADMISSIBLE, NOT_ADMISSIBLE, AdmissibilityReport,
                        admissible, inner_in_itself, invariant_kernel_check,
                        locally_inner, make_system, trivial_system)
 from .linalg import (AlgebraSpan, Ambient, AmbientMismatch, NotInSpan,
-                     diagonal, direct_sum, generate_algebra, generate_ideal,
-                     operator_norm, orthonormal_span)
+                     diagonal, direct_sum, generate_algebra, operator_norm,
+                     orthonormal_span)
 from .partialact import (Decomposition, PartialActionSpec, PartialCrossed,
                          RecoveryReport, ShilovNotMaximal,
                          build_partial_action, decompose, partial_crossed,

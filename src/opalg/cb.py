@@ -477,11 +477,11 @@ def _dr_block(pins, R, max_iter, target):
     return None, it + 1, res
 
 
-def choi_feasibility(phi, max_iter=None):
+def choi_feasibility(phi):
     """Search for a PSD Choi matrix of a UCP map pinned to the Paulsen
     companion of phi, by Douglas-Rachford splitting between the PSD cone
-    and the affine pinning set, for at most `max_iter` iterations per block
-    (None: the current RunConfig's).
+    and the affine pinning set, for at most the current RunConfig's
+    `max_iter` iterations per block.
 
     The pins never link coordinates in different connected components of
     the compressed domain (resp. codomain) coordinates, so a feasible Choi
@@ -497,8 +497,7 @@ def choi_feasibility(phi, max_iter=None):
     PSD to tolerance and affine residual below tolerance.  `iterations` is
     summed over the blocks.
     """
-    if max_iter is None:
-        max_iter = current().max_iter
+    max_iter = current().max_iter
     S, imgs, N, n, _, _ = _compressed_problem(phi)
     if not S:
         return {"type": "choi", "choi": np.zeros((0, 0)), "residual": 0.0,
@@ -578,10 +577,10 @@ def _amplified_image(phi, x, k):
     return img.swapaxes(1, 2).reshape(k * n, k * n)
 
 
-def falsifier_search(phi, seed=None, restarts=32):
+def falsifier_search(phi, restarts=32):
     """Alternating-ascent search for a matrix-level counterexample to
     complete contractivity at level k = codomain size; the restarts are
-    seeded by `seed` (None: the current RunConfig's).
+    seeded by the current RunConfig's seed.
 
     All restarts ascend together as one (restarts, k, k, d) stack of
     coefficients, so each of at most 40 steps costs two stacked SVDs.  A
@@ -604,7 +603,7 @@ def falsifier_search(phi, seed=None, restarts=32):
     imgs_c = np.array(imgs)
     k = n
     d = len(S)
-    rng = np.random.default_rng(current().seed if seed is None else seed)
+    rng = np.random.default_rng(current().seed)
     c = np.array([rng.standard_normal((k, k, d))
                   + 1j * rng.standard_normal((k, k, d))
                   for _ in range(restarts)]).reshape(restarts, k, k, d)

@@ -31,9 +31,7 @@ def a4_algebra():
     units = [E(0, 0), E(1, 1), E(2, 2), E(3, 3),
              E(0, 2), E(0, 3), E(1, 2), E(1, 3)]
     span = AlgebraSpan(amb, orthonormal_span(amb, units).basis, unital=True)
-    labels = {"E11": 0, "E22": 1, "E33": 2, "E44": 3,
-              "E13": 4, "E14": 5, "E23": 6, "E24": 7}
-    return OperatorAlgebra(span, labels=labels, name="A4")
+    return OperatorAlgebra(span, name="A4")
 
 
 def a4_swap_unitary():
@@ -120,8 +118,7 @@ def t2_algebra():
     E = amb.matrix_unit
     units = [E(0, 0), E(1, 1), E(0, 1)]
     span = AlgebraSpan(amb, orthonormal_span(amb, units).basis, unital=True)
-    return OperatorAlgebra(span, labels={"E11": 0, "E22": 1, "E12": 2},
-                           name="T2")
+    return OperatorAlgebra(span, name="T2")
 
 
 @lru_cache(maxsize=None)

@@ -38,10 +38,9 @@ class NotCompletelyIsometric(CoverError):
 @dataclass
 class OperatorAlgebra:
     """A unital, multiplicatively closed (not necessarily self-adjoint)
-    subspace of a matrix ambient, with optional generator labels."""
+    subspace of a matrix ambient."""
 
     span: AlgebraSpan
-    labels: dict = field(default_factory=dict)
     name: str = "A"
 
     @property
@@ -128,18 +127,16 @@ def make_cover(A, ambient, j_images, name="cover", verify=True):
     """Validate and build a C*-cover from the images of A's basis.
 
     Raises NotHomomorphism or NotCompletelyIsometric on a violated
-    invariant; raises Undecided if the complete-isometry check is
-    inconclusive.  The forward half of the CI certificate stays on `j`, so
-    maps built from j later (quotients, joins) are certified by structure.
+    invariant, CoverError when the generated C fails its own checks, and
+    Undecided if the complete-isometry check is inconclusive.  The forward
+    half of the CI certificate stays on `j`, so maps built from j later
+    (quotients, joins) are certified by structure.
     With verify=False the complete-isometry check is skipped and j carries
     no certificate; every cover the library builds itself is checked
     (`join` attaches a direct-sum certificate instead), and the option
     stays for callers whose maps are CI by construction.
     """
-    if isinstance(A, AlgebraSpan):
-        A = OperatorAlgebra(A)
-    j = LinearMap(dom=A.span, cod=ambient,
-                  images=np.array([ambient.check(m) for m in j_images]))
+    j = LinearMap(dom=A.span, cod=ambient, images=ambient.check(j_images))
     return _validated_cover(A, j, name, verify)
 
 
@@ -158,8 +155,11 @@ def _validated_cover(A, j, name, verify=True):
                 "j is not completely isometric", rep.certificate)
         if rep.certificate is not None:
             j.certificate = rep.certificate["forward"]
-    C = generate_algebra(j.cod, list(j.images), self_adjoint=True,
-                         unital=True)
+    C = generate_algebra(j.cod, j.images, self_adjoint=True, unital=True)
+    bad = C.verify()
+    if bad:
+        raise CoverError(f"cover {name!r}: generated C is not a C*-algebra: "
+                         + "; ".join(bad))
     return CstarCover(A=A, C=C, j=j, name=name)
 
 
@@ -195,15 +195,12 @@ def induced_morphism(upper, lower):
 
 
 def equivalent(c1, c2):
-    """Covers are equivalent when morphisms exist both ways (they are then
-    mutually inverse *-isomorphisms)."""
+    """Covers are equivalent when the induced morphism c1 -> c2 exists and
+    has zero kernel: it is verified onto C_2, so it is then a
+    *-isomorphism, and its inverse intertwines the embeddings the other
+    way."""
     down = induced_morphism(c1, c2)
-    if isinstance(down, MorphismAbsence):
-        return False
-    up = induced_morphism(c2, c1)
-    if isinstance(up, MorphismAbsence):
-        return False
-    return down.kernel.dim == 0 and up.kernel.dim == 0
+    return not isinstance(down, MorphismAbsence) and down.kernel.dim == 0
 
 
 def leq(c1, c2):

@@ -53,10 +53,6 @@ class CrossedProduct:
     subalgebra: AlgebraSpan | None = None
     generators: dict = field(default_factory=dict)  # (a_index, s) -> matrix
 
-    def jhat(self, a):
-        """Embedded copy of j(a) at the identity group element."""
-        return self.hat(self.cover.j(a))
-
     def generator(self, i, s):
         return self.generators[(i, s)]
 

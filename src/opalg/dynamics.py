@@ -91,9 +91,6 @@ class FiniteGroup:
         return FiniteGroup(tuple(tuple((i + j) % n for j in range(n))
                                  for i in range(n)))
 
-    def is_cyclic(self):
-        return self.generator() is not None
-
     def generator(self):
         """Index of a generating element when the group is cyclic."""
         for g in range(self.order):
@@ -122,8 +119,8 @@ class DynamicalSystem:
 def make_system(A, G, actions, verify=True):
     """Build and validate a dynamical system.
 
-    `actions` maps each group element to either a list of basis images, a
-    LinearMap, or a unitary matrix u (shorthand for conjugation x -> u x u*).
+    `actions` maps each group element to either a list of basis images or
+    a unitary matrix u (shorthand for conjugation x -> u x u*).
     Raises SystemError_ naming the violated invariant.
     """
     span = A.span
@@ -131,9 +128,7 @@ def make_system(A, G, actions, verify=True):
     maps = []
     for s in range(G.order):
         act = actions[s]
-        if isinstance(act, LinearMap):
-            maps.append(act)
-        elif isinstance(act, np.ndarray) and act.shape == (amb.dim, amb.dim) \
+        if isinstance(act, np.ndarray) and act.shape == (amb.dim, amb.dim) \
                 and np.linalg.norm(act @ act.conj().T - np.eye(amb.dim)) \
                 < MEMBER_TOL:
             imgs = np.array([act @ b @ act.conj().T for b in span.basis])
@@ -249,11 +244,8 @@ def invariant_kernel_check(ds, upper_report, morphism):
     K = morphism.kernel
     if K.dim == 0:
         return True
-    for s, beta in enumerate(upper_report.extension):
-        for b in K.basis:
-            if K.residual(beta(b)) > MEMBER_TOL:
-                return False
-    return True
+    return all(K.residual(beta(K.basis)) <= MEMBER_TOL
+               for beta in upper_report.extension)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Complex block-matrix ambients, Hilbert-Schmidt orthonormal spans, and
-multiplicative closure of matrix algebras and ideals.
+multiplicative closure of matrix algebras.
 
 Everything here is dense and desk-scale (N <= 64 or so).  Matrices are plain
 complex ndarrays; an :class:`Ambient` records the block-diagonal pattern they
@@ -14,7 +14,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -112,40 +111,33 @@ class Ambient:
     def zero(self):
         return np.zeros((self.dim, self.dim), dtype=complex)
 
-    def off_block_norm(self, mat):
-        return float(np.linalg.norm(np.where(self.mask(), 0.0, mat)))
+    def off_block_norm(self, mats):
+        """HS norm of the entries of a matrix outside the block pattern; of
+        a (k, N, N) stack, the largest over its matrices."""
+        outside = np.asarray(mats)[..., ~self.mask()]
+        return float(np.linalg.norm(outside, axis=-1).max(initial=0.0))
 
-    def check(self, mat):
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (self.dim, self.dim):
+    def check(self, mats):
+        """A matrix, or a (k, N, N) stack (an empty sequence is an empty
+        stack), as a complex array; raises AmbientMismatch on another shape
+        or on entries outside the block pattern."""
+        N = self.dim
+        mats = np.asarray(mats, dtype=complex)
+        if mats.shape == (0,):
+            mats = mats.reshape(0, N, N)
+        if mats.shape[-2:] != (N, N) or mats.ndim > 3:
             raise AmbientMismatch(
-                f"expected shape {(self.dim, self.dim)}, got {mat.shape}")
-        r = self.off_block_norm(mat)
+                f"expected shape {(N, N)} or (k, {N}, {N}), got {mats.shape}")
+        r = self.off_block_norm(mats)
         if r > MEMBER_TOL:
             raise AmbientMismatch(
                 f"off-block residual {r:.3e} above {MEMBER_TOL:.1e}")
-        return mat
+        return mats
 
     def matrix_unit(self, r, c):
         m = self.zero()
         m[r, c] = 1.0
         return self.check(m)
-
-    def embed_block(self, k, mat):
-        """Place a small matrix into the k-th diagonal block."""
-        mat = np.asarray(mat, dtype=complex)
-        d = self.block_dims[k]
-        if mat.shape != (d, d):
-            raise AmbientMismatch(f"block {k} has size {d}, got {mat.shape}")
-        off = sum(self.block_dims[:k])
-        out = self.zero()
-        out[off:off + d, off:off + d] = mat
-        return out
-
-    def block_of(self, mat, k):
-        off = sum(self.block_dims[:k])
-        d = self.block_dims[k]
-        return np.asarray(mat, dtype=complex)[off:off + d, off:off + d]
 
     def direct_sum(self, other):
         return Ambient(self.block_dims + other.block_dims)
@@ -162,11 +154,6 @@ def direct_sum(*mats):
         out[off:off + d, off:off + d] = m
         off += d
     return out
-
-
-def hs_inner(x, y):
-    """Hilbert-Schmidt inner product trace(x* y)."""
-    return complex(np.vdot(x, y))
 
 
 def operator_norm(x):
@@ -306,10 +293,8 @@ class AlgebraSpan:
         g = self._flat @ self._flat.conj().T if self.dim else np.zeros((0, 0))
         if self.dim and np.abs(g - np.eye(self.dim)).max() > MEMBER_TOL:
             bad.append("basis not HS-orthonormal")
-        for b in self.basis:
-            if self.ambient.off_block_norm(b) > MEMBER_TOL:
-                bad.append("basis leaves ambient block pattern")
-                break
+        if self.ambient.off_block_norm(self.basis) > MEMBER_TOL:
+            bad.append("basis leaves ambient block pattern")
         # one stack of products per basis row, never all dim^2 at once
         if any(self.residual(a @ self.basis) > MEMBER_TOL
                for a in self.basis):
@@ -329,14 +314,12 @@ class AlgebraSpan:
 
 def orthonormal_span(ambient, mats):
     """Orthonormalized subspace span of the given ambient elements."""
-    mats = [ambient.check(m) for m in mats]
-    return AlgebraSpan(ambient, hs_orthonormalize(mats)
-                       if mats else np.zeros((0, ambient.dim, ambient.dim), complex))
+    return AlgebraSpan(ambient, hs_orthonormalize(ambient.check(mats)))
 
 
-def _closure(ambient, seed, left, right):
+def _closure(ambient, seed, left):
     """Smallest subspace holding `seed` and closed under x -> l @ x for l
-    in `left` and x -> x @ r for r in `right`.
+    in `left`.
 
     Blocked spinning, as in the Meat-Axe: each round takes one multiplier
     at a time, multiplies only the elements the previous round added,
@@ -351,12 +334,12 @@ def _closure(ambient, seed, left, right):
     """
     N = ambient.dim
     basis = new = hs_orthonormalize(seed)
-    while len(new) and len(left) + len(right):
+    while len(new) and len(left):
         start = len(basis)
-        for prods in chain((l @ new for l in left), (new @ r for r in right)):
+        for l in left:
             flat = basis.reshape(len(basis), N * N)
             flat_h = flat.conj().T
-            res = prods.reshape(-1, N * N)
+            res = (l @ new).reshape(-1, N * N)
             for _ in range(2):
                 res = res - (res @ flat_h) @ flat
                 if np.linalg.norm(res) <= RANK_TOL:
@@ -379,28 +362,12 @@ def generate_algebra(ambient, gens, self_adjoint=False, unital=True):
     the elements the previous round added, by one basis element at a time
     (see _closure).
     """
-    gens = [ambient.check(g) for g in gens]
+    gens = list(ambient.check(gens))
     if self_adjoint:
         gens += [g.conj().T for g in gens]
     seed = gens + [ambient.identity()] if unital else gens
-    basis = _closure(ambient, seed, hs_orthonormalize(gens), [])
+    basis = _closure(ambient, seed, hs_orthonormalize(gens))
     return AlgebraSpan(ambient, basis, self_adjoint=self_adjoint, unital=unital)
-
-
-def generate_ideal(C, gens):
-    """Smallest subspace of the C*-algebra C containing `gens` that is a
-    two-sided ideal, closed under adjoint.  Generators must already lie in
-    C.  Grown from the generators and their adjoints by multiplication with
-    C's basis on both sides, one basis element and side at a time, only the
-    newly added elements each round (see _closure)."""
-    gens = [np.asarray(g, dtype=complex) for g in gens]
-    for g in gens:
-        if not C.contains(g):
-            raise NotInSpan("ideal generator not in the enclosing algebra")
-    seed = [g for g in gens if np.linalg.norm(g) > MEMBER_TOL]
-    seed += [g.conj().T for g in seed]
-    basis = _closure(C.ambient, seed, C.basis, C.basis)
-    return AlgebraSpan(C.ambient, basis, self_adjoint=True, ideal_in=C)
 
 
 def graph_closure(amb1, amb2, pairs, unital=True):

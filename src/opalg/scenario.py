@@ -71,7 +71,7 @@ class Scenario:
         A = self._algebra(spec.get("algebra"))
         amb = self._ambient(spec.get("ambient"))
         try:
-            mats = [amb.check(mat_from_json(m)) for m in spec["j"]]
+            mats = amb.check([mat_from_json(m) for m in spec["j"]])
         except Exception as exc:
             raise ScenarioError(f"bad j matrices for cover {name!r}: {exc}")
         if len(mats) != A.dim:
@@ -99,19 +99,15 @@ class Scenario:
 
 
 def load_scenario(source):
-    """Parse a scenario from a path, JSON text, or dict."""
+    """Parse a scenario from a path to a JSON file, or from a dict."""
     if isinstance(source, dict):
         raw = source
     else:
-        text = source
-        if "\n" not in str(source) and not str(source).lstrip().startswith("{"):
-            try:
-                with open(source) as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise ScenarioError(f"cannot read scenario: {exc}")
         try:
-            raw = json.loads(text)
+            with open(source) as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ScenarioError(f"cannot read scenario: {exc}")
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"scenario is not valid JSON: {exc}")
     if not isinstance(raw, dict):
@@ -125,7 +121,7 @@ def load_scenario(source):
     for name, spec in raw.get("algebras", {}).items():
         amb = sc._ambient(spec.get("ambient"))
         try:
-            mats = [amb.check(mat_from_json(m)) for m in spec["basis"]]
+            mats = amb.check([mat_from_json(m) for m in spec["basis"]])
         except Exception as exc:
             raise ScenarioError(f"algebra {name!r}: {exc}")
         span = orthonormal_span(amb, mats)

@@ -18,7 +18,7 @@ from opalg.crossed import crossed_equivalent, full_crossed, \
     trivialization_iso
 from opalg.dynamics import (ADMISSIBLE, NOT_ADMISSIBLE, admissible,
                             inner_in_itself, invariant_kernel_check)
-from opalg.linalg import Ambient, diagonal, orthonormal_span
+from opalg.linalg import Ambient, diagonal, orthonormal_span, using
 from opalg.partialact import decompose, verify_partial_recovery
 from opalg.structure import (annihilator, blocks_of_ideal, ideal_blocks,
                              minimal_central_projections)
@@ -186,9 +186,9 @@ def test_criterion_8_oracle_consistency():
                          + 1j * rng.standard_normal((4, 4)))
                 for _ in range(dom.dim)]
         phi = LinearMap(dom=dom, cod=amb, images=np.array(imgs))
-        _, fal = falsifier_search(phi, seed=int(rng.integers(1 << 31)),
-                                  restarts=8)
-        feas, _ = choi_feasibility(phi, max_iter=20000)
+        with using(seed=int(rng.integers(1 << 31)), max_iter=20000):
+            _, fal = falsifier_search(phi, restarts=8)
+            feas, _ = choi_feasibility(phi)
         if fal is not None and feas is not None:
             contradictions += 1
         if fal is not None and not verify_falsifier(phi, fal):

@@ -15,7 +15,8 @@ from opalg.corpus import a4_algebra, schur_projection_p
 from opalg.covers import join
 from opalg.dynamics import inner_in_itself
 from opalg.linalg import (ASCENT_GAIN, TINY_NORM, AlgebraSpan, Ambient,
-                          direct_sum, generate_algebra, orthonormal_span)
+                          direct_sum, generate_algebra, orthonormal_span,
+                          using)
 
 
 def rand_mat(rng, n):
@@ -245,8 +246,9 @@ def test_oracles_never_disagree_on_random_maps(seed):
     scale = float(rng.uniform(0.3, 1.7))
     phi = map_from_images(dom, amb,
                           [scale * rand_mat(rng, 3) for b in dom.basis])
-    ratio, fal_cert = falsifier_search(phi, seed=seed % 97, restarts=8)
-    feas_cert, _ = choi_feasibility(phi, max_iter=4000)
+    with using(seed=seed % 97, max_iter=4000):
+        ratio, fal_cert = falsifier_search(phi, restarts=8)
+        feas_cert, _ = choi_feasibility(phi)
     if fal_cert is not None:
         assert verify_falsifier(phi, fal_cert)
         assert feas_cert is None
@@ -348,7 +350,8 @@ def _doubled_on_m2(_seed):
 def test_stacked_falsifier_matches_sequential_restarts(build, seed):
     phi = build(seed)
     ref = _sequential_falsifier_ratio(phi, seed)
-    ratio, cert = falsifier_search(phi, seed=seed)
+    with using(seed=seed):
+        ratio, cert = falsifier_search(phi)
     assert (cert is not None) == (ref > 1 + cb.FALSIFIER_MARGIN)
     if cert is not None:
         assert verify_falsifier(phi, cert)
@@ -371,14 +374,16 @@ def test_falsifier_svd_count_does_not_scale_with_restarts(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting)
     monkeypatch.setattr(sys.modules[np.linalg.norm.__module__], "svd",
                         counting)
-    ratio, cert = falsifier_search(phi, seed=0, restarts=32)
+    with using(seed=0):
+        ratio, cert = falsifier_search(phi, restarts=32)
     assert cert is None and 0.8 < ratio <= 1
     assert 0 < len(calls) <= 2 * 40
 
 
 def test_zero_iteration_budget_gives_no_certificate(m2):
     ident = map_from_images(m2, m2.ambient, list(m2.basis))
-    cert, diag = choi_feasibility(ident, max_iter=0)
+    with using(max_iter=0):
+        cert, diag = choi_feasibility(ident)
     assert cert is None
     assert diag["iterations"] == 0
 
@@ -404,8 +409,8 @@ def test_unverified_choi_certificate_is_inconclusive(m2, monkeypatch, spoil):
     halved = map_from_images(m2, m2.ambient, [0.5 * b for b in m2.basis])
     solve = cb.choi_feasibility
 
-    def corrupted(phi, max_iter=None):
-        cert, diag = solve(phi, max_iter)
+    def corrupted(phi):
+        cert, diag = solve(phi)
         return spoil(cert), diag
 
     monkeypatch.setattr(cb, "choi_feasibility", corrupted)
@@ -550,7 +555,8 @@ def test_direct_sum_with_expanding_summand_is_not_cc(m2):
     rep = cc_check(phi)
     assert rep.verdict == NOT_CC
     assert verify_falsifier(phi, rep.certificate)
-    cert, diag = choi_feasibility(phi, max_iter=2000)
+    with using(max_iter=2000):
+        cert, diag = choi_feasibility(phi)
     assert cert is None
     assert diag["stalled"]
 

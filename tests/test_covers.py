@@ -5,14 +5,15 @@ from opalg.corpus import (a4_envelope, a4_inclusion_cover,
                           a4_schur_cover, a4_schur_cover_swapped,
                           a4_symmetrized_cover, t2_algebra, t2_corner_cover,
                           t2_diag_cover, t2_envelope, t2_inclusion_cover)
-from opalg import cb
+from opalg import cb, covers
 from opalg.cb import star_hom_violations
-from opalg.covers import (CoverMorphism, MorphismAbsence,
+from opalg.covers import (CoverError, CoverMorphism, MorphismAbsence,
                           NotCompletelyIsometric, NotHomomorphism,
                           envelope, equivalent, induced_morphism,
                           is_boundary, join, leq, make_cover, meet,
                           normalize_witness, quotient_cover, shilov)
-from opalg.linalg import Ambient, graph_closure, graph_obstruction
+from opalg.linalg import (AlgebraSpan, Ambient, graph_closure,
+                          graph_obstruction)
 
 
 class TestMakeCover:
@@ -32,6 +33,31 @@ class TestMakeCover:
         A = t2_algebra()
         cov = make_cover(A, A.ambient, list(A.span.basis))
         assert cov.C.dim == 4
+
+    def test_rejects_a_generated_c_that_is_not_an_algebra(self,
+                                                          monkeypatch):
+        # span{E12, E21} is closed under the adjoint but not under
+        # multiplication (E12 E21 = E11): a closure gone wrong.
+        A = t2_algebra()
+        amb = A.ambient
+        broken = AlgebraSpan(amb, np.array([amb.matrix_unit(0, 1),
+                                            amb.matrix_unit(1, 0)]),
+                             self_adjoint=True, unital=True)
+        monkeypatch.setattr(covers, "generate_algebra",
+                            lambda *args, **kwargs: broken)
+        with pytest.raises(CoverError, match="not closed under "
+                                             "multiplication"):
+            make_cover(A, amb, list(A.span.basis))
+
+    def test_quotient_of_the_symmetrized_cover_is_a_cstar_algebra(self):
+        cov = a4_symmetrized_cover.__wrapped__()
+        assert cov.structure().block_dims == (4, 2, 2, 1, 1, 1, 1)
+        try:
+            q = quotient_cover(cov, {3, 4, 5})
+        except CoverError:
+            return
+        assert q.C.dim == 25
+        assert q.C.verify() == []
 
 
 class TestGraphEngine:

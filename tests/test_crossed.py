@@ -55,10 +55,11 @@ class TestConstruction:
         for lam in swap_crossed.lambdas:
             assert np.allclose(lam @ lam.conj().T, np.eye(lam.shape[0]))
 
-    def test_jhat_is_isometric_on_generators(self, swap_crossed):
+    def test_hat_of_j_is_isometric_on_generators(self, swap_crossed):
         ds = a4_system()
         for a in ds.A.span.basis:
-            assert operator_norm(swap_crossed.jhat(a)) == pytest.approx(
+            img = swap_crossed.hat(swap_crossed.cover.j(a))
+            assert operator_norm(img) == pytest.approx(
                 operator_norm(a4_envelope().j(a)), abs=1e-9)
 
 

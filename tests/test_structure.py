@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opalg.linalg import Ambient, generate_algebra, generate_ideal
+from opalg.linalg import Ambient, generate_algebra
 from opalg.structure import (BlockStructureError, annihilator,
                              blocks_of_ideal, center, corner_quotient,
                              ideal_blocks, is_essential, is_maximal_ideal,
@@ -86,9 +86,3 @@ def test_maximal_ideal(m2_plus_c2):
     one_block = ideal_blocks(m2_plus_c2, {0})
     assert is_maximal_ideal(m2_plus_c2, two_blocks)
     assert not is_maximal_ideal(m2_plus_c2, one_block)
-
-
-def test_generated_ideal_is_block_sum(m2_plus_c2):
-    amb = m2_plus_c2.ambient
-    J = generate_ideal(m2_plus_c2, [amb.matrix_unit(0, 0)])
-    assert blocks_of_ideal(m2_plus_c2, J) == frozenset({0})
