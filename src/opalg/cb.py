@@ -99,8 +99,7 @@ class LinearMap:
     def compose(self, other):
         """self after other."""
         return LinearMap(dom=other.dom, cod=self.cod,
-                         images=np.array([self(img) for img in other.images]),
-                         factors=(self, other))
+                         images=self(other.images), factors=(self, other))
 
     def is_injective(self):
         if self.dom.dim == 0:
@@ -212,6 +211,12 @@ def graph_map(amb1, amb2, pairs, dom=None, unital=True):
     homomorphism certificates.
     """
     G = graph_closure(amb1, amb2, pairs, unital=unital)
+    amb = amb1.direct_sum(amb2)
+    off = amb.off_block_norm(G.basis)
+    if G.dim > sum(d * d for d in amb.block_dims) or off > MEMBER_TOL:
+        raise Undecided(
+            f"graph closure of dimension {G.dim} (off-block mass {off:.1e})"
+            f" is not an algebra in the ambient {amb.block_dims}")
     obstruction = graph_obstruction(amb1, amb2, G)
     if obstruction.dim > 0:
         return None, obstruction

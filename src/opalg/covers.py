@@ -69,6 +69,8 @@ class CstarCover:
     _envelope: "CstarCover | None" = field(default=None, repr=False,
                                            compare=False)
     _shilov: frozenset | None = field(default=None, repr=False, compare=False)
+    _quotient_reports: dict = field(default_factory=dict, repr=False,
+                                    compare=False)
 
     @property
     def ambient(self):
@@ -140,14 +142,16 @@ def make_cover(A, ambient, j_images, name="cover", verify=True):
     return _validated_cover(A, j, name, verify)
 
 
-def _validated_cover(A, j, name, verify=True):
+def _validated_cover(A, j, name, verify=True, C=None, rep=None):
     """make_cover on an embedding given as a LinearMap, which keeps the
-    provenance (factors) that its certificate may rest on."""
+    provenance (factors) that its certificate may rest on.  C, when given,
+    is the C*-algebra that j's image is known to generate, and rep j's
+    ci_check report; each is computed here otherwise."""
     if star_hom_violations(j, unital=True):
         raise NotHomomorphism(
             "j is not a unital homomorphism on the operator algebra")
     if verify:
-        rep = ci_check(j)
+        rep = ci_check(j) if rep is None else rep
         if rep.verdict == INCONCLUSIVE:
             raise Undecided(f"ci_check inconclusive: {rep.diagnostics}")
         if rep.verdict != CI:
@@ -155,10 +159,11 @@ def _validated_cover(A, j, name, verify=True):
                 "j is not completely isometric", rep.certificate)
         if rep.certificate is not None:
             j.certificate = rep.certificate["forward"]
-    C = generate_algebra(j.cod, j.images, self_adjoint=True, unital=True)
+    if C is None:
+        C = generate_algebra(j.cod, j.images, self_adjoint=True, unital=True)
     bad = C.verify()
     if bad:
-        raise CoverError(f"cover {name!r}: generated C is not a C*-algebra: "
+        raise CoverError(f"cover {name!r}: C is not a C*-algebra: "
                          + "; ".join(bad))
     return CstarCover(A=A, C=C, j=j, name=name)
 
@@ -255,19 +260,33 @@ def meet(c1, c2, name=None):
 
 def quotient_cover(cover, S, name="quotient"):
     """Cover obtained by quotienting C by the block ideal z_S C, realized on
-    the complementary corner and compressed onto its support."""
-    return _validated_cover(cover.A, _quotient_embedding(cover, S), name)
+    the complementary corner and compressed onto its support.  Its C is
+    that corner q(C), as C*(q . j(A)) = q(C*(j(A))) for the *-homomorphism
+    q."""
+    C, qj = _quotient_embedding(cover, S)
+    return _validated_cover(cover.A, qj, name, C=C,
+                            rep=_quotient_ci(cover, S, qj))
 
 
 def _quotient_embedding(cover, S):
-    """q . j, where q is the quotient of C by the block ideal z_S C on the
-    complementary corner, compressed onto that corner's support."""
+    """(q(C), q . j), where q is the quotient of C by the block ideal z_S C
+    on the complementary corner, compressed onto that corner's support."""
     corner, q = corner_quotient(cover.C, S)
     comp, V = compress_span(corner)
     if V is not None:
         q = LinearMap(dom=cover.C, cod=comp.ambient,
-                      images=np.array([V.conj().T @ m @ V for m in q.images]))
-    return q.compose(cover.j)
+                      images=V.conj().T @ q.images @ V)
+    return AlgebraSpan(comp.ambient, comp.basis, self_adjoint=True,
+                       unital=True), q.compose(cover.j)
+
+
+def _quotient_ci(cover, S, qj):
+    """ci_check of q . j, decided once per cover and block subset S: the
+    boundary-ideal test and the quotient cover ask the same question."""
+    S = frozenset(S)
+    if S not in cover._quotient_reports:
+        cover._quotient_reports[S] = ci_check(qj)
+    return cover._quotient_reports[S]
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +303,9 @@ def is_boundary(cover, S):
     bs = cover.structure()
     if S == frozenset(range(bs.num_blocks)):
         return False
-    qj = _quotient_embedding(cover, S)
-    rep = require_decisive(ci_check(qj), "boundary-ideal test")
+    rep = require_decisive(
+        _quotient_ci(cover, S, _quotient_embedding(cover, S)[1]),
+        "boundary-ideal test")
     return rep.verdict == CI
 
 

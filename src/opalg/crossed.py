@@ -10,7 +10,7 @@ generators j(a)^ lambda_s inside the C*-crossed product of the cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .cb import (CI, LinearMap, ci_check, map_from_generators,
 from .covers import CoverError, CstarCover, envelope, make_cover
 from .dynamics import (ADMISSIBLE, DynamicalSystem, admissible,
                        trivial_system)
-from .linalg import (MEMBER_TOL, AlgebraSpan, Ambient, generate_algebra,
-                     orthonormal_span)
+from .linalg import MEMBER_TOL, AlgebraSpan, Ambient, hs_orthonormalize
 
 
 class NotAdmissibleCover(CoverError):
@@ -51,10 +50,8 @@ class CrossedProduct:
     cover: CstarCover | None = None
     system: DynamicalSystem | None = None
     subalgebra: AlgebraSpan | None = None
-    generators: dict = field(default_factory=dict)  # (a_index, s) -> matrix
-
-    def generator(self, i, s):
-        return self.generators[(i, s)]
+    # j(a_i)^ lambda_s at row i * |G| + s, for the basis a_i of A
+    generators: np.ndarray | None = None
 
     def covariance_residual(self):
         """Largest HS norm of lambda_s hat(c) lambda_s* - hat(beta_s(c)) over
@@ -83,23 +80,23 @@ def cstar_crossed(C, G, betas):
     """C*-crossed product scaffold of a self-adjoint unital span C by G.
 
     betas[s] must be a validated *-automorphism of C for every s; covariance
-    of the regular model is re-verified on all generators.
+    of the regular model is re-verified on all generators.  The algebra is
+    the span of {hat(c) lambda_s}: covariance makes that span closed under
+    products, hat(c) lambda_s hat(d) lambda_t = hat(c beta_s(d)) lambda_st,
+    and adjoints, so it is C x G and no closure is generated.
     """
     N = C.ambient.dim
     NG = N * G.order
     amb = Ambient((NG,))
     lambdas = _lambda_matrices(G, N)
-
-    def embed(c):
-        out = np.zeros((NG, NG), dtype=complex)
-        for t in range(G.order):
-            out[t * N:(t + 1) * N, t * N:(t + 1) * N] = betas[G.inv(t)](c)
-        return out
-
-    hat = LinearMap(dom=C, cod=amb,
-                    images=np.array([embed(b) for b in C.basis]))
-    gens = list(hat.images) + list(lambdas)
-    algebra = generate_algebra(amb, gens, self_adjoint=True, unital=True)
+    hats = np.zeros((C.dim, NG, NG), dtype=complex)
+    for t in range(G.order):
+        hats[:, t * N:(t + 1) * N, t * N:(t + 1) * N] = \
+            [betas[G.inv(t)](b) for b in C.basis]
+    hat = LinearMap(dom=C, cod=amb, images=hats)
+    algebra = AlgebraSpan(amb, hs_orthonormalize(
+        (hats[:, None] @ lambdas).reshape(-1, NG, NG)),
+        self_adjoint=True, unital=True)
     cp = CrossedProduct(G=G, base=C, betas=betas, ambient=amb, hat=hat,
                         lambdas=lambdas, algebra=algebra)
     res = cp.covariance_residual()
@@ -124,16 +121,9 @@ def relative_crossed(ds, cover, report=None):
     cp = cstar_crossed(cover.C, ds.G, report.extension)
     cp.cover = cover
     cp.system = ds
-    gens = {}
-    mats = []
-    for i, a in enumerate(ds.A.span.basis):
-        ja = cp.hat(cover.j(a))
-        for s in range(ds.G.order):
-            m = ja @ cp.lambdas[s]
-            gens[(i, s)] = m
-            mats.append(m)
-    sub = orthonormal_span(cp.ambient, mats)
-    sub = AlgebraSpan(cp.ambient, sub.basis, unital=True)
+    gens = np.concatenate([cp.hat(cover.j(a)) @ cp.lambdas
+                           for a in ds.A.span.basis])
+    sub = AlgebraSpan(cp.ambient, hs_orthonormalize(gens), unital=True)
     if sub.dim != ds.A.dim * ds.G.order:
         raise CoverError(
             f"relative crossed product dimension {sub.dim} != "
@@ -170,12 +160,9 @@ def trivialization_iso(ds, cover, inner_report):
     us = inner_report.trivialized
     cp_a = relative_crossed(ds, cover)
     cp_i = relative_crossed(trivial_system(ds.A, ds.G), cover)
-    gen_mats, gen_imgs = [], []
-    for i, a in enumerate(ds.A.span.basis):
-        for s in range(ds.G.order):
-            gen_mats.append(cp_a.generator(i, s))
-            gen_imgs.append(cp_i.hat(cover.j(a @ us[s])) @ cp_i.lambdas[s])
-    phi = map_from_generators(cp_a.subalgebra, gen_mats, gen_imgs,
+    imgs = [cp_i.hat(cover.j(a @ u)) @ lam for a in ds.A.span.basis
+            for u, lam in zip(us, cp_i.lambdas)]
+    phi = map_from_generators(cp_a.subalgebra, cp_a.generators, imgs,
                               cp_i.ambient)
     bad = star_hom_violations(phi, cp_i.subalgebra, unital=True)
     if bad:
@@ -196,13 +183,8 @@ def crossed_equivalent(cp1, cp2):
         return False
     if cp1.subalgebra.dim != cp2.subalgebra.dim:
         return False
-    gen_mats, gen_imgs = [], []
-    for i in range(n1):
-        for s in range(cp1.G.order):
-            gen_mats.append(cp1.generator(i, s))
-            gen_imgs.append(cp2.generator(i, s))
-    phi = map_from_generators(cp1.subalgebra, gen_mats, gen_imgs,
-                              cp2.ambient)
+    phi = map_from_generators(cp1.subalgebra, cp1.generators,
+                              cp2.generators, cp2.ambient)
     if star_hom_violations(phi, cp2.subalgebra, unital=True):
         return False
     rep = require_decisive(ci_check(phi), "crossed-product comparison")

@@ -187,9 +187,10 @@ def null_space(M, left=False):
 def intertwiner_space(dom_imgs, cod_imgs, space):
     """Coefficient basis (rows, against space's basis) of
     {U in space : U x_a = y_a U for all a}."""
-    rows = [np.array([(b @ x - y @ b).ravel() for b in space.basis]).T
-            for x, y in zip(dom_imgs, cod_imgs)]
-    return null_space(np.vstack(rows))
+    B, X, Y = space.basis, np.asarray(dom_imgs), np.asarray(cod_imgs)
+    # one row per pair and entry, one column per basis element
+    rows = B @ X[:, None] - Y[:, None] @ B
+    return null_space(rows.transpose(0, 2, 3, 1).reshape(-1, len(B)))
 
 
 def hs_orthonormalize(mats):

@@ -21,7 +21,7 @@ from .crossed import CrossedProduct, cstar_crossed, full_crossed
 from .dynamics import DynamicalSystem, SystemError_, group_law_violations
 from .linalg import (MEMBER_TOL, AlgebraSpan, Ambient, compress_span,
                      direct_sum, orthonormal_span)
-from .structure import (corner, ideal_blocks, is_essential,
+from .structure import (corner, corner_quotient, ideal_blocks, is_essential,
                         minimal_central_projections)
 from .covers import shilov as shilov_set_of
 
@@ -60,14 +60,9 @@ def decompose(cover):
         raise ShilovNotMaximal(
             f"envelope has {env_blocks} blocks; Shilov ideal not maximal")
     p = bs.subset_projection(bs.complement(S))
-
-    def after_j(z):
-        """x -> z x on C (a *-homomorphism, z being central), after j."""
-        zx = LinearMap(dom=cover.C, cod=cover.ambient,
-                       images=np.array([z @ b for b in cover.C.basis]))
-        return zx.compose(cover.j)
-
-    j1, j2 = after_j(p), after_j(cover.ambient.identity() - p)
+    # x -> p x and x -> (1-p) x on C, after j
+    j1, j2 = (corner_quotient(cover.C, T)[1].compose(cover.j)
+              for T in (S, bs.complement(S)))
     rep1 = require_decisive(ci_check(j1), "envelope part of the splitting")
     if rep1.verdict != CI:
         raise CoverError("p j is not completely isometric")
@@ -284,14 +279,9 @@ def verify_partial_recovery(ds, cover):
     dec = spec.decomposition
     G = ds.G
     fc = full_crossed(ds)
-    gen_b, gen_f = [], []
-    for i, a in enumerate(ds.A.span.basis):
-        j1a = dec.p @ cover.j(a)
-        for s in range(G.order):
-            gen_b.append(pc.gamma(s, j1a))
-            gen_f.append(fc.generator(i, s))
+    gen_b = [pc.gamma(s, dec.p @ cover.j(a)) for a in ds.A.span.basis
+             for s in range(G.order)]
     B = orthonormal_span(pc.ambient, gen_b)
-    B = AlgebraSpan(pc.ambient, B.basis, unital=False)
     diagnostics = {}
     ok = True
     if B.dim != ds.A.dim * G.order:
@@ -300,8 +290,9 @@ def verify_partial_recovery(ds, cover):
                                  f"{ds.A.dim * G.order}")
     residual = 0.0
     if ok:
-        fwd = map_from_generators(B, gen_b, gen_f, fc.ambient)
-        bwd = map_from_generators(fc.subalgebra, gen_f, gen_b, pc.ambient)
+        fwd = map_from_generators(B, gen_b, fc.generators, fc.ambient)
+        bwd = map_from_generators(fc.subalgebra, fc.generators, gen_b,
+                                  pc.ambient)
         for b in B.basis:
             residual = max(residual,
                            float(np.linalg.norm(bwd(fwd(b)) - b)))

@@ -44,6 +44,15 @@ class TestLinearMap:
         assert np.allclose(ident(np.array([x, 2 * x])), [x, 2 * x])
         assert np.allclose(ident.compose(ident)(x), x)
 
+    def test_compose_matches_the_per_image_loop(self, m2):
+        rng = np.random.default_rng(5)
+        outer, inner = (map_from_images(m2, m2.ambient,
+                                        [rand_mat(rng, 2) for _ in m2.basis])
+                        for _ in range(2))
+        loop = np.array([outer(img) for img in inner.images])
+        assert np.allclose(outer.compose(inner).images, loop,
+                           rtol=0, atol=1e-12)
+
     def test_inverse_on_image(self, m2):
         rng = np.random.default_rng(4)
         u = np.linalg.qr(rand_mat(rng, 2))[0]

@@ -1,17 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from opalg.corpus import (a4_envelope, a4_inclusion_cover,
                           a4_schur_cover, a4_schur_cover_swapped,
-                          a4_symmetrized_cover, t2_algebra, t2_corner_cover,
-                          t2_diag_cover, t2_envelope, t2_inclusion_cover)
-from opalg import cb, covers
+                          a4_symmetrized_cover, a4_system, t2_algebra,
+                          t2_corner_cover, t2_diag_cover, t2_envelope,
+                          t2_inclusion_cover, t2_system)
+from opalg import cb, covers, linalg
 from opalg.cb import star_hom_violations
 from opalg.covers import (CoverError, CoverMorphism, MorphismAbsence,
                           NotCompletelyIsometric, NotHomomorphism,
                           envelope, equivalent, induced_morphism,
                           is_boundary, join, leq, make_cover, meet,
                           normalize_witness, quotient_cover, shilov)
+from opalg.crossed import cstar_crossed
+from opalg.dynamics import ADMISSIBLE, admissible
 from opalg.linalg import (AlgebraSpan, Ambient, graph_closure,
                           graph_obstruction)
 
@@ -52,12 +57,52 @@ class TestMakeCover:
     def test_quotient_of_the_symmetrized_cover_is_a_cstar_algebra(self):
         cov = a4_symmetrized_cover.__wrapped__()
         assert cov.structure().block_dims == (4, 2, 2, 1, 1, 1, 1)
-        try:
-            q = quotient_cover(cov, {3, 4, 5})
-        except CoverError:
-            return
+        q = quotient_cover(cov, {3, 4, 5})
         assert q.C.dim == 25
         assert q.C.verify() == []
+
+    def test_every_quotient_of_the_symmetrized_cover(self):
+        # The 64 covers between the symmetrized cover and its envelope.
+        # Swap-admissible exactly when S is a union of swapped pairs of
+        # blocks; a graph closure that the guard refuses is Undecided.
+        cov = a4_symmetrized_cover.__wrapped__()
+        dims = cov.structure().block_dims
+        assert dims == (4, 2, 2, 1, 1, 1, 1)
+        assert shilov(cov) == frozenset(range(1, 7))
+        want = {frozenset(S) for S in [(), (1, 2), (3, 5), (4, 6),
+                                       (1, 2, 3, 5), (1, 2, 4, 6),
+                                       (3, 4, 5, 6), range(1, 7)]}
+        for r in range(7):
+            for S in map(frozenset, itertools.combinations(range(1, 7), r)):
+                q = quotient_cover(cov, S)
+                assert q.C.dim == sum(d * d for i, d in enumerate(dims)
+                                      if i not in S), S
+                assert q.C.verify() == [], S
+                try:
+                    rep = admissible(a4_system(), q)
+                except cb.Undecided:
+                    continue
+                assert (rep.verdict == ADMISSIBLE) == (S in want), S
+
+    def test_quotients_envelopes_and_crossed_products_generate_nothing(
+            self, monkeypatch):
+        # Their algebras are the corner q(C) and the span of the
+        # hat(c) lambda_s; the closure is left to new embeddings and
+        # graph closures.
+        cov = t2_diag_cover.__wrapped__()
+        ds = t2_system()
+        rep = admissible(ds, cov)
+        S = shilov(cov)
+
+        def no_closure(*args, **kwargs):
+            raise AssertionError("closure generated")
+
+        monkeypatch.setattr(linalg, "_closure", no_closure)
+        assert quotient_cover(cov, S).C.dim == 4
+        assert envelope(cov).C.dim == 4
+        cp = cstar_crossed(cov.C, ds.G, rep.extension)
+        assert cp.algebra.dim == cov.C.dim * ds.G.order
+        assert cp.algebra.verify() == []
 
 
 class TestGraphEngine:
@@ -75,6 +120,22 @@ class TestGraphEngine:
         G = graph_closure(amb, amb, [(amb.matrix_unit(0, 0),
                                       amb.matrix_unit(0, 1))])
         assert graph_obstruction(amb, amb, G).dim > 0
+
+    @pytest.mark.parametrize("bad", ["too big", "off the blocks"])
+    def test_graph_map_refuses_a_closure_that_is_not_an_algebra(
+            self, bad, monkeypatch):
+        # Ambient((1,)) (+) Ambient((1,)) holds at most 2 dimensions, all
+        # on the diagonal; a closure gone wrong can exceed either bound.
+        amb = Ambient((1,))
+        big = Ambient((2,))
+        E = big.matrix_unit
+        basis = [E(0, 0), E(1, 1), (E(0, 0) + E(1, 1)) / np.sqrt(2)] \
+            if bad == "too big" else [E(0, 1)]
+        monkeypatch.setattr(cb, "graph_closure", lambda *args, **kwargs:
+                            AlgebraSpan(big, np.array(basis)))
+        with pytest.raises(cb.Undecided, match=r"ambient \(1, 1\)"):
+            cb.graph_map(amb, amb, [(amb.identity(), amb.identity())])
+
 
 class TestOrder:
     def test_schur_above_inclusion(self):

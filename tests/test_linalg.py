@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from opalg.linalg import (RANK_TOL, AlgebraSpan, Ambient, AmbientMismatch,
                           NotInSpan, _closure, compress_span, diagonal,
                           direct_sum, generate_algebra, hs_orthonormalize,
-                          intersect_spans, null_space, operator_norm,
-                          orthonormal_span, support_isometry)
+                          intersect_spans, intertwiner_space, null_space,
+                          operator_norm, orthonormal_span, support_isometry)
 
 
 def rand_mat(rng, n):
@@ -291,6 +291,24 @@ def test_null_space_of_rank_deficient_matrix(shape, left, want):
     assert np.allclose(null @ null.conj().T, np.eye(want))
     residual = null @ M if left else M @ null.T
     assert np.linalg.norm(residual) < RANK_TOL
+
+
+def test_intertwiner_space_matches_the_per_pair_loop():
+    # y_a = u x_a u*: in M3 the intertwiners are the multiples of u
+    rng = np.random.default_rng(6)
+    amb = Ambient((3,))
+    space = orthonormal_span(amb, [amb.matrix_unit(i, j)
+                                   for i in range(3) for j in range(3)])
+    u = np.linalg.qr(rand_mat(rng, 3))[0]
+    xs = [rand_mat(rng, 3) for _ in range(2)]
+    ys = [u @ x @ u.conj().T for x in xs]
+    loop = null_space(np.vstack(
+        [np.array([(b @ x - y @ b).ravel() for b in space.basis]).T
+         for x, y in zip(xs, ys)]))
+    got = intertwiner_space(xs, ys, space)
+    assert got.shape == loop.shape == (1, 9)
+    assert np.allclose(got.conj().T @ got, loop.conj().T @ loop,
+                       rtol=0, atol=1e-12)
 
 
 def test_intersect_spans():
