@@ -18,7 +18,7 @@ from .covers import (CoverError, CoverMorphism, CstarCover, MorphismAbsence,
                      NotCompletelyIsometric, NotHomomorphism,
                      OperatorAlgebra, envelope, equivalent, induced_morphism,
                      is_boundary, join, leq, make_cover, meet,
-                     quotient_cover, shilov)
+                     quotient_cover, quotient_map, shilov)
 from .crossed import (CrossedProduct, NotAdmissibleCover, crossed_equivalent,
                       cstar_crossed, full_crossed, relative_crossed,
                       trivialization_iso)

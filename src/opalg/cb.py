@@ -129,12 +129,9 @@ def map_from_generators(dom_span, gen_mats, gen_images, cod):
     non-orthonormal or redundant) family spanning it: each basis element is
     expanded over the family by least squares."""
     flat = np.array([np.ravel(m) for m in gen_mats])
-    gen_images = np.asarray(gen_images)
-    imgs = []
-    for b in dom_span.basis:
-        c, *_ = np.linalg.lstsq(flat.T, b.ravel(), rcond=None)
-        imgs.append(np.tensordot(c, gen_images, axes=(0, 0)))
-    return LinearMap(dom=dom_span, cod=cod, images=np.array(imgs))
+    c, *_ = np.linalg.lstsq(flat.T, dom_span._flat.T, rcond=None)
+    imgs = np.tensordot(c.T, np.asarray(gen_images), axes=(1, 0))
+    return LinearMap(dom=dom_span, cod=cod, images=imgs)
 
 
 @dataclass

@@ -263,21 +263,23 @@ def quotient_cover(cover, S, name="quotient"):
     the complementary corner and compressed onto its support.  Its C is
     that corner q(C), as C*(q . j(A)) = q(C*(j(A))) for the *-homomorphism
     q."""
-    C, qj = _quotient_embedding(cover, S)
+    C, q = quotient_map(cover.C, S)
+    qj = q.compose(cover.j)
     return _validated_cover(cover.A, qj, name, C=C,
                             rep=_quotient_ci(cover, S, qj))
 
 
-def _quotient_embedding(cover, S):
-    """(q(C), q . j), where q is the quotient of C by the block ideal z_S C
-    on the complementary corner, compressed onto that corner's support."""
-    corner, q = corner_quotient(cover.C, S)
+def quotient_map(C, S):
+    """(q(C), q): the quotient q of C by the block ideal z_S C, realized on
+    the complementary corner and compressed onto that corner's support,
+    and the C*-algebra q(C) it is onto."""
+    corner, q = corner_quotient(C, S)
     comp, V = compress_span(corner)
     if V is not None:
-        q = LinearMap(dom=cover.C, cod=comp.ambient,
+        q = LinearMap(dom=C, cod=comp.ambient,
                       images=V.conj().T @ q.images @ V)
     return AlgebraSpan(comp.ambient, comp.basis, self_adjoint=True,
-                       unital=True), q.compose(cover.j)
+                       unital=True), q
 
 
 def _quotient_ci(cover, S, qj):
@@ -303,9 +305,8 @@ def is_boundary(cover, S):
     bs = cover.structure()
     if S == frozenset(range(bs.num_blocks)):
         return False
-    rep = require_decisive(
-        _quotient_ci(cover, S, _quotient_embedding(cover, S)[1]),
-        "boundary-ideal test")
+    qj = quotient_map(cover.C, S)[1].compose(cover.j)
+    rep = require_decisive(_quotient_ci(cover, S, qj), "boundary-ideal test")
     return rep.verdict == CI
 
 

@@ -147,6 +147,22 @@ def full_crossed(ds):
     return relative_crossed(ds, env)
 
 
+NOT_ISOMETRIC = "not completely isometric"
+
+
+def generator_isomorphism(dom, gens, imgs, onto, what, unital=True):
+    """The map on `dom` that sends the spanning family `gens` to `imgs`,
+    and the first reason it is not a completely isometric
+    *-isomorphism onto the span `onto`: its star_hom_violations, else
+    [NOT_ISOMETRIC] when ci_check (decisive, about `what`) says so, else
+    []."""
+    phi = map_from_generators(dom, gens, imgs, onto.ambient)
+    bad = star_hom_violations(phi, onto, unital=unital)
+    if not bad and require_decisive(ci_check(phi), what).verdict != CI:
+        bad = [NOT_ISOMETRIC]
+    return phi, bad
+
+
 def trivialization_iso(ds, cover, inner_report):
     """The isomorphism A x_alpha G -> A x_iota G, f(s) -> f(s) U~_s, for a
     system that is inner in itself with exactly-multiplicative unitaries.
@@ -162,14 +178,11 @@ def trivialization_iso(ds, cover, inner_report):
     cp_i = relative_crossed(trivial_system(ds.A, ds.G), cover)
     imgs = [cp_i.hat(cover.j(a @ u)) @ lam for a in ds.A.span.basis
             for u, lam in zip(us, cp_i.lambdas)]
-    phi = map_from_generators(cp_a.subalgebra, cp_a.generators, imgs,
-                              cp_i.ambient)
-    bad = star_hom_violations(phi, cp_i.subalgebra, unital=True)
+    phi, bad = generator_isomorphism(cp_a.subalgebra, cp_a.generators, imgs,
+                                     cp_i.subalgebra,
+                                     "trivialization isomorphism")
     if bad:
         raise CoverError("trivialization map is " + "; ".join(bad))
-    rep = require_decisive(ci_check(phi), "trivialization isomorphism")
-    if rep.verdict != CI:
-        raise CoverError("trivialization map is not completely isometric")
     return phi, cp_a, cp_i
 
 
@@ -183,9 +196,7 @@ def crossed_equivalent(cp1, cp2):
         return False
     if cp1.subalgebra.dim != cp2.subalgebra.dim:
         return False
-    phi = map_from_generators(cp1.subalgebra, cp1.generators,
-                              cp2.generators, cp2.ambient)
-    if star_hom_violations(phi, cp2.subalgebra, unital=True):
-        return False
-    rep = require_decisive(ci_check(phi), "crossed-product comparison")
-    return rep.verdict == CI
+    _, bad = generator_isomorphism(cp1.subalgebra, cp1.generators,
+                                   cp2.generators, cp2.subalgebra,
+                                   "crossed-product comparison")
+    return not bad

@@ -3,6 +3,13 @@ build the induced partial action of the group on the cover, realize the
 partial crossed product concretely, and verify that the operator-algebra
 crossed product sits inside it completely isometrically.
 
+The partial action's domain is C at the identity and the corner pC
+elsewhere, and pC is the C*-envelope.  The dynamics always extends to the
+envelope, so the action on pC is the extension `dynamics.admissible` finds
+there, and the partial crossed product is the envelope's crossed product
+plus the Shilov part (1-p)C at the identity fiber.  Both pieces of C are
+reached through `covers.quotient_map`.
+
 The point of the pipeline: even when a cover is not admissible (the action
 does not extend to it globally), the action survives as a partial action
 whose crossed product still contains A x G.
@@ -14,16 +21,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cb import (CC, CI, NOT_CI, LinearMap, cc_check, ci_check, graph_map,
+from .cb import (CC, CI, NOT_CI, LinearMap, cc_check, ci_check,
                  map_from_generators, require_decisive, star_hom_violations)
-from .covers import CoverError, CstarCover
-from .crossed import CrossedProduct, cstar_crossed, full_crossed
-from .dynamics import DynamicalSystem, SystemError_, group_law_violations
-from .linalg import (MEMBER_TOL, AlgebraSpan, Ambient, compress_span,
-                     direct_sum, orthonormal_span)
-from .structure import (corner, corner_quotient, ideal_blocks, is_essential,
-                        minimal_central_projections)
+from .covers import CoverError, CstarCover, envelope, quotient_map
 from .covers import shilov as shilov_set_of
+from .crossed import (NOT_ISOMETRIC, CrossedProduct, cstar_crossed,
+                      full_crossed, generator_isomorphism)
+from .dynamics import ADMISSIBLE, DynamicalSystem, SystemError_, admissible
+from .linalg import (MEMBER_TOL, AlgebraSpan, Ambient, hs_orthonormalize,
+                     orthonormal_span)
+from .structure import ideal_blocks, is_essential, \
+    minimal_central_projections
 
 
 class ShilovNotMaximal(CoverError):
@@ -61,8 +69,9 @@ def decompose(cover):
             f"envelope has {env_blocks} blocks; Shilov ideal not maximal")
     p = bs.subset_projection(bs.complement(S))
     # x -> p x and x -> (1-p) x on C, after j
-    j1, j2 = (corner_quotient(cover.C, T)[1].compose(cover.j)
-              for T in (S, bs.complement(S)))
+    j1, j2 = (LinearMap(dom=cover.C, cod=cover.ambient,
+                        images=z @ cover.C.basis).compose(cover.j)
+              for z in (p, bs.subset_projection(S)))
     rep1 = require_decisive(ci_check(j1), "envelope part of the splitting")
     if rep1.verdict != CI:
         raise CoverError("p j is not completely isometric")
@@ -85,65 +94,49 @@ def decompose(cover):
 @dataclass
 class PartialActionSpec:
     """The paper's partial action of G on a cover C: full domain at the
-    identity, the annihilator corner pC everywhere else, acted on by the
-    envelope extension."""
+    identity, the annihilator corner pC everywhere else.  pC is the
+    C*-envelope, realized as `envelope.C` through the quotient map q of C
+    by its Shilov ideal, and the action on it is the envelope's extension
+    `betas` of the dynamics."""
 
     ds: DynamicalSystem
     cover: CstarCover
     decomposition: Decomposition
-    corner: AlgebraSpan       # pC inside the cover ambient
-    thetas: list              # LinearMap on `corner` per group element
+    envelope: CstarCover
+    q: LinearMap              # C -> envelope.ambient, x -> p x compressed
+    betas: list               # LinearMap on envelope.C per group element
 
     def domain(self, s):
-        return self.decomposition.cover.C if s == self.ds.G.identity \
-            else self.corner
+        return self.cover.C if s == self.ds.G.identity else self.envelope.C
 
 
 def build_partial_action(ds, cover):
-    """Construct and validate the partial action induced on a cover.
-
-    The corner maps theta_s come from graph closure of the corner embedding
-    pairs {(p j(a), p j(alpha_s(a)))}; the corner is equivalent to the
-    envelope, which is always admissible, so the closure must be a graph."""
+    """The partial action induced on a cover.  The dynamics always extends
+    to the C*-envelope (Katsoulis & Ramsey), so the action on the corner is
+    the envelope's admissibility extension; SystemError_ when the envelope
+    is not admissible."""
     dec = decompose(cover)
-    amb = cover.ambient
-    pC = corner(cover.C, dec.p)
-    basis = ds.A.span.basis
-    xs = np.array([dec.p @ cover.j(a) for a in basis])
-    thetas, bad = [], []
-    for s in range(ds.G.order):
-        ys = np.array([dec.p @ cover.j(ds.act(s, a)) for a in basis])
-        if s == ds.G.identity:
-            theta = LinearMap(dom=pC, cod=amb, images=pC.basis.copy())
-        else:
-            theta, _ = graph_map(amb, amb, zip(xs, ys), pC, unital=False)
-            if theta is None:
-                raise SystemError_(
-                    "corner action closure is not a graph; envelope "
-                    "extension missing")
-        bad += [f"theta_{s} {v}"
-                for v in star_hom_violations(theta, pC, pairs=(xs, ys))]
-        thetas.append(theta)
-    bad += group_law_violations(ds.G, thetas, pC, "theta")
-    if bad:
-        raise SystemError_("partial-action axioms violated: " +
-                           "; ".join(bad))
+    env = envelope(cover)
+    rep = admissible(ds, env)
+    if rep.verdict != ADMISSIBLE:
+        raise SystemError_("the action does not extend to the C*-envelope")
+    _, q = quotient_map(cover.C, dec.shilov_blocks)
     return PartialActionSpec(ds=ds, cover=cover, decomposition=dec,
-                             corner=pC, thetas=thetas)
+                             envelope=env, q=q, betas=rep.extension)
 
 
 @dataclass
 class PartialCrossed:
-    """Concrete model of C x_theta G: the crossed product of the corner by
-    the (global) corner action, plus an untouched copy of the complementary
-    part of C at the identity fiber."""
+    """Concrete model of C x_theta G: the crossed product of the envelope
+    by the extended action, plus the Shilov part (1-p)C of C at the
+    identity fiber."""
 
     spec: PartialActionSpec
     ambient: Ambient
     algebra: AlgebraSpan
-    corner_crossed: CrossedProduct
+    envelope_crossed: CrossedProduct
     gamma_e: LinearMap        # C -> ambient, images of x delta_e
-    gamma_s: list             # corner -> ambient for s != identity
+    gamma_s: list             # envelope.C -> ambient, z -> z delta_s
     convolution_residual: float = 0.0
 
     def gamma(self, s, x):
@@ -156,67 +149,40 @@ def partial_crossed(spec):
     """Build the Gamma-model of the partial crossed product and verify it
     against the convolution law (x delta_s)(y delta_t) =
     theta_s(theta_{s^-1}(x) y) delta_{st} on all basis pairs."""
-    ds, cover, dec = spec.ds, spec.cover, spec.decomposition
+    ds, cover, env = spec.ds, spec.cover, spec.envelope
     G = ds.G
-    corner_c, V = compress_span(spec.corner)
-    if V is None:
-        V = np.eye(cover.ambient.dim, dtype=complex)
-    thetas_c = []
-    for th in spec.thetas:
-        imgs = np.array([V.conj().T @ th(V @ b @ V.conj().T) @ V
-                         for b in corner_c.basis])
-        thetas_c.append(LinearMap(dom=corner_c, cod=corner_c.ambient,
-                                  images=imgs))
-    cp = cstar_crossed(corner_c, G, thetas_c)
-    # complementary part (1-p)C on its own support
-    q = cover.ambient.identity() - dec.p
-    rest = corner(cover.C, q)
-    if rest.dim:
-        rest_c, W = compress_span(rest)
-        amb = cp.ambient.direct_sum(rest_c.ambient)
-    else:
-        rest_c, W = rest, None
-        amb = cp.ambient
+    cp = cstar_crossed(env.C, G, spec.betas)
+    S = spec.decomposition.shilov_blocks
     NG = cp.ambient.dim
+    amb, shilov_part = cp.ambient, None
+    if S:
+        # r: C -> (1-p)C, the quotient by the complementary blocks
+        rest, r = quotient_map(cover.C, cover.structure().complement(S))
+        amb = amb.direct_sum(rest.ambient)
+        shilov_part = r.images
 
     def pad(top, bottom=None):
-        if rest.dim == 0:
-            return top
-        b = bottom if bottom is not None \
-            else np.zeros((rest_c.ambient.dim,) * 2, dtype=complex)
-        return direct_sum(top, b)
+        out = np.zeros((len(top), amb.dim, amb.dim), dtype=complex)
+        out[:, :NG, :NG] = top
+        if bottom is not None:
+            out[:, NG:, NG:] = bottom
+        return out
 
-    def comp_corner(x):
-        return V.conj().T @ x @ V
-
-    def comp_rest(x):
-        return W.conj().T @ x @ W if W is not None else x
-
-    ge_imgs = []
-    for b in cover.C.basis:
-        top = cp.hat(comp_corner(dec.p @ b))
-        ge_imgs.append(pad(top, comp_rest(q @ b) if rest.dim else None))
-    gamma_e = LinearMap(dom=cover.C, cod=amb, images=np.array(ge_imgs))
-    gamma_s = [None] * G.order
-    all_mats = list(gamma_e.images)
-    for s in range(G.order):
-        if s == G.identity:
-            continue
-        imgs = []
-        for b in spec.corner.basis:
-            top = cp.hat(comp_corner(b)) @ cp.lambdas[s]
-            imgs.append(pad(top))
-        gamma_s[s] = LinearMap(dom=spec.corner, cod=amb,
-                               images=np.array(imgs))
-        all_mats += imgs
-    algebra = orthonormal_span(amb, all_mats)
-    algebra = AlgebraSpan(amb, algebra.basis, self_adjoint=True, unital=True)
-    want = cover.C.dim + spec.corner.dim * (G.order - 1)
+    gamma_e = LinearMap(dom=cover.C, cod=amb,
+                        images=pad(cp.hat(spec.q.images), shilov_part))
+    gamma_s = [LinearMap(dom=env.C, cod=amb, images=pad(cp.hat.images @ lam))
+               for lam in cp.lambdas]
+    mats = [gamma_e.images] + [g.images for s, g in enumerate(gamma_s)
+                               if s != G.identity]
+    algebra = AlgebraSpan(amb, hs_orthonormalize(np.concatenate(mats)),
+                          self_adjoint=True, unital=True)
+    want = cover.C.dim + env.C.dim * (G.order - 1)
     if algebra.dim != want:
         raise SystemError_(
             f"partial crossed product dimension {algebra.dim} != {want}")
     pc = PartialCrossed(spec=spec, ambient=amb, algebra=algebra,
-                        corner_crossed=cp, gamma_e=gamma_e, gamma_s=gamma_s)
+                        envelope_crossed=cp, gamma_e=gamma_e,
+                        gamma_s=gamma_s)
     res = _convolution_residual(pc)
     if res > 100 * MEMBER_TOL:
         raise SystemError_(
@@ -231,27 +197,30 @@ def partial_crossed(spec):
 
 def _convolution_residual(pc):
     """Largest HS residual of the convolution law, one x against the whole
-    stack of y's per (s, t) block."""
+    stack of y's per (s, t) block.  Products leaving the identity fiber are
+    taken in the envelope, where q carries the identity fiber's C."""
     spec = pc.spec
     G = spec.ds.G
     e = G.identity
-    corner = spec.corner
-    th = spec.thetas
+    q, betas = spec.q, spec.betas
     stacks = [spec.domain(s).basis for s in range(G.order)]
     gammas = [pc.gamma(s, stacks[s]) for s in range(G.order)]
+    env_stacks = [q(x) if s == e else x for s, x in enumerate(stacks)]
     res = 0.0
     for s in range(G.order):
         # theta_s(theta_{s^-1}(x) y) delta_{st}
-        xis = stacks[s] if s == e else th[G.inv(s)](stacks[s])
+        xis = stacks[s] if s == e else betas[G.inv(s)](stacks[s])
         for i, xi in enumerate(xis):
             for t in range(G.order):
                 st = G.mul(s, t)
-                prod = xi @ stacks[t]
-                if s != e:
-                    prod = th[s](corner.project(prod))
-                if st != e:
-                    prod = corner.project(prod)
-                diff = gammas[s][i] @ gammas[t] - pc.gamma(st, prod)
+                if s == e and t == e:
+                    want = pc.gamma_e(xi @ stacks[t])
+                else:
+                    prod = (q(xi) if s == e else xi) @ env_stacks[t]
+                    if s != e:
+                        prod = betas[s](prod)
+                    want = pc.gamma_s[st](prod)
+                diff = gammas[s][i] @ gammas[t] - want
                 res = max(res, float(np.linalg.norm(
                     diff, axis=(-2, -1)).max(initial=0.0)))
     return res
@@ -276,10 +245,10 @@ def verify_partial_recovery(ds, cover):
     isomorphism in both directions."""
     spec = build_partial_action(ds, cover)
     pc = partial_crossed(spec)
-    dec = spec.decomposition
     G = ds.G
     fc = full_crossed(ds)
-    gen_b = [pc.gamma(s, dec.p @ cover.j(a)) for a in ds.A.span.basis
+    # j1(a) delta_s is envelope.j(a) delta_s, for s = e too
+    gen_b = [pc.gamma_s[s](spec.envelope.j(a)) for a in ds.A.span.basis
              for s in range(G.order)]
     B = orthonormal_span(pc.ambient, gen_b)
     diagnostics = {}
@@ -290,27 +259,24 @@ def verify_partial_recovery(ds, cover):
                                  f"{ds.A.dim * G.order}")
     residual = 0.0
     if ok:
-        fwd = map_from_generators(B, gen_b, fc.generators, fc.ambient)
+        # B does not hold the ambient's identity: no unit to preserve
+        fwd, bad = generator_isomorphism(B, gen_b, fc.generators,
+                                         fc.subalgebra,
+                                         "recovery isomorphism",
+                                         unital=False)
         bwd = map_from_generators(fc.subalgebra, fc.generators, gen_b,
                                   pc.ambient)
-        for b in B.basis:
-            residual = max(residual,
-                           float(np.linalg.norm(bwd(fwd(b)) - b)))
-        for b in fc.subalgebra.basis:
-            residual = max(residual,
-                           float(np.linalg.norm(fwd(bwd(b)) - b)))
+        residual = max(
+            float(np.linalg.norm(g(f(X)) - X, axis=(1, 2)).max())
+            for f, g, X in ((fwd, bwd, B.basis),
+                            (bwd, fwd, fc.subalgebra.basis)))
         if residual > 100 * MEMBER_TOL:
             ok = False
             diagnostics["reason"] = "recovery maps are not mutually inverse"
-        elif star_hom_violations(fwd):
+        elif bad:
             ok = False
-            diagnostics["reason"] = "recovery map is not a homomorphism"
-        else:
-            rep = require_decisive(ci_check(fwd), "recovery isomorphism")
-            if rep.verdict != CI:
-                ok = False
-                diagnostics["reason"] = ("recovery map is not completely "
-                                         "isometric")
+            diagnostics["reason"] = "recovery map is " + (
+                bad[0] if bad == [NOT_ISOMETRIC] else "not a homomorphism")
     pb = minimal_central_projections(pc.algebra).block_dims
     cb_ = minimal_central_projections(fc.algebra).block_dims
     return RecoveryReport(verified=ok, subalgebra_dim=B.dim,

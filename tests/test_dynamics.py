@@ -6,7 +6,8 @@ from opalg.corpus import (Z2, a4_envelope, a4_schur_cover, a4_swap_unitary,
                           a4_trivial_system, t2_algebra, t2_diag_cover,
                           t2_envelope, t2_system)
 from opalg import dynamics
-from opalg.covers import induced_morphism
+from opalg.cb import LinearMap
+from opalg.covers import envelope, induced_morphism
 from opalg.dynamics import (ADMISSIBLE, NOT_ADMISSIBLE, FiniteGroup,
                             GroupError, SystemError_, admissible,
                             inner_in_itself, invariant_kernel_check,
@@ -87,6 +88,16 @@ class TestAdmissibility:
             got = rep.extension[1](env.j(a))
             want = env.j(ds.act(1, a))
             assert np.allclose(got, want, atol=1e-8)
+
+    def test_extension_is_checked_against_its_pairs(self, monkeypatch):
+        # Read the identity off every graph: a *-automorphism of C obeying
+        # the group law, but it does not carry the swap.
+        monkeypatch.setattr(
+            dynamics, "graph_map",
+            lambda amb1, amb2, pairs, dom, unital=True: (
+                LinearMap(dom=dom, cod=amb2, images=dom.basis), None))
+        with pytest.raises(SystemError_, match="beta_1 does not send"):
+            admissible(a4_system(), envelope(a4_schur_cover()))
 
     def test_symmetrized_cover_admissible(self):
         rep = admissible(a4_system(), a4_symmetrized_cover())

@@ -3,11 +3,11 @@ import pytest
 
 from opalg.corpus import (a4_envelope, a4_schur_cover, a4_system, t2_algebra,
                           t2_diag_cover, t2_system)
-from opalg import partialact
+from opalg import cb, partialact
 from opalg.cb import LinearMap
 from opalg.linalg import AlgebraSpan, Ambient, orthonormal_span
-from opalg.covers import OperatorAlgebra, make_cover
-from opalg.dynamics import FiniteGroup, SystemError_, trivial_system
+from opalg.covers import OperatorAlgebra, envelope, make_cover
+from opalg.dynamics import FiniteGroup, trivial_system
 from opalg.partialact import (ShilovNotMaximal, build_partial_action,
                               decompose, partial_crossed,
                               verify_partial_recovery)
@@ -54,38 +54,41 @@ class TestDecompose:
 
 class TestPartialAction:
     def test_corner_and_thetas(self, schur_spec):
-        assert schur_spec.corner.dim == 16
+        env = schur_spec.envelope
+        assert env.C.dim == 16
         ds = a4_system()
-        e = ds.G.identity
-        for s, th in enumerate(schur_spec.thetas):
-            if s == e:
-                continue
-            # theta_s matches the action on the embedded copy of A.
-            p = schur_spec.decomposition.p
-            cov = schur_spec.cover
+        for s, beta in enumerate(schur_spec.betas):
+            # beta_s matches the action on the envelope's copy of A.
             for a in ds.A.span.basis:
-                got = th(p @ cov.j(a))
-                want = p @ cov.j(ds.act(s, a))
-                assert np.allclose(got, want, atol=1e-8)
-
-    def test_corner_maps_are_checked_against_their_pairs(self, monkeypatch):
-        # Read the identity off every graph: a *-automorphism of the corner
-        # obeying the group law, but it does not carry the swap.
-        monkeypatch.setattr(
-            partialact, "graph_map",
-            lambda amb1, amb2, pairs, dom, unital: (
-                LinearMap(dom=dom, cod=amb2, images=dom.basis), None))
-        with pytest.raises(SystemError_, match="theta_1 does not send"):
-            build_partial_action(a4_system(), a4_schur_cover())
+                assert np.allclose(beta(env.j(a)), env.j(ds.act(s, a)),
+                                   atol=1e-8)
 
     def test_theta_inverse_law(self, schur_spec):
         G = schur_spec.ds.G
+        betas = schur_spec.betas
+        basis = schur_spec.envelope.C.basis
         for s in range(G.order):
-            if s == G.identity:
-                continue
-            th, thinv = schur_spec.thetas[s], schur_spec.thetas[G.inv(s)]
-            for x in schur_spec.corner.basis:
-                assert np.allclose(thinv(th(x)), x, atol=1e-8)
+            for t in range(G.order):
+                assert np.allclose(betas[s](betas[t](basis)),
+                                   betas[G.mul(s, t)](basis), atol=1e-8)
+
+    def test_graph_closures_lie_in_the_envelope(self, monkeypatch):
+        """The corner action is the envelope's extension: the action's graph
+        closures are taken in the envelope's ambient, not the cover's."""
+        cov, ds = a4_schur_cover(), a4_system()
+        env = envelope(cov)
+        seen, closure = [], cb.graph_closure
+
+        def recording(amb1, amb2, pairs, unital=True):
+            seen.append((amb1, amb2))
+            return closure(amb1, amb2, pairs, unital=unital)
+
+        monkeypatch.setattr(cb, "graph_closure", recording)
+        build_partial_action(ds, cov)
+        actions = [pair for pair in seen if pair[0] == pair[1]]
+        assert actions
+        assert all(pair == (env.ambient, env.ambient) for pair in actions)
+        assert (cov.ambient, cov.ambient) not in seen
 
 
 class TestPartialCrossed:
@@ -98,23 +101,27 @@ class TestPartialCrossed:
 
     def test_convolution_residual_matches_the_pairwise_law(self, schur_spec):
         """The stacked residual equals the law checked one (x, y) pair at a
-        time, also on a model whose gamma_s is broken."""
+        time, also on a model whose gamma_s is broken.  Away from the
+        identity fiber the domains are the envelope's C, which q carries the
+        identity fiber's C into."""
         def pairwise(pc):
-            G, th, corner = pc.spec.ds.G, pc.spec.thetas, pc.spec.corner
+            G, betas, q = pc.spec.ds.G, pc.spec.betas, pc.spec.q
             e, res = G.identity, 0.0
             for s in range(G.order):
                 for t in range(G.order):
                     st = G.mul(s, t)
                     for x in pc.spec.domain(s).basis:
                         for y in pc.spec.domain(t).basis:
-                            prod = (x if s == e else th[G.inv(s)](x)) @ y
-                            if s != e:
-                                prod = th[s](corner.project(prod))
-                            if st != e:
-                                prod = corner.project(prod)
+                            if s == e and t == e:
+                                want = pc.gamma_e(x @ y)
+                            else:
+                                xe = q(x) if s == e else betas[G.inv(s)](x)
+                                prod = xe @ (q(y) if t == e else y)
+                                if s != e:
+                                    prod = betas[s](prod)
+                                want = pc.gamma_s[st](prod)
                             res = max(res, float(np.linalg.norm(
-                                pc.gamma(s, x) @ pc.gamma(t, y)
-                                - pc.gamma(st, prod))))
+                                pc.gamma(s, x) @ pc.gamma(t, y) - want)))
             return res
 
         pc = partial_crossed(schur_spec)
