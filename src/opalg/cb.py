@@ -53,6 +53,7 @@ from .linalg import (ASCENT_GAIN, MEMBER_TOL, NORM_RECHECK_TOL, RANK_TOL,
 
 FEAS_TOL = 1e-7
 FALSIFIER_MARGIN = 1e-6
+FALSIFIER_RESTARTS = 32
 
 CC = "CompletelyContractive"
 NOT_CC = "NotCC"
@@ -579,10 +580,10 @@ def _amplified_image(phi, x, k):
     return img.swapaxes(1, 2).reshape(k * n, k * n)
 
 
-def falsifier_search(phi, restarts=32):
+def falsifier_search(phi):
     """Alternating-ascent search for a matrix-level counterexample to
-    complete contractivity at level k = codomain size; the restarts are
-    seeded by the current RunConfig's seed.
+    complete contractivity at level k = codomain size; the
+    FALSIFIER_RESTARTS restarts are seeded by the current RunConfig's seed.
 
     All restarts ascend together as one (restarts, k, k, d) stack of
     coefficients, so each of at most 40 steps costs two stacked SVDs.  A
@@ -605,6 +606,7 @@ def falsifier_search(phi, restarts=32):
     imgs_c = np.array(imgs)
     k = n
     d = len(S)
+    restarts = FALSIFIER_RESTARTS
     rng = np.random.default_rng(current().seed)
     c = np.array([rng.standard_normal((k, k, d))
                   + 1j * rng.standard_normal((k, k, d))

@@ -223,15 +223,13 @@ def join(*covers, name=None):
     The joined embedding is completely isometric by construction (each
     summand already is), so validation is structural only; when both
     summands carry certificates, j carries their direct-sum certificate.
+    More than two covers are joined pairwise from the left, and the last
+    join takes the name.
     """
     if len(covers) == 1:
         return covers[0]
-    if len(covers) > 2:
-        out = covers[0]
-        for c in covers[1:]:
-            out = join(out, c)
-        return out
-    c1, c2 = covers
+    *rest, c2 = covers
+    c1 = join(*rest)
     amb = c1.ambient.direct_sum(c2.ambient)
     imgs = [direct_sum(x, y) for x, y in zip(c1.j.images, c2.j.images)]
     out = make_cover(c1.A, amb, imgs, verify=False,

@@ -1,14 +1,15 @@
-"""Partial-action recovery: decompose a C*-cover along its Shilov ideal,
-build the induced partial action of the group on the cover, realize the
-partial crossed product concretely, and verify that the operator-algebra
-crossed product sits inside it completely isometrically.
+"""Partial-action recovery: split a C*-cover along the Shilov ideal that
+`covers.shilov` decided, build the induced partial action of the group on
+the cover, realize the partial crossed product concretely, and verify that
+the operator-algebra crossed product sits inside it completely isometrically.
 
 The partial action's domain is C at the identity and the corner pC
 elsewhere, and pC is the C*-envelope.  The dynamics always extends to the
 envelope, so the action on pC is the extension `dynamics.admissible` finds
 there, and the partial crossed product is the envelope's crossed product
-plus the Shilov part (1-p)C at the identity fiber.  Both pieces of C are
-reached through `covers.quotient_map`.
+plus the Shilov part (1-p)C at the identity fiber.  `decompose` reaches
+both pieces of C through `covers.quotient_map`, and everything downstream
+reads its two quotient maps.
 
 The point of the pipeline: even when a cover is not admissible (the action
 does not extend to it globally), the action survives as a partial action
@@ -21,17 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cb import (CC, CI, NOT_CI, LinearMap, cc_check, ci_check,
-                 map_from_generators, require_decisive, star_hom_violations)
-from .covers import CoverError, CstarCover, envelope, quotient_map
-from .covers import shilov as shilov_set_of
+from .cb import LinearMap, map_from_generators
+from .covers import CoverError, CstarCover, envelope, quotient_map, shilov
 from .crossed import (NOT_ISOMETRIC, CrossedProduct, cstar_crossed,
                       full_crossed, generator_isomorphism)
 from .dynamics import ADMISSIBLE, DynamicalSystem, SystemError_, admissible
 from .linalg import (MEMBER_TOL, AlgebraSpan, Ambient, hs_orthonormalize,
                      orthonormal_span)
-from .structure import ideal_blocks, is_essential, \
-    minimal_central_projections
+from .structure import minimal_central_projections
 
 
 class ShilovNotMaximal(CoverError):
@@ -41,69 +39,53 @@ class ShilovNotMaximal(CoverError):
 
 @dataclass
 class Decomposition:
-    """Splitting j = j1 + j2 along the Shilov ideal: p is the unit of the
-    ideal's annihilator, j1 = p j the envelope part, j2 = (1-p) j the
-    boundary part."""
+    """The split of a cover along the Shilov ideal that `covers.shilov`
+    decided, with p the unit of the ideal's annihilator: q maps C onto the
+    envelope corner pC (the envelope's C, so q . j is the envelope's
+    embedding), and r onto the Shilov part (1-p)C, or is None when the
+    Shilov ideal is zero."""
 
     cover: CstarCover
-    p: np.ndarray
-    j1: LinearMap
-    j2: LinearMap
     shilov_blocks: frozenset
-    shilov_is_essential: bool
+    q: LinearMap
+    r: LinearMap | None
 
 
 def decompose(cover):
-    """Split a cover along its Shilov ideal.
+    """Split a cover along its Shilov ideal S.
 
-    Raises ShilovNotMaximal when the envelope has more than one simple
-    block.  The split maps are validated: j1 completely isometric, j2
-    completely contractive and (for a nonzero Shilov ideal) not completely
-    isometric.
+    Raises ShilovNotMaximal unless exactly one block lies outside S.  The
+    split is read off what `shilov` decided, with no cb oracle call:
+    p j is completely isometric because `shilov` verified
+    `is_boundary(cover, S)`; (1-p) j is not, because `shilov` tested every
+    singleton and the one block i0 outside S failed `is_boundary(cover,
+    {i0})`, the test of exactly r . j; and (1-p) j is a completely
+    contractive homomorphism because r is a *-homomorphism after the
+    completely isometric j, the `composition` certificate.
     """
-    S = shilov_set_of(cover)
+    S = shilov(cover)
     bs = cover.structure()
     env_blocks = bs.num_blocks - len(S)
     if env_blocks != 1:
         raise ShilovNotMaximal(
             f"envelope has {env_blocks} blocks; Shilov ideal not maximal")
-    p = bs.subset_projection(bs.complement(S))
-    # x -> p x and x -> (1-p) x on C, after j
-    j1, j2 = (LinearMap(dom=cover.C, cod=cover.ambient,
-                        images=z @ cover.C.basis).compose(cover.j)
-              for z in (p, bs.subset_projection(S)))
-    rep1 = require_decisive(ci_check(j1), "envelope part of the splitting")
-    if rep1.verdict != CI:
-        raise CoverError("p j is not completely isometric")
-    essential = False
-    if S:
-        essential = is_essential(cover.C, ideal_blocks(cover.C, S))
-        if star_hom_violations(j2):
-            raise CoverError("(1-p) j is not a homomorphism")
-        rep2 = require_decisive(cc_check(j2), "boundary part of the splitting")
-        if rep2.verdict != CC:
-            raise CoverError("(1-p) j is not completely contractive")
-        rep2i = require_decisive(ci_check(j2), "boundary part isometry test")
-        if rep2i.verdict != NOT_CI:
-            raise CoverError(
-                "(1-p) j is completely isometric; Shilov ideal misidentified")
-    return Decomposition(cover=cover, p=p, j1=j1, j2=j2,
-                         shilov_blocks=S, shilov_is_essential=essential)
+    q = quotient_map(cover.C, S)[1]
+    r = quotient_map(cover.C, bs.complement(S))[1] if S else None
+    return Decomposition(cover=cover, shilov_blocks=S, q=q, r=r)
 
 
 @dataclass
 class PartialActionSpec:
     """The paper's partial action of G on a cover C: full domain at the
     identity, the annihilator corner pC everywhere else.  pC is the
-    C*-envelope, realized as `envelope.C` through the quotient map q of C
-    by its Shilov ideal, and the action on it is the envelope's extension
-    `betas` of the dynamics."""
+    C*-envelope, realized as `envelope.C` through the decomposition's q,
+    and the action on it is the envelope's extension `betas` of the
+    dynamics."""
 
     ds: DynamicalSystem
     cover: CstarCover
     decomposition: Decomposition
     envelope: CstarCover
-    q: LinearMap              # C -> envelope.ambient, x -> p x compressed
     betas: list               # LinearMap on envelope.C per group element
 
     def domain(self, s):
@@ -120,9 +102,8 @@ def build_partial_action(ds, cover):
     rep = admissible(ds, env)
     if rep.verdict != ADMISSIBLE:
         raise SystemError_("the action does not extend to the C*-envelope")
-    _, q = quotient_map(cover.C, dec.shilov_blocks)
     return PartialActionSpec(ds=ds, cover=cover, decomposition=dec,
-                             envelope=env, q=q, betas=rep.extension)
+                             envelope=env, betas=rep.extension)
 
 
 @dataclass
@@ -150,15 +131,13 @@ def partial_crossed(spec):
     against the convolution law (x delta_s)(y delta_t) =
     theta_s(theta_{s^-1}(x) y) delta_{st} on all basis pairs."""
     ds, cover, env = spec.ds, spec.cover, spec.envelope
+    q, r = spec.decomposition.q, spec.decomposition.r
     G = ds.G
     cp = cstar_crossed(env.C, G, spec.betas)
-    S = spec.decomposition.shilov_blocks
     NG = cp.ambient.dim
     amb, shilov_part = cp.ambient, None
-    if S:
-        # r: C -> (1-p)C, the quotient by the complementary blocks
-        rest, r = quotient_map(cover.C, cover.structure().complement(S))
-        amb = amb.direct_sum(rest.ambient)
+    if r is not None:
+        amb = amb.direct_sum(r.cod)
         shilov_part = r.images
 
     def pad(top, bottom=None):
@@ -169,7 +148,7 @@ def partial_crossed(spec):
         return out
 
     gamma_e = LinearMap(dom=cover.C, cod=amb,
-                        images=pad(cp.hat(spec.q.images), shilov_part))
+                        images=pad(cp.hat(q.images), shilov_part))
     gamma_s = [LinearMap(dom=env.C, cod=amb, images=pad(cp.hat.images @ lam))
                for lam in cp.lambdas]
     mats = [gamma_e.images] + [g.images for s, g in enumerate(gamma_s)
@@ -202,7 +181,7 @@ def _convolution_residual(pc):
     spec = pc.spec
     G = spec.ds.G
     e = G.identity
-    q, betas = spec.q, spec.betas
+    q, betas = spec.decomposition.q, spec.betas
     stacks = [spec.domain(s).basis for s in range(G.order)]
     gammas = [pc.gamma(s, stacks[s]) for s in range(G.order)]
     env_stacks = [q(x) if s == e else x for s, x in enumerate(stacks)]

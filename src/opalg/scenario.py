@@ -68,7 +68,7 @@ class Scenario:
         spec = self.raw.get("covers", {}).get(name)
         if spec is None:
             raise ScenarioError(f"unknown cover {name!r}")
-        A = self._algebra(spec.get("algebra"))
+        A = self._algebra(_object(spec, f"cover {name!r}").get("algebra"))
         amb = self._ambient(spec.get("ambient"))
         try:
             mats = amb.check([mat_from_json(m) for m in spec["j"]])
@@ -98,6 +98,14 @@ class Scenario:
         return self.systems[name]
 
 
+def _object(value, what):
+    """value, refused with a ScenarioError naming `what` unless it is a
+    JSON object."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be a JSON object, not {value!r}")
+    return value
+
+
 def load_scenario(source):
     """Parse a scenario from a path to a JSON file, or from a dict."""
     if isinstance(source, dict):
@@ -113,13 +121,15 @@ def load_scenario(source):
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
     sc = Scenario(raw=raw)
+    for key in ("ambients", "algebras", "covers", "systems"):
+        _object(raw.get(key, {}), key)
     for name, dims in raw.get("ambients", {}).items():
         try:
             sc.ambients[name] = Ambient(tuple(dims))
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"ambient {name!r}: {exc}")
     for name, spec in raw.get("algebras", {}).items():
-        amb = sc._ambient(spec.get("ambient"))
+        amb = sc._ambient(_object(spec, f"algebra {name!r}").get("ambient"))
         try:
             mats = amb.check([mat_from_json(m) for m in spec["basis"]])
         except Exception as exc:
@@ -140,8 +150,8 @@ def load_scenario(source):
     for name, spec in raw.get("systems", {}).items():
         if sc.group is None:
             raise ScenarioError(f"system {name!r} needs a group table")
-        A = sc._algebra(spec.get("algebra"))
-        act = spec.get("action", {})
+        A = sc._algebra(_object(spec, f"system {name!r}").get("algebra"))
+        act = _object(spec.get("action", {}), f"system {name!r}: action")
         kind = act.get("type")
         try:
             if kind == "ad":
@@ -337,7 +347,7 @@ class _Args(dict):
 
 
 def run_check(sc, check):
-    op = check.get("op")
+    op = _object(check, "check").get("op")
     if op not in OPS:
         raise ScenarioError(f"unknown op {op!r}")
     args = _Args(op, {k: v for k, v in check.items()

@@ -187,7 +187,7 @@ def test_criterion_8_oracle_consistency():
                 for _ in range(dom.dim)]
         phi = LinearMap(dom=dom, cod=amb, images=np.array(imgs))
         with using(seed=int(rng.integers(1 << 31)), max_iter=20000):
-            _, fal = falsifier_search(phi, restarts=8)
+            _, fal = falsifier_search(phi)
             feas, _ = choi_feasibility(phi)
         if fal is not None and feas is not None:
             contradictions += 1

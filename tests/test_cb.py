@@ -256,7 +256,7 @@ def test_oracles_never_disagree_on_random_maps(seed):
     phi = map_from_images(dom, amb,
                           [scale * rand_mat(rng, 3) for b in dom.basis])
     with using(seed=seed % 97, max_iter=4000):
-        ratio, fal_cert = falsifier_search(phi, restarts=8)
+        ratio, fal_cert = falsifier_search(phi)
         feas_cert, _ = choi_feasibility(phi)
     if fal_cert is not None:
         assert verify_falsifier(phi, fal_cert)
@@ -273,7 +273,7 @@ def test_pairings_match_the_einsum_reference():
     assert np.allclose(cb._pairings(u, mats, v), ref, rtol=0, atol=1e-13)
 
 
-def _sequential_falsifier_ratio(phi, seed, restarts=32):
+def _sequential_falsifier_ratio(phi, seed):
     """Reference search: one restart at a time, each ascending until it
     stalls, stopping after the first restart that exceeds the margin."""
     S, imgs, N, n, _, _ = cb._compressed_problem(phi)
@@ -286,7 +286,7 @@ def _sequential_falsifier_ratio(phi, seed, restarts=32):
 
     rng = np.random.default_rng(seed)
     best_ratio = 0.0
-    for _ in range(restarts):
+    for _ in range(cb.FALSIFIER_RESTARTS):
         c = rng.standard_normal((k, k, d)) + 1j * rng.standard_normal((k, k, d))
         stale, local_best = 0, 0.0
         for _ in range(40):
@@ -384,7 +384,7 @@ def test_falsifier_svd_count_does_not_scale_with_restarts(monkeypatch):
     monkeypatch.setattr(sys.modules[np.linalg.norm.__module__], "svd",
                         counting)
     with using(seed=0):
-        ratio, cert = falsifier_search(phi, restarts=32)
+        ratio, cert = falsifier_search(phi)
     assert cert is None and 0.8 < ratio <= 1
     assert 0 < len(calls) <= 2 * 40
 

@@ -81,5 +81,4 @@ def test_run_settings_are_the_only_tuning_keywords():
             keywords = pos[len(pos) - len(a.defaults):] + a.kwonlyargs
             found |= {(path.stem, node.name, p.arg) for p in keywords
                       if KNOB.search(p.arg)}
-    assert found == {("cb", "falsifier_search", "restarts"),
-                     ("suite", "paper_suite", "seed")}
+    assert found == {("suite", "paper_suite", "seed")}

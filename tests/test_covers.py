@@ -208,6 +208,12 @@ class TestLattice:
         a = t2_diag_cover()
         assert equivalent(join(a, a), a)
 
+    def test_join_of_three_takes_the_name(self):
+        covs = (t2_diag_cover(), t2_corner_cover(), t2_inclusion_cover())
+        assert join(*covs, name="x").name == "x"
+        assert join(*covs).name == \
+            "join(join(t2-diag,t2-corner),t2-inclusion)"
+
 
 class TestBoundary:
     def test_shilov_of_schur_cover(self):

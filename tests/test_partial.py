@@ -3,10 +3,10 @@ import pytest
 
 from opalg.corpus import (a4_envelope, a4_schur_cover, a4_system, t2_algebra,
                           t2_diag_cover, t2_system)
-from opalg import cb, partialact
+from opalg import cb, covers, partialact
 from opalg.cb import LinearMap
 from opalg.linalg import AlgebraSpan, Ambient, orthonormal_span
-from opalg.covers import OperatorAlgebra, envelope, make_cover
+from opalg.covers import OperatorAlgebra, envelope, make_cover, shilov
 from opalg.dynamics import FiniteGroup, trivial_system
 from opalg.partialact import (ShilovNotMaximal, build_partial_action,
                               decompose, partial_crossed,
@@ -21,23 +21,40 @@ def schur_spec():
 
 class TestDecompose:
     def test_schur_cover_split(self):
-        dec = decompose(a4_schur_cover())
-        # The annihilator unit of the Shilov ideal is the M4 summand.
-        want = np.zeros((8, 8), dtype=complex)
-        want[:4, :4] = np.eye(4)
-        assert np.allclose(dec.p, want)
-        assert not dec.shilov_is_essential
+        cov = a4_schur_cover()
+        dec = decompose(cov)
+        env = envelope(cov)
+        # q maps C onto the envelope's M4 summand, carrying j to its j.
+        assert dec.q.cod == env.ambient
+        assert np.allclose(dec.q(cov.j.images), env.j.images, atol=1e-10)
 
     def test_split_maps_reassemble_j(self):
-        dec = decompose(a4_schur_cover())
         cov = a4_schur_cover()
-        for a in cov.A.span.basis:
-            assert np.allclose(dec.j1(a) + dec.j2(a), cov.j(a), atol=1e-10)
+        dec = decompose(cov)
+        # x -> q(x) (+) r(x) is injective on C: 16 + 6 = 22.
+        parts = [m(cov.C.basis).reshape(cov.C.dim, -1) for m in (dec.q, dec.r)]
+        assert [np.linalg.matrix_rank(x) for x in parts] == [16, 6]
+        assert np.linalg.matrix_rank(np.concatenate(parts, axis=1)) == 22
 
     def test_envelope_decomposes_trivially(self):
-        dec = decompose(a4_envelope())
-        assert np.allclose(dec.p, np.eye(4))
+        env = a4_envelope()
+        dec = decompose(env)
         assert dec.shilov_blocks == frozenset()
+        assert dec.r is None
+        assert np.allclose(dec.q(env.C.basis), env.C.basis, atol=1e-12)
+
+    def test_split_is_read_off_the_shilov_decision(self, monkeypatch):
+        """Once the Shilov set is known, decompose asks no cb oracle."""
+        cov = a4_schur_cover()
+        shilov(cov)
+
+        def refuse(phi):
+            raise AssertionError("decompose called a cb oracle")
+
+        for module in (cb, covers, partialact):
+            for name in ("ci_check", "cc_check"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        assert decompose(cov).shilov_blocks == frozenset({1, 2, 3})
 
     def test_non_maximal_shilov_raises(self):
         # C^2 is its own envelope with two blocks, so the Shilov ideal
@@ -105,7 +122,8 @@ class TestPartialCrossed:
         identity fiber the domains are the envelope's C, which q carries the
         identity fiber's C into."""
         def pairwise(pc):
-            G, betas, q = pc.spec.ds.G, pc.spec.betas, pc.spec.q
+            G, betas = pc.spec.ds.G, pc.spec.betas
+            q = pc.spec.decomposition.q
             e, res = G.identity, 0.0
             for s in range(G.order):
                 for t in range(G.order):

@@ -95,6 +95,31 @@ def sign_not_multiplicative(raw):
         "type": "matrices", "images": [basis, [basis[1], basis[0], basis[2]]]}
 
 
+def algebra_is_a_number(raw):
+    raw["algebras"]["A"] = 5
+
+
+def check_is_a_number(raw):
+    raw["checks"] = [5]
+
+
+def checked_cover_is_a_number(raw):
+    raw["covers"]["c"] = 1
+    raw["checks"].append({"op": "structure", "cover": "c"})
+
+
+def system_is_a_number(raw):
+    raw["systems"]["s"] = 3
+
+
+def action_is_a_list(raw):
+    raw["systems"]["sign"]["action"] = [1]
+
+
+def covers_section_is_a_list(raw):
+    raw["covers"] = [1]
+
+
 @pytest.fixture()
 def scenario_file(tmp_path):
     path = tmp_path / "t2.json"
@@ -206,7 +231,13 @@ class TestCli:
 
     @pytest.mark.parametrize("spoil", [swap_inc_images,
                                        inc_into_wrong_ambient,
-                                       sign_not_multiplicative])
+                                       sign_not_multiplicative,
+                                       algebra_is_a_number,
+                                       check_is_a_number,
+                                       checked_cover_is_a_number,
+                                       system_is_a_number,
+                                       action_is_a_list,
+                                       covers_section_is_a_list])
     def test_malformed_object_exits_3(self, tmp_path, spoil):
         raw = t2_scenario()
         spoil(raw)
