@@ -6,17 +6,22 @@ example scenario that make_example_scenario.py builds.
 BLAS and OpenMP are pinned to one thread before numpy loads, so the
 digests do not move with the thread count's summation order.
 
-Usage: PYTHONPATH=src python scripts/golden_digests.py
+The checkout's `src` goes first on sys.path, so the digests are those of
+the checkout the script sits in, installed or not.
+
+Usage: python scripts/golden_digests.py
 """
 
 import os
+import pathlib
+import sys
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import hashlib  # noqa: E402
 import json  # noqa: E402
-import pathlib  # noqa: E402
 import tempfile  # noqa: E402
 
 from click.testing import CliRunner  # noqa: E402

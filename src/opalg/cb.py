@@ -27,13 +27,14 @@ Two independent oracles back every other verdict:
   per codomain block, each with one PSD block per domain block (Smith's
   lemma and Arveson extension; Paulsen 2002, ch. 3, 6, 7).  The certificate
   is the dense Choi matrix assembled from the blocks; and
-* a falsifier search at amplification level k = codomain size, which (when it
-  succeeds) returns an element whose norm provably grows, re-verifiable by
-  two plain singular-value computations.  Its restarts ascend as one stack
-  and it stops at the first step where any of them exceeds the margin, so
-  the NotCC decision is that of restarts run one by one, while the witness
-  and its ratio are the first found rather than the best of a finished
-  ascent.
+* a falsifier search, once per coordinate block of the compressed
+  codomain at amplification level k = that block's size (Smith's lemma),
+  which (when it succeeds) returns an element whose norm provably grows,
+  re-verifiable by two plain singular-value computations.  Its restarts
+  ascend as one stack and it stops at the first step where any of them
+  exceeds the margin, so the NotCC decision is that of restarts run one by
+  one, while the witness and its ratio are the first found rather than the
+  best of a finished ascent.
 
 Verdicts are three-valued; when neither oracle lands within budget, or a
 certificate fails its independent re-verification, the result is
@@ -580,34 +581,14 @@ def _amplified_image(phi, x, k):
     return img.swapaxes(1, 2).reshape(k * n, k * n)
 
 
-def falsifier_search(phi):
-    """Alternating-ascent search for a matrix-level counterexample to
-    complete contractivity at level k = codomain size; the
-    FALSIFIER_RESTARTS restarts are seeded by the current RunConfig's seed.
+def _stacked_ascent(S, imgs, k, N, rng):
+    """Alternating ascent of the FALSIFIER_RESTARTS restarts, drawn from
+    `rng`, as one (restarts, k, k, d) stack of coefficients over the domain
+    basis S (d, N, N), for the map onto `imgs` (d, k, k) at level k.
 
-    All restarts ascend together as one (restarts, k, k, d) stack of
-    coefficients, so each of at most 40 steps costs two stacked SVDs.  A
-    restart leaves the stack where a lone ascent would stop (its element
-    vanishes, its ratio stalls for seven steps, or its gradient vanishes),
-    so every restart follows its own sequential trajectory up to rounding
-    and the found / not-found decision does not depend on the stacking.
-    The search stops at the first step where any restart's ratio exceeds
-    1 + FALSIFIER_MARGIN; the witness and its ratio are then the best seen
-    up to that step, not the best a longer ascent would reach.
-
-    Returns (best_ratio, certificate | None).  The certificate carries the
-    offending element in the original domain coordinates together with both
-    operator norms; it re-verifies by recomputing them.
-    """
-    S, imgs, N, n, Vd, _ = _compressed_problem(phi)
-    if not S:
-        return 0.0, None
-    S = np.array(S)
-    imgs_c = np.array(imgs)
-    k = n
+    Returns (best_ratio, coefficients of the best element | None)."""
     d = len(S)
     restarts = FALSIFIER_RESTARTS
-    rng = np.random.default_rng(current().seed)
     c = np.array([rng.standard_normal((k, k, d))
                   + 1j * rng.standard_normal((k, k, d))
                   for _ in range(restarts)]).reshape(restarts, k, k, d)
@@ -622,7 +603,7 @@ def falsifier_search(phi):
             stale[live]
         if not len(c):
             break
-        U, sv, Vh = np.linalg.svd(_amplified(c, imgs_c, k, n))
+        U, sv, Vh = np.linalg.svd(_amplified(c, imgs, k, k))
         ratio = sv[:, 0] / nx
         top = int(np.argmax(ratio))
         if ratio[top] > best_ratio:
@@ -632,15 +613,63 @@ def falsifier_search(phi):
         gained = ratio > local_best * (1 + ASCENT_GAIN)
         local_best = np.where(gained, ratio, local_best)
         stale = np.where(gained, 0, stale + 1)
-        g = _pairings(U[:, :, 0].reshape(-1, k, n), imgs_c,
-                      Vh[:, 0].conj().reshape(-1, k, n))
+        g = _pairings(U[:, :, 0].reshape(-1, k, k), imgs,
+                      Vh[:, 0].conj().reshape(-1, k, k))
         live = (stale <= 6) \
             & (np.linalg.norm(g.reshape(len(g), -1), axis=1) >= TINY_NORM)
         c, local_best, stale = g[live].conj(), local_best[live], stale[live]
         if not len(c):
             break
-    if best_ratio > 1 + FALSIFIER_MARGIN:
-        x = _amplified(best_c, S, k, N)
+    return best_ratio, best_c
+
+
+def falsifier_search(phi):
+    """Alternating-ascent search for a matrix-level counterexample to
+    complete contractivity, run once per coordinate block of the compressed
+    codomain at that block's own level; the FALSIFIER_RESTARTS restarts
+    of every block are drawn from one generator seeded by the current
+    RunConfig's seed, block after block.
+
+    The compressed images are block-diagonal along those blocks, so
+    ||phi||_cb is the largest ||phi_Q||_cb over the blocks Q, and by
+    Smith's lemma ||phi_Q||_cb is attained at level |Q| (Paulsen 2002,
+    Prop. 8.11): no block needs a level above its own size.  A map with one
+    block is searched at level k = codomain size with the same draws as an
+    unsplit search, so its ratio and found / not-found decision are those
+    of the unsplit search.
+
+    Within a block all restarts ascend together as one (restarts, k, k, d)
+    stack of coefficients, so each of at most 40 steps costs two stacked
+    SVDs.  A restart leaves the stack where a lone ascent would stop (its
+    element vanishes, its ratio stalls for seven steps, or its gradient
+    vanishes), so every restart follows its own sequential trajectory up
+    to rounding and the found / not-found decision does not depend on the
+    stacking.  A block's ascent stops at the first step where any
+    restart's ratio exceeds 1 + FALSIFIER_MARGIN; the witness and its ratio
+    are then the best seen up to that step, not the best a longer ascent
+    would reach.  The search stops at the first block whose witness
+    re-verifies.
+
+    Returns (best_ratio, certificate | None): the largest ratio seen over
+    the blocks searched.  The certificate's `level` is the size of the
+    block that found it; it carries the offending element in the original
+    domain coordinates together with both operator norms of the whole map
+    at that level (the image's norm is at least the block's), and
+    re-verifies by recomputing them.
+    """
+    S, imgs, N, _, Vd, _ = _compressed_problem(phi)
+    if not S:
+        return 0.0, None
+    S, imgs = np.array(S), np.array(imgs)
+    rng = np.random.default_rng(current().seed)
+    best_ratio = 0.0
+    for Q in _coordinate_blocks(imgs):
+        k = len(Q)
+        ratio, c = _stacked_ascent(S, imgs[:, Q][:, :, Q], k, N, rng)
+        best_ratio = max(best_ratio, ratio)
+        if ratio <= 1 + FALSIFIER_MARGIN:
+            continue
+        x = _amplified(c, S, k, N)
         if Vd is not None:
             W = np.kron(np.eye(k), Vd)
             x = W @ x @ W.conj().T

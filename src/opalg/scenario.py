@@ -63,11 +63,9 @@ class Scenario:
     def build_cover(self, name):
         """Build (and cache) a named cover; CoverError propagates so the
         check-cover op can report structured rejections."""
+        spec = _named(self.raw.get("covers", {}), name, "cover")
         if name in self._covers:
             return self._covers[name]
-        spec = self.raw.get("covers", {}).get(name)
-        if spec is None:
-            raise ScenarioError(f"unknown cover {name!r}")
         A = self._algebra(_object(spec, f"cover {name!r}").get("algebra"))
         amb = self._ambient(spec.get("ambient"))
         try:
@@ -83,19 +81,23 @@ class Scenario:
         return cov
 
     def _ambient(self, name):
-        if name not in self.ambients:
-            raise ScenarioError(f"unknown ambient {name!r}")
-        return self.ambients[name]
+        return _named(self.ambients, name, "ambient")
 
     def _algebra(self, name):
-        if name not in self.algebras:
-            raise ScenarioError(f"unknown algebra {name!r}")
-        return self.algebras[name]
+        return _named(self.algebras, name, "algebra")
 
     def system(self, name):
-        if name not in self.systems:
-            raise ScenarioError(f"unknown system {name!r}")
-        return self.systems[name]
+        return _named(self.systems, name, "system")
+
+
+def _named(table, name, what):
+    """table[name], refused with a ScenarioError naming `what` unless name
+    is a string that names an entry."""
+    if not isinstance(name, str):
+        raise ScenarioError(f"{what} must be a name (a string), not {name!r}")
+    if name not in table:
+        raise ScenarioError(f"unknown {what} {name!r}")
+    return table[name]
 
 
 def _object(value, what):
@@ -231,13 +233,23 @@ def _op_order(sc, args):
             "morphism_hash": digest(m.pi.images)}
 
 
+def _cover_names(args):
+    """The `covers` argument, refused unless it is a list of strings."""
+    names = args["covers"]
+    if not isinstance(names, list) \
+            or not all(isinstance(n, str) for n in names):
+        raise ScenarioError(f"op {args.op!r}: argument 'covers' must be a "
+                            f"list of cover names, not {names!r}")
+    return names
+
+
 def _op_join(sc, args):
-    cov = join(*[sc.cover(n) for n in args["covers"]])
+    cov = join(*[sc.cover(n) for n in _cover_names(args)])
     return {"dim": cov.C.dim, "blocks": block_dims(cov.C)}
 
 
 def _op_meet(sc, args):
-    names = args["covers"]
+    names = _cover_names(args)
     if len(names) != 2:
         raise ScenarioError("meet takes exactly two covers")
     cov = meet(sc.cover(names[0]), sc.cover(names[1]))

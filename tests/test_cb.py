@@ -358,6 +358,9 @@ def _doubled_on_m2(_seed):
                          + [(_doubled_on_m2, 0)])
 def test_stacked_falsifier_matches_sequential_restarts(build, seed):
     phi = build(seed)
+    # One codomain block: the search runs at level n, as the reference does.
+    assert len(cb._coordinate_blocks(np.array(
+        cb._compressed_problem(phi)[1]))) == 1
     ref = _sequential_falsifier_ratio(phi, seed)
     with using(seed=seed):
         ratio, cert = falsifier_search(phi)
@@ -387,6 +390,61 @@ def test_falsifier_svd_count_does_not_scale_with_restarts(monkeypatch):
         ratio, cert = falsifier_search(phi)
     assert cert is None and 0.8 < ratio <= 1
     assert 0 < len(calls) <= 2 * 40
+
+
+def test_falsifier_never_amplifies_beyond_a_codomain_block(m2, monkeypatch):
+    """Each codomain block is searched at its own level (Smith's lemma): on
+    the a4-schur embedding, blocks [4, 2, 1, 1], no SVD is wider than the
+    4-block's level-4 amplification, and on id (+) 1.5 chi the witness is
+    found at the level of chi's 1 x 1 block."""
+    j = corpus.a4_schur_cover().j
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    ratio, cert = falsifier_search(j)
+    monkeypatch.undo()
+    assert cert is None and shapes
+    assert max(max(s) for s in shapes) <= 4 * 4
+    phi = _identity_plus_compression(m2, 1.5)
+    ratio, cert = falsifier_search(phi)
+    assert cert is not None and cert["level"] == 1
+    assert verify_falsifier(phi, cert)
+
+
+def _sum_with_compression(seed, lo, hi):
+    """x -> x (+) t V*xV from a unital subspace of M4 into M4 (+) M2, V a
+    4x2 isometry and t drawn from [lo, hi]: cb norm max(1, t)."""
+    rng = np.random.default_rng(seed)
+    t = float(rng.uniform(lo, hi))
+    dom = _unital_subspace(rng, 4)
+    V = np.linalg.qr(rng.standard_normal((4, 2))
+                     + 1j * rng.standard_normal((4, 2)))[0]
+    return map_from_images(dom, Ambient((4, 2)),
+                           [direct_sum(b, t * V.conj().T @ b @ V)
+                            for b in dom.basis])
+
+
+def test_decisive_near_cb_norm_one_on_direct_sums():
+    """Within 3-20% of cb norm 1 on a direct sum: never NotCC below 1, and
+    NotCC with a re-verified certificate on most maps above it (6 of these
+    8, and 31 of seeds 0-39; a search of the whole codomain at level 6
+    finds none of these 8)."""
+    for seed in range(6):
+        assert cc_check(_sum_with_compression(seed, 0.85, 0.97)).verdict \
+            != NOT_CC
+    found = 0
+    for seed in range(8):
+        phi = _sum_with_compression(seed, 1.03, 1.2)
+        rep = cc_check(phi)
+        if rep.verdict == NOT_CC:
+            assert cb.verify_certificate(rep.certificate, phi)
+            found += 1
+    assert found >= 4
 
 
 def test_zero_iteration_budget_gives_no_certificate(m2):

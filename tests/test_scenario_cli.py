@@ -120,6 +120,22 @@ def covers_section_is_a_list(raw):
     raw["covers"] = [1]
 
 
+def join_covers_is_a_number(raw):
+    raw["checks"].append({"op": "join", "covers": 5})
+
+
+def meet_covers_is_a_number(raw):
+    raw["checks"].append({"op": "meet", "covers": 5})
+
+
+def structure_cover_is_a_list(raw):
+    raw["checks"].append({"op": "structure", "cover": ["diag"]})
+
+
+def admissible_system_is_an_object(raw):
+    raw["checks"].append({"op": "admissible", "system": {}, "cover": "diag"})
+
+
 @pytest.fixture()
 def scenario_file(tmp_path):
     path = tmp_path / "t2.json"
@@ -237,7 +253,11 @@ class TestCli:
                                        checked_cover_is_a_number,
                                        system_is_a_number,
                                        action_is_a_list,
-                                       covers_section_is_a_list])
+                                       covers_section_is_a_list,
+                                       join_covers_is_a_number,
+                                       meet_covers_is_a_number,
+                                       structure_cover_is_a_list,
+                                       admissible_system_is_an_object])
     def test_malformed_object_exits_3(self, tmp_path, spoil):
         raw = t2_scenario()
         spoil(raw)
