@@ -17,16 +17,22 @@ structural certificates, each re-verified against the map:
 `star_hom_violations` is the one *-homomorphism verifier, for these
 certificates and for every map the other modules build.
 
-Two independent oracles back every other verdict:
+Two independent oracles back every other verdict.  `cc_check` runs the
+Choi solver first, and the falsifier only when the solver returns no
+certificate:
 
 * a feasibility search for a unital completely positive extension of the
   2x2 off-diagonal (Paulsen) companion map, certified by a PSD Choi matrix
-  satisfying the pinning affine constraints.  The search runs on a
-  block-diagonal Choi variable: the connected components of the compressed
-  domain and codomain coordinates split it into one independent problem
-  per codomain block, each with one PSD block per domain block (Smith's
-  lemma and Arveson extension; Paulsen 2002, ch. 3, 6, 7).  The certificate
-  is the dense Choi matrix assembled from the blocks; and
+  satisfying the pinning affine constraints (phi is completely contractive
+  exactly when such an extension exists; Paulsen 2002, ch. 7-8).  The
+  search runs on a block-diagonal Choi variable: the connected components
+  of the compressed domain and codomain coordinates split it into one
+  independent problem per codomain block, each with one PSD block per
+  domain block (Smith's lemma and Arveson extension; Paulsen 2002, ch. 3,
+  6, 7).  The certificate is the dense Choi matrix assembled from the
+  blocks.  A block whose Douglas-Rachford residual gives a Farkas
+  separation, with a margin that covers every PSD point within the
+  residual target, stops early and is reported `infeasible`; and
 * a falsifier search, once per coordinate block of the compressed
   codomain at amplification level k = that block's size (Smith's lemma),
   which (when it succeeds) returns an element whose norm provably grows,
@@ -35,6 +41,10 @@ Two independent oracles back every other verdict:
   exceeds the margin, so the NotCC decision is that of restarts run one by
   one, while the witness and its ratio are the first found rather than the
   best of a finished ascent.
+
+A NotCC verdict always rests on a falsifier certificate: a separation that
+the falsifier cannot turn into a witness leaves the verdict Inconclusive,
+with `infeasible` in its diagnostics.
 
 Verdicts are three-valued; when neither oracle lands within budget, or a
 certificate fails its independent re-verification, the result is
@@ -430,12 +440,46 @@ def _choi_layout(V, p, m):
     return V.reshape(p, p, m, m).transpose(0, 2, 1, 3).reshape(p * m, p * m)
 
 
+def _hermitian(X):
+    return (X + X.conj().T) / 2
+
+
 def _psd_part(X):
     """Projection onto the PSD cone, rebuilt from the positive eigenpairs."""
-    w, V = np.linalg.eigh((X + X.conj().T) / 2)
+    w, V = np.linalg.eigh(_hermitian(X))
     pos = np.searchsorted(w, 0.0, side="right")
     Vp = V[:, pos:]
     return (Vp * w[pos:]) @ Vp.conj().T
+
+
+def _separates(pins, R, y, target):
+    """True when y (L, m, m) proves that no PSD point of the block problem
+    (pins, R), as for _dr_block, has pin residual below `target`: a Farkas
+    separation with a margin.
+
+    Let lam = min(0, smallest eigenvalue of the Hermitian part of A*y over
+    the domain blocks), and let X be any PSD variable with pin residual
+    r = ||R - AX|| < target.  Then
+      * Re<y, AX> = Re<A*y, X> = sum_i tr(Herm(A*y)_i X_i) >= lam tr X;
+      * the two identity pins are I/sqrt(N) on the diagonal corners of
+        M_2N (2N = the sum of the domain block sizes), so tr X = <w, AX>
+        for w = sqrt(N) (I_m, I_m, 0, ...), with <w, R> = m and
+        ||w|| = sqrt(2Nm): tr X <= m + sqrt(2Nm) r < m + sqrt(2Nm) target;
+      * Re<y, R> = Re<y, AX> + Re<y, R - AX>
+                 > lam (m + sqrt(2Nm) target) - ||y|| target.
+    So Re<y, R> at or below that bound rules out every such X.  At target
+    0 this is plain Farkas: every feasible Choi block has trace m, since
+    the identity pins force Phi(1) = 1.  Rounding in lam and the inner
+    products is of order eps ||y||, far below the ||y|| target term."""
+    L, m = R.shape[:2]
+    y = y.reshape(L, -1)
+    sizes = [P.shape[1] for P in pins]
+    lam = min(0.0, *(np.linalg.eigvalsh(_hermitian(_choi_layout(
+        P.reshape(L, -1).conj().T @ y, p, m)))[0]
+        for P, p in zip(pins, sizes)))
+    trace_bound = m + np.sqrt(sum(sizes) * m) * target
+    return np.vdot(y, R.reshape(L, -1)).real \
+        <= lam * trace_bound - np.linalg.norm(y) * target
 
 
 def _dr_block(pins, R, max_iter, target):
@@ -446,7 +490,17 @@ def _dr_block(pins, R, max_iter, target):
     projection is X + A*(R - A X).  A(Z) is carried along instead of being
     recomputed: Z' = Y + A*(R - 2AY + AZ) gives A(Z') = AZ + R - AY.
 
-    Returns (Choi blocks | None, iterations, residual)."""
+    At iterations 1, 2, 4, 8, ... the residual gives a candidate separator
+    y = -(R - AY) (Banjac et al., "Infeasibility detection in the
+    alternating direction method of multipliers for convex optimization",
+    JOTA 2019): where Y is the PSD point nearest the affine set, A*y is
+    PSD and Re<y, R> = -||y||^2 < 0, a separator.  When _separates
+    accepts it the run stops as infeasible; its margin covers every PSD
+    point below the target, so the stop never cuts short a run that would
+    reach the target.  A run that neither converges nor separates stops
+    when its residual has not improved by 0.1% in 1000 iterations.
+
+    Returns (Choi blocks | None, iterations, residual, infeasible)."""
     L, m = R.shape[:2]
     sizes = [P.shape[1] for P in pins]
     ops = [P.reshape(L, -1) for P in pins]
@@ -467,7 +521,10 @@ def _dr_block(pins, R, max_iter, target):
         diff = R - AY
         res = float(np.linalg.norm(diff))
         if res < target:
-            return Y, it + 1, res
+            return Y, it + 1, res, False
+        if it & (it + 1) == 0 \
+                and _separates(pins, R.reshape(L, m, m), -diff, target):
+            return None, it + 1, res, True
         if res < 0.999 * best:
             best, since_best = res, 0
         else:
@@ -478,7 +535,7 @@ def _dr_block(pins, R, max_iter, target):
         Z = [X + _choi_layout(H @ step, p, m)
              for X, H, p in zip(Y, adj, sizes)]
         AZ = AZ + diff
-    return None, it + 1, res
+    return None, it + 1, res, False
 
 
 def choi_feasibility(phi):
@@ -495,11 +552,18 @@ def choi_feasibility(phi):
     projection is one eigh per domain block.  A single block is the dense
     problem.
 
+    A block whose residual gives a Farkas separation (see _separates and
+    _dr_block) stops early: no PSD Choi block pins it to within its target,
+    so the whole problem has no certificate.
+
     Returns (certificate | None, diagnostics).  The certificate is the dense
     Choi matrix assembled from the blocks (zeros elsewhere), with its pin
     residual recomputed on the dense pins; it re-verifies independently:
     PSD to tolerance and affine residual below tolerance.  `iterations` is
-    summed over the blocks.
+    summed over the blocks.  Without a certificate the diagnostics carry
+    `infeasible: True` when a block was separated, and `stalled: True` when
+    a block ran out of iterations or progress, or the assembled matrix
+    missed FEAS_TOL.
     """
     max_iter = current().max_iter
     S, imgs, N, n, _, _ = _compressed_problem(phi)
@@ -515,12 +579,14 @@ def choi_feasibility(phi):
     X4 = np.zeros((2 * N, 2 * n, 2 * N, 2 * n), dtype=complex)
     iterations, sq = 0, 0.0
     for Q in cod_blocks:
-        Ys, its, res = _dr_block(pins, R[:, Q][:, :, Q], max_iter, target)
+        Ys, its, res, infeasible = _dr_block(pins, R[:, Q][:, :, Q],
+                                             max_iter, target)
         iterations += its
         sq += res ** 2
         if Ys is None:
             return None, {"iterations": iterations,
-                          "residual": float(np.sqrt(sq)), "stalled": True}
+                          "residual": float(np.sqrt(sq)),
+                          "infeasible" if infeasible else "stalled": True}
         for P, Y in zip(dom_blocks, Ys):
             X4[np.ix_(P, Q, P, Q)] = Y.reshape(len(P), len(Q), len(P), len(Q))
     res = float(np.linalg.norm(R - _choi_apply(B, X4)))
@@ -699,38 +765,42 @@ def verify_falsifier(phi, cert):
 
 def cc_check(phi):
     """Decide complete contractivity of phi.  The structural certificates
-    come first (see _structural_certificates); then the falsifier search
-    (cheap), and on failure the feasibility oracle looks for a
-    UCP-extension certificate.  A decisive verdict is returned only with a
-    certificate that re-verifies against phi, and its diagnostics name what
-    decided it (`decided_by`: the certificate type, or "falsifier");
-    otherwise the verdict is Inconclusive and the diagnostics name the
-    failed check."""
+    come first (see _structural_certificates); then the feasibility oracle
+    looks for a UCP-extension certificate, and only when it returns none
+    does the falsifier search for a witness.  Neither oracle depends on the
+    other (the falsifier seeds a fresh generator on every call), so the
+    order changes no verdict that one oracle decides, and criterion 8
+    checks that they never both decide.  A decisive verdict is returned
+    only with a certificate that re-verifies against phi, and its
+    diagnostics name what decided it (`decided_by`: the certificate type,
+    or "falsifier"); otherwise the verdict is Inconclusive and the
+    diagnostics name the failed check, or carry the feasibility oracle's
+    `infeasible` or `stalled` status when the falsifier found nothing.  A
+    NotCC verdict always carries a falsifier certificate: a Farkas
+    separation alone leaves the verdict Inconclusive."""
     if phi.dom.dim == 0:
         return CbReport(CC, None, {"trivial": "zero-dimensional domain",
                                    "decided_by": "trivial"})
     for cert in _structural_certificates(phi):
         if verify_certificate(cert, phi):
             return CbReport(CC, cert, {"decided_by": cert["type"]})
+    choi, diag = choi_feasibility(phi)
+    if choi is not None:
+        if not verify_choi_certificate(choi):
+            diag["failed_check"] = "verify_choi_certificate"
+        elif not _certifies(choi, phi):
+            diag["failed_check"] = "choi_certificate_binding"
+        else:
+            diag["decided_by"] = "choi"
+            return CbReport(CC, choi, diag)
+        return CbReport(INCONCLUSIVE, None, diag)
     ratio, cert = falsifier_search(phi)
+    diag["best_ratio"] = ratio
     if cert is not None:
-        diag = {"best_ratio": ratio}
         if verify_falsifier(phi, cert):
             diag["decided_by"] = "falsifier"
             return CbReport(NOT_CC, cert, diag)
         diag["failed_check"] = "verify_falsifier"
-        return CbReport(INCONCLUSIVE, None, diag)
-    choi, diag = choi_feasibility(phi)
-    diag["best_ratio"] = ratio
-    if choi is None:
-        return CbReport(INCONCLUSIVE, None, diag)
-    if not verify_choi_certificate(choi):
-        diag["failed_check"] = "verify_choi_certificate"
-    elif not _certifies(choi, phi):
-        diag["failed_check"] = "choi_certificate_binding"
-    else:
-        diag["decided_by"] = "choi"
-        return CbReport(CC, choi, diag)
     return CbReport(INCONCLUSIVE, None, diag)
 
 

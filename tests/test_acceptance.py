@@ -164,7 +164,6 @@ def test_criterion_7_partial_recovery():
     _report("7 partial-recovery", ok)
 
 
-@pytest.mark.slow
 def test_criterion_8_oracle_consistency():
     """The two cb oracles never contradict each other on 100 seeded random
     maps between subspaces of M4, every certificate re-verifies, and the

@@ -625,7 +625,111 @@ def test_direct_sum_with_expanding_summand_is_not_cc(m2):
     with using(max_iter=2000):
         cert, diag = choi_feasibility(phi)
     assert cert is None
-    assert diag["stalled"]
+    assert diag["infeasible"] and diag["iterations"] < 64
+
+
+def _block_problem(phi):
+    """The pins and required images of phi's one codomain block, as
+    choi_feasibility hands them to the Douglas-Rachford run."""
+    S, imgs, N, n, _, _ = cb._compressed_problem(phi)
+    B, R = cb._paulsen_pins(S, imgs, N, n)
+    (Q,) = cb._coordinate_blocks(R)
+    return [B[:, P][:, :, P] for P in cb._coordinate_blocks(B)], \
+        R[:, Q][:, :, Q]
+
+
+@pytest.mark.parametrize("seed", [0, 2, 4])
+def test_no_separation_on_a_completely_contractive_map(seed, monkeypatch):
+    # t V*xV with t <= 1 has a UCP extension of its Paulsen map, so no y
+    # may separate: neither the residuals of a run on it nor random ones.
+    phi = _compression(seed)
+    pins, R = _block_problem(phi)
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        y = rng.standard_normal(R.shape) + 1j * rng.standard_normal(R.shape)
+        assert not cb._separates(pins, R, y, FEAS_TOL)
+    separates = cb._separates
+    seen = []
+
+    def recording(*args):
+        seen.append(separates(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(cb, "_separates", recording)
+    cert, diag = choi_feasibility(phi)
+    assert cert is not None and seen and not any(seen)
+    assert "infeasible" not in diag and "stalled" not in diag
+
+
+def test_choi_certified_map_never_runs_the_falsifier(m2, monkeypatch):
+    def refuse(phi):
+        raise AssertionError("falsifier_search called")
+
+    monkeypatch.setattr(cb, "falsifier_search", refuse)
+    halved = map_from_images(m2, m2.ambient, [0.5 * b for b in m2.basis])
+    j = corpus.t2_diag_cover().j  # without the certificate it carries
+    for phi in (halved, LinearMap(dom=j.dom, cod=j.cod, images=j.images)):
+        rep = cc_check(phi)
+        assert rep.verdict == CC and rep.diagnostics["decided_by"] == "choi"
+
+
+def test_separation_without_a_witness_is_inconclusive(m2, monkeypatch):
+    monkeypatch.setattr(cb, "falsifier_search", lambda phi: (0.0, None))
+    rep = cc_check(_identity_plus_compression(m2, 1.5))
+    assert rep.verdict == INCONCLUSIVE and rep.certificate is None
+    assert rep.diagnostics["infeasible"]
+    with pytest.raises(Undecided, match="'infeasible': True"):
+        require_decisive(rep)
+
+
+def _kraus_sum(seed):
+    """x -> t sum_i K_i* x K_i from a unital subspace of M4 into M2, for two
+    or three 4x2 Kraus operators with sum_i K_i* K_i = 1: t times a unital
+    completely positive map, so its cb norm is t = ||phi(1)||, within 3-20%
+    of 1 on either side."""
+    rng = np.random.default_rng(seed)
+    lo, hi = ((0.85, 0.97), (1.03, 1.2))[seed % 2]
+    t = float(rng.uniform(lo, hi))
+    dom = _unital_subspace(rng, 4)
+    k = int(rng.integers(2, 4))
+    K = np.linalg.qr(rng.standard_normal((4 * k, 2))
+                     + 1j * rng.standard_normal((4 * k, 2)))[0]
+    K = K.reshape(k, 4, 2)
+    return map_from_images(dom, Ambient((2,)),
+                           [t * np.einsum("iba,bc,icd->ad", K.conj(), b, K)
+                            for b in dom.basis])
+
+
+def _falsifier_first(phi):
+    """Reference: cc_check with the falsifier run before the Choi solver,
+    returning (verdict, certificate type)."""
+    for cert in cb._structural_certificates(phi):
+        if cb.verify_certificate(cert, phi):
+            return CC, cert["type"]
+    _, cert = falsifier_search(phi)
+    if cert is not None:
+        return (NOT_CC, "falsifier") if verify_falsifier(phi, cert) \
+            else (INCONCLUSIVE, None)
+    choi, _ = choi_feasibility(phi)
+    if choi is not None and cb.verify_certificate(choi, phi):
+        return CC, "choi"
+    return INCONCLUSIVE, None
+
+
+def test_choi_first_matches_the_falsifier_first_order():
+    """Near cb norm 1 both orders give the same verdict and certificate
+    type on every map (neither oracle depends on the other, and they never
+    both decide), and no verdict contradicts the construction's cb norm."""
+    verdicts = set()
+    for build in (_compression, _kraus_sum):
+        for seed in range(20):
+            phi = build(seed)
+            rep = cc_check(phi)
+            got = (rep.verdict, rep.certificate and rep.certificate["type"])
+            assert got == _falsifier_first(phi)
+            assert rep.verdict != (NOT_CC, CC)[seed % 2]
+            verdicts.add(rep.verdict)
+    assert verdicts == {CC, NOT_CC, INCONCLUSIVE}
 
 
 @pytest.mark.parametrize("t, want", [(0.5, CC), (1.5, NOT_CC)])
