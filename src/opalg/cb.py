@@ -58,9 +58,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (ASCENT_GAIN, MEMBER_TOL, NORM_RECHECK_TOL, RANK_TOL,
-                     TINY_NORM, AlgebraSpan, Ambient, current, graph_closure,
-                     graph_obstruction, hs_orthonormalize, operator_norm,
-                     orthonormal_span, support_isometry)
+                     TINY_NORM, AlgebraSpan, Ambient, adjoints, current,
+                     graph_closure, graph_obstruction, hs_orthonormalize,
+                     operator_norm, orthonormal_span, support_isometry)
 
 FEAS_TOL = 1e-7
 FALSIFIER_MARGIN = 1e-6
@@ -157,10 +157,6 @@ class CbReport:
         return self.verdict != INCONCLUSIVE
 
 
-def _adjoints(mats):
-    return np.conj(np.swapaxes(mats, -1, -2))
-
-
 def star_hom_violations(phi, onto=None, *, gens=None, unital=False,
                         pairs=None):
     """Violated properties of phi as a *-homomorphism, to 10 * MEMBER_TOL
@@ -189,7 +185,7 @@ def star_hom_violations(phi, onto=None, *, gens=None, unital=False,
     if gens is None:
         gens, imgs = phi.dom.basis, phi.images
     else:
-        gens = np.concatenate([gens, _adjoints(gens)])
+        gens = np.concatenate([gens, adjoints(gens)])
         imgs = value(gens)
     bad = []
     if imgs is None or any(misses(b @ gens, fb @ imgs)
@@ -197,7 +193,7 @@ def star_hom_violations(phi, onto=None, *, gens=None, unital=False,
         bad.append("not multiplicative")
     if unital and misses(phi.dom.ambient.identity(), phi.cod.identity()):
         bad.append("not unit-preserving")
-    if star and (imgs is None or misses(_adjoints(gens), _adjoints(imgs))):
+    if star and (imgs is None or misses(adjoints(gens), adjoints(imgs))):
         bad.append("not adjoint-preserving")
     if onto is not None:
         img = phi.image_span()
@@ -211,7 +207,8 @@ def star_hom_violations(phi, onto=None, *, gens=None, unital=False,
 def graph_map(amb1, amb2, pairs, dom=None, unital=True):
     """The map x -> y that the graph closure of `pairs` defines, on `dom`
     (default: the span of the closure's first components, the C*-algebra
-    the x generate, with 1 when `unital`).
+    the x generate, with 1 when `unital`).  The closure is the double
+    commutant of the pairs, e S'' without a unit (see generate_algebra).
 
     Returns (LinearMap | None, obstruction): the obstruction is the span of
     {y : (0, y) in the closure}; when it is nonzero the closure is not a

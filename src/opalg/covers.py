@@ -160,7 +160,7 @@ def _validated_cover(A, j, name, verify=True, C=None, rep=None):
         if rep.certificate is not None:
             j.certificate = rep.certificate["forward"]
     if C is None:
-        C = generate_algebra(j.cod, j.images, self_adjoint=True, unital=True)
+        C = generate_algebra(j.cod, j.images)
     bad = C.verify()
     if bad:
         raise CoverError(f"cover {name!r}: C is not a C*-algebra: "

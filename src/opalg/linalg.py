@@ -1,5 +1,5 @@
 """Complex block-matrix ambients, Hilbert-Schmidt orthonormal spans, and
-multiplicative closure of matrix algebras.
+C*-algebras generated as double commutants.
 
 Everything here is dense and desk-scale (N <= 64 or so).  Matrices are plain
 complex ndarrays; an :class:`Ambient` records the block-diagonal pattern they
@@ -10,6 +10,7 @@ orthonormal basis under the Hilbert-Schmidt inner product
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
@@ -170,18 +171,17 @@ def null_space(M, left=False):
 
     Rank is decided by singular values against RANK_TOL (relative to the
     largest singular value, floored at 1).  Only the singular factor that
-    holds the null space is formed in full.
+    holds the null space is formed in full.  M may be a (p, m, n) stack,
+    each matrix with its own cutoff; the result is then a (p, r, n) stack
+    for the largest nullity r, padded with zero rows.
     """
-    m, n = M.shape
-    if left:
-        u, s, _ = np.linalg.svd(M, full_matrices=m > n)
-    else:
-        _, s, vh = np.linalg.svd(M, full_matrices=m < n)
-    cutoff = RANK_TOL * max(1.0, float(s[0]) if len(s) else 1.0)
-    rank = int(np.sum(s > cutoff))
-    if left:
-        return np.ascontiguousarray(u[:, rank:].T.conj())
-    return vh[rank:].conj()
+    m, n = M.shape[-2:]
+    u, s, vh = np.linalg.svd(M, full_matrices=m > n if left else m < n)
+    rows = adjoints(u) if left else vh.conj()
+    null = np.ones(rows.shape[:-1], dtype=bool)
+    null[..., :s.shape[-1]] = s <= RANK_TOL * np.maximum(1.0, s[..., :1])
+    start = null.shape[-1] - null.sum(-1).max()
+    return np.ascontiguousarray((rows * null[..., None])[..., start:, :])
 
 
 def intertwiner_space(dom_imgs, cod_imgs, space):
@@ -301,7 +301,7 @@ class AlgebraSpan:
                for a in self.basis):
             bad.append("not closed under multiplication")
         if self.self_adjoint and self.residual(
-                np.conj(np.transpose(self.basis, (0, 2, 1)))) > MEMBER_TOL:
+                adjoints(self.basis)) > MEMBER_TOL:
             bad.append("not closed under adjoint")
         if self.unital and self.identity_residual() > MEMBER_TOL:
             bad.append("does not contain the ambient identity")
@@ -318,66 +318,109 @@ def orthonormal_span(ambient, mats):
     return AlgebraSpan(ambient, hs_orthonormalize(ambient.check(mats)))
 
 
-def _closure(ambient, seed, left):
-    """Smallest subspace holding `seed` and closed under x -> l @ x for l
-    in `left`.
+def adjoints(mats):
+    """Adjoint of a matrix, or of each matrix of a stack."""
+    return np.conj(np.swapaxes(mats, -1, -2))
 
-    Blocked spinning, as in the Meat-Axe: each round takes one multiplier
-    at a time, multiplies only the elements the previous round added,
-    projects the products off the basis grown so far (twice, so the
-    residuals stay orthogonal to it) and appends the orthonormalized
-    residuals at once, so later multipliers' products are reduced against
-    them.  A residual block of HS norm at most RANK_TOL after either pass
-    is skipped without an SVD: no singular value of it can pass the rank
-    rule (RANK_TOL relative to the largest, floored at 1).  The round's
-    new elements are all it appended; the loop ends when a round appends
-    nothing.
+
+def _kron_sum(X, Y):
+    """sum_k kron(X_k, conj(Y_k)) for (p, k, a, c) and (p, k, b, d) stacks,
+    either p possibly 1, as one product of the flattened stacks."""
+    (k, a, c), (b, d) = X.shape[1:], Y.shape[2:]
+    out = X.reshape(len(X), k, a * c).swapaxes(1, 2) \
+        @ Y.reshape(len(Y), k, b * d).conj()
+    return out.reshape(-1, a, c, b, d).swapaxes(2, 3).reshape(
+        len(out), a * b, c * d)
+
+
+def _intertwiners(Si, Sj):
+    """Orthonormal bases of {X : s_i X = X s_j for every s}, for the block
+    stacks Si (p, k, a, a) and Sj (p, k, b, b) of p block pairs, as a
+    (p, r, a, b) stack padded with zero matrices.  The null space of the
+    normal matrix L of X -> (s_i X - X s_j)_s gives the candidates; as L
+    squares the singular values, the candidates' residuals decide.
     """
-    N = ambient.dim
-    basis = new = hs_orthonormalize(seed)
-    while len(new) and len(left):
-        start = len(basis)
-        for l in left:
-            flat = basis.reshape(len(basis), N * N)
-            flat_h = flat.conj().T
-            res = (l @ new).reshape(-1, N * N)
-            for _ in range(2):
-                res = res - (res @ flat_h) @ flat
-                if np.linalg.norm(res) <= RANK_TOL:
-                    break  # a second pass cannot make it larger
-            else:
-                basis = np.concatenate(
-                    [basis, hs_orthonormalize(res.reshape(-1, N, N))])
-        new = basis[start:]
-    return basis
+    (p, k, a, _), b = Si.shape, Sj.shape[-1]
+    Qi = (adjoints(Si) @ Si).sum(1, keepdims=True)
+    Qj = (adjoints(Sj) @ Sj).sum(1, keepdims=True)
+    # sum over s of |s_i X - X s_j|^2 is the quadratic form of
+    # X -> Q_i X + X Q_j - 2 sum s_i X s_j*, with Q = sum s* s
+    L = _kron_sum(
+        np.concatenate([Qi, np.broadcast_to(np.eye(a), Qi.shape), -2 * Si], 1),
+        np.concatenate([np.broadcast_to(np.eye(b), Qj.shape), Qj, Sj], 1))
+    cand = null_space(L)
+    r = cand.shape[1]
+    X = cand.reshape(p, 1, r, a, b)
+    res = np.moveaxis(Si[:, :, None] @ X - X @ Sj[:, :, None], 2, -1)
+    # one more row keeps the zero rows null_space pads with out of the span
+    pad = 1 - np.linalg.norm(cand, axis=-1) ** 2
+    res = np.concatenate([res.reshape(p, k * a * b, r), pad[:, None]], axis=1)
+    return (null_space(res) @ cand).reshape(p, -1, a, b)
 
 
-def generate_algebra(ambient, gens, self_adjoint=False, unital=True):
-    """Smallest multiplicatively closed subspace containing the generators
-    (plus the identity when unital, adjoints when self_adjoint).
+def generate_algebra(ambient, gens, unital=True):
+    """C*-algebra generated by the generators and, when unital, the
+    identity: the double commutant S'' of S = gens + gens* (von Neumann),
+    which lies in the ambient, as the block projections are in S'.
 
-    That is the span of the words in the generators: it is grown from the
-    generators (and the identity) by left multiplication with an
-    orthonormal basis of the generators' span, so that every product has
-    HS norm at most 1 as the rank rule expects.  Each round multiplies only
-    the elements the previous round added, by one basis element at a time
-    (see _closure).
+    Stage 1 takes, for each pair of ambient blocks with d_i <= d_j, the
+    intertwiners Int_ij = {X : s_i X = X s_j for s in S} (Int_ji = Int_ij*),
+    same-shape pairs as one stack; stage 2 is the null space of the normal
+    matrix of Y -> (Y_i T - T Y_j) over every T in every Int_ij and the
+    block-diagonal Y, whose singular values off S'' depend on S' alone, not
+    on how close S comes to a larger commutant.  `null_space` makes every
+    rank decision.  Without a unit it returns e S'' = C*(S), the part of
+    S'' orthogonal to 1 - e for the support projection e of S.
     """
-    gens = list(ambient.check(gens))
-    if self_adjoint:
-        gens += [g.conj().T for g in gens]
-    seed = gens + [ambient.identity()] if unital else gens
-    basis = _closure(ambient, seed, hs_orthonormalize(gens))
-    return AlgebraSpan(ambient, basis, self_adjoint=self_adjoint, unital=unital)
+    gens = ambient.check(gens)
+    S = np.concatenate([gens, adjoints(gens)])
+    # each s scaled to HS norm 1, as S' does not depend on their scale
+    norms = np.linalg.norm(S, axis=(1, 2), keepdims=True)
+    S = S / np.where(norms > 0, norms, 1)
+    dims = ambient.block_dims
+    offs = np.cumsum((0,) + dims)
+    cols = np.cumsum([0] + [d * d for d in dims])
+    blocks = [S[:, o:o + d, o:o + d] for o, d in zip(offs, dims)]
+    groups = {}
+    order = sorted(range(len(dims)), key=dims.__getitem__)
+    for i, j in itertools.combinations_with_replacement(order, 2):
+        groups.setdefault((dims[i], dims[j]), []).append((i, j))
+    M = np.zeros((cols[-1], cols[-1]), dtype=complex)
+    for (a, b), pairs in groups.items():
+        I, J = np.array(pairs).T
+        T = _intertwiners(np.array([blocks[i] for i in I]),
+                          np.array([blocks[j] for j in J]))
+        # the normal matrix of (Y_i, Y_j) -> Y_i T - T Y_j over T
+        Ia, Ib = np.eye(a)[None, None], np.eye(b)[None, None]
+        TT = (T @ adjoints(T)).sum(1, keepdims=True)
+        TH = (adjoints(T) @ T).sum(1, keepdims=True)
+        K = -_kron_sum(T, T)
+        G = np.concatenate([np.concatenate([_kron_sum(Ia, TT), K], axis=2),
+                            np.concatenate([adjoints(K), _kron_sum(TH, Ib)],
+                                           axis=2)], axis=1)
+        ix = np.concatenate([cols[I, None] + np.arange(a * a),
+                             cols[J, None] + np.arange(b * b)], axis=1)
+        # summed into the normal matrix of stage 2 over all block-diagonal Y
+        np.add.at(M.reshape(-1), (ix[:, :, None] * len(M)
+                                  + ix[:, None, :]).ravel(), G.ravel())
+    # rows c with c s = 0 for every s span the complement of S's support
+    c = [] if unital else null_space(
+        S.transpose(1, 0, 2).reshape(ambient.dim, -1), left=True)
+    if len(c):
+        f = (c.conj().T @ c)[ambient.mask()]
+        M += np.outer(f, f.conj()) / np.vdot(f, f).real
+    y = null_space(M)
+    basis = np.zeros((len(y), ambient.dim, ambient.dim), dtype=complex)
+    basis[:, ambient.mask()] = y
+    return AlgebraSpan(ambient, basis, self_adjoint=True, unital=unital)
 
 
 def graph_closure(amb1, amb2, pairs, unital=True):
-    """Self-adjoint algebra generated by {x (+) y} in the direct sum
-    ambient; the engine behind induced morphisms, admissibility and the
-    homomorphism certificates of complete contractivity."""
+    """C*-algebra generated by {x (+) y} in the direct sum ambient, as a
+    double commutant; the engine behind induced morphisms, admissibility
+    and the homomorphism certificates of complete contractivity."""
     gens = [direct_sum(x, y) for x, y in pairs]
-    return generate_algebra(amb1.direct_sum(amb2), gens, self_adjoint=True,
-                            unital=unital)
+    return generate_algebra(amb1.direct_sum(amb2), gens, unital=unital)
 
 
 def graph_obstruction(amb1, amb2, G):
@@ -464,6 +507,6 @@ def intersect_spans(V, W):
 def diagonal(A):
     """The diagonal A `intersect` A* of an operator algebra span, as a
     self-adjoint span (the largest C*-subalgebra of A)."""
-    adj = AlgebraSpan(A.ambient, np.conj(np.transpose(A.basis, (0, 2, 1))))
+    adj = AlgebraSpan(A.ambient, adjoints(A.basis))
     basis = intersect_spans(A, adj)
     return AlgebraSpan(A.ambient, basis, self_adjoint=True, unital=A.unital)

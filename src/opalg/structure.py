@@ -116,8 +116,8 @@ def minimal_central_projections(C):
 
     Takes the spectral projections of a generic self-adjoint central element
     (RunConfig-seeded random combination of a hermitized center basis).
-    Eigenvalue clusters merged at CLUSTER_GAP; retried with a fresh generic
-    element when the separating gaps come too close to the merge threshold.
+    Eigenvalue clusters merged at CLUSTER_GAP; resampled when a separating
+    gap nears the merge threshold or the clusters miss the center's dimension.
     """
     cached = getattr(C, "_block_structure", None)
     if cached is not None:
@@ -129,15 +129,13 @@ def minimal_central_projections(C):
     herm = hs_orthonormalize(
         [b + b.conj().T for b in Z.basis] + [1j * (b - b.conj().T) for b in Z.basis])
     rng = np.random.default_rng(current().seed)
-    last = None
     for _ in range(_MAX_RESAMPLE):
         w = rng.standard_normal(len(herm))
         g = np.tensordot(w, herm, axes=(0, 0))
         g = (g + g.conj().T) / 2
         vals, vecs = np.linalg.eigh(g)
-        clusters, min_sep = _cluster(vals)
-        if len(clusters) > 1 and min_sep < 10 * CLUSTER_GAP:
-            last = min_sep
+        clusters, last = _cluster(vals)
+        if len(clusters) != Z.dim or last < 10 * CLUSTER_GAP:
             continue
         zs = []
         for idxs in clusters:
@@ -151,8 +149,6 @@ def minimal_central_projections(C):
             if m * m != zC.dim:
                 raise BlockStructureError(
                     f"corner dimension {zC.dim} is not a perfect square")
-            if center(zC).dim != 1:
-                raise BlockStructureError("corner is not simple")
             r = int(round(float(np.real(np.trace(z))) / m))
             first = int(np.argmax(np.real(np.diag(z)) > 0.5))
             info.append((m, r, first, z))
@@ -170,7 +166,7 @@ def minimal_central_projections(C):
         return bs
     raise BlockStructureError(
         f"eigenvalue clustering ambiguous after {_MAX_RESAMPLE} resamples "
-        f"(last separating gap {last:.2e})")
+        f"(last {len(clusters)} clusters, center dim {Z.dim}, gap {last:.2e})")
 
 
 def block_dims(C):

@@ -31,8 +31,7 @@ def map_from_images(span, cod, images):
 def m2():
     amb = Ambient((2,))
     return generate_algebra(amb, [amb.matrix_unit(i, j)
-                                  for i in range(2) for j in range(2)],
-                            self_adjoint=True, unital=True)
+                                  for i in range(2) for j in range(2)])
 
 
 class TestLinearMap:
@@ -96,8 +95,7 @@ def _similarity(m2):
 
 def _diagonal_into_m2(m2):
     amb = m2.ambient
-    D = generate_algebra(amb, [amb.matrix_unit(0, 0), amb.matrix_unit(1, 1)],
-                         self_adjoint=True, unital=True)
+    D = generate_algebra(amb, [amb.matrix_unit(0, 0), amb.matrix_unit(1, 1)])
     return map_from_images(D, amb, list(D.basis)), {"onto": m2}
 
 
@@ -161,8 +159,7 @@ def test_star_hom_violations_evaluates_one_stack_per_basis_row(monkeypatch):
     not once per basis x generator product."""
     amb = Ambient((4,))
     m4 = generate_algebra(amb, [amb.matrix_unit(i, j) for i in range(4)
-                                for j in range(4)],
-                          self_adjoint=True, unital=True)
+                                for j in range(4)])
     calls = []
     coeffs = AlgebraSpan.coeffs
 
@@ -205,8 +202,7 @@ class TestOracles:
         # already on the full M2; the falsifier must find a level-2 witness.
         amb = Ambient((2,))
         full = generate_algebra(amb, [amb.matrix_unit(i, j)
-                                      for i in range(2) for j in range(2)],
-                                self_adjoint=True, unital=True)
+                                      for i in range(2) for j in range(2)])
         transpose = map_from_images(full, amb, [b.T for b in full.basis])
         rep = cc_check(transpose)
         assert rep.verdict == NOT_CC
@@ -347,8 +343,7 @@ def _random_on_m4(seed):
 def _doubled_on_m2(_seed):
     amb = Ambient((2,))
     m2 = generate_algebra(amb, [amb.matrix_unit(i, j) for i in range(2)
-                                for j in range(2)],
-                          self_adjoint=True, unital=True)
+                                for j in range(2)])
     return map_from_images(m2, amb, [2 * b for b in m2.basis])
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -16,9 +18,40 @@ from opalg.covers import (CoverError, CoverMorphism, MorphismAbsence,
                           is_boundary, join, leq, make_cover, meet,
                           normalize_witness, quotient_cover, shilov)
 from opalg.crossed import cstar_crossed
-from opalg.dynamics import ADMISSIBLE, admissible
-from opalg.linalg import (AlgebraSpan, Ambient, graph_closure,
+from opalg.dynamics import ADMISSIBLE, NOT_ADMISSIBLE, admissible
+from opalg.linalg import (RANK_TOL, AlgebraSpan, Ambient, graph_closure,
                           graph_obstruction)
+
+
+@contextlib.contextmanager
+def _recording_rank_gaps():
+    """Record, over the null spaces that linalg.generate_algebra takes in the
+    block, the largest dropped and the smallest kept singular value, each
+    relative to the cutoff's scale max(1, largest singular value)."""
+    gaps = types.SimpleNamespace(dropped=0.0, kept=np.inf)
+    null_space, generate = linalg.null_space, linalg.generate_algebra
+    inside = []
+
+    def recording_null_space(M, left=False):
+        if inside:
+            s = np.linalg.svd(M, compute_uv=False)
+            rel = s / np.maximum(1.0, s[..., :1])
+            gaps.dropped = max(gaps.dropped,
+                               rel[rel <= RANK_TOL].max(initial=0.0))
+            gaps.kept = min(gaps.kept, rel[rel > RANK_TOL].min(initial=np.inf))
+        return null_space(M, left)
+
+    def generating(*args, **kwargs):
+        inside.append(True)
+        try:
+            return generate(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "null_space", recording_null_space)
+        mp.setattr(linalg, "generate_algebra", generating)
+        yield gaps
 
 
 class TestMakeCover:
@@ -64,7 +97,8 @@ class TestMakeCover:
     def test_every_quotient_of_the_symmetrized_cover(self):
         # The 64 covers between the symmetrized cover and its envelope.
         # Swap-admissible exactly when S is a union of swapped pairs of
-        # blocks; a graph closure that the guard refuses is Undecided.
+        # blocks.  Every rank decision of the graph closures has an O(1)
+        # gap: dropped singular values are round-off, kept ones are not.
         cov = a4_symmetrized_cover.__wrapped__()
         dims = cov.structure().block_dims
         assert dims == (4, 2, 2, 1, 1, 1, 1)
@@ -78,11 +112,22 @@ class TestMakeCover:
                 assert q.C.dim == sum(d * d for i, d in enumerate(dims)
                                       if i not in S), S
                 assert q.C.verify() == [], S
-                try:
+                with _recording_rank_gaps() as gaps:
                     rep = admissible(a4_system(), q)
-                except cb.Undecided:
-                    continue
                 assert (rep.verdict == ADMISSIBLE) == (S in want), S
+                assert gaps.dropped <= 1e-12 and 1e-3 <= gaps.kept <= 1, S
+
+    def test_swap_closure_on_the_quotient_by_3_4_6(self):
+        # The spinning closure built 415 dimensions here, more than the
+        # ambient's 90, and admissibility ended Undecided.
+        cov = a4_symmetrized_cover.__wrapped__()
+        q = quotient_cover(cov, {3, 4, 6})
+        ds = a4_system()
+        pairs = [(q.j(a), q.j(ds.act(1, a))) for a in ds.A.span.basis]
+        G = graph_closure(q.ambient, q.ambient, pairs)
+        assert G.dim == 26
+        assert G.verify() == []
+        assert admissible(ds, q).verdict == NOT_ADMISSIBLE
 
     def test_quotients_envelopes_and_crossed_products_generate_nothing(
             self, monkeypatch):
@@ -97,7 +142,8 @@ class TestMakeCover:
         def no_closure(*args, **kwargs):
             raise AssertionError("closure generated")
 
-        monkeypatch.setattr(linalg, "_closure", no_closure)
+        monkeypatch.setattr(linalg, "generate_algebra", no_closure)
+        monkeypatch.setattr(covers, "generate_algebra", no_closure)
         assert quotient_cover(cov, S).C.dim == 4
         assert envelope(cov).C.dim == 4
         cp = cstar_crossed(cov.C, ds.G, rep.extension)

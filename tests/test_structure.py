@@ -14,8 +14,7 @@ def m2_plus_c2():
     amb = Ambient((2, 1, 1))
     return generate_algebra(
         amb, [amb.matrix_unit(0, 1), amb.matrix_unit(2, 2),
-              amb.matrix_unit(3, 3)],
-        self_adjoint=True, unital=True)
+              amb.matrix_unit(3, 3)])
 
 
 def test_center_dimension(m2_plus_c2):
@@ -25,8 +24,7 @@ def test_center_dimension(m2_plus_c2):
 def test_center_of_full_matrix_algebra():
     amb = Ambient((3,))
     C = generate_algebra(amb, [amb.matrix_unit(i, j)
-                               for i in range(3) for j in range(3)],
-                         self_adjoint=True, unital=True)
+                               for i in range(3) for j in range(3)])
     assert center(C).dim == 1
 
 
@@ -36,12 +34,37 @@ def test_minimal_central_projections(m2_plus_c2):
     assert bs.verify() == []
 
 
+def test_a_degenerate_central_draw_is_resampled(monkeypatch):
+    # A zero combination of the center has one eigenvalue cluster for a
+    # center of dimension 3: its one "corner" is all of C (dimension 6).
+    amb = Ambient((2, 1, 1))
+    C = generate_algebra(amb, [amb.matrix_unit(0, 1), amb.matrix_unit(2, 2),
+                               amb.matrix_unit(3, 3)])
+    default_rng = np.random.default_rng
+    draws = []
+
+    class FirstDrawZero:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, size):
+            draws.append(size)
+            return self.rng.standard_normal(size) if len(draws) > 1 \
+                else np.zeros(size)
+
+    monkeypatch.setattr(np.random, "default_rng", FirstDrawZero)
+    bs = minimal_central_projections(C)
+    assert len(draws) == 2
+    assert sorted(bs.block_dims, reverse=True) == [2, 1, 1]
+    assert bs.verify() == []
+
+
 def test_block_structure_with_multiplicity():
     # x + x in M4 carries M2 with multiplicity two: one block, mult 2.
     amb = Ambient((4,))
     e = np.zeros((4, 4), dtype=complex)
     e[0, 1] = e[2, 3] = 1.0
-    C = generate_algebra(amb, [e], self_adjoint=True, unital=True)
+    C = generate_algebra(amb, [e])
     bs = minimal_central_projections(C)
     assert bs.block_dims == (2,)
     assert bs.mults == (2,)
