@@ -60,7 +60,7 @@ import numpy as np
 from .linalg import (ASCENT_GAIN, MEMBER_TOL, NORM_RECHECK_TOL, RANK_TOL,
                      TINY_NORM, AlgebraSpan, Ambient, adjoints, current,
                      graph_closure, graph_obstruction, hs_orthonormalize,
-                     operator_norm, orthonormal_span, support_isometry)
+                     null_space, operator_norm, orthonormal_span, support)
 
 FEAS_TOL = 1e-7
 FALSIFIER_MARGIN = 1e-6
@@ -113,22 +113,20 @@ class LinearMap:
         return LinearMap(dom=other.dom, cod=self.cod,
                          images=self(other.images), factors=(self, other))
 
+    def kernel(self):
+        """Orthonormal coefficient rows, against the domain basis, of the
+        kernel (null_space's rank rule); empty on a zero-dimensional
+        domain."""
+        flat = self.images.reshape(self.dom.dim, self.cod.dim ** 2)
+        return null_space(flat, left=True)
+
     def is_injective(self):
-        if self.dom.dim == 0:
-            return True
-        flat = self.images.reshape(self.dom.dim, -1)
-        if flat.shape[1] < flat.shape[0]:
-            return False
-        s = np.linalg.svd(flat, compute_uv=False)
-        return s[-1] > MEMBER_TOL * max(1.0, float(s[0]))
+        return len(self.kernel()) == 0
 
     def kernel_element(self):
-        """A unit-HS-norm domain element annihilated (up to numerics)."""
-        flat = self.images.reshape(self.dom.dim, -1)
-        # c @ flat = flat.T @ c is smallest for the last right singular
-        # vector of flat.T
-        _, _, vh = np.linalg.svd(flat.T, full_matrices=True)
-        return self.dom.from_coeffs(vh[-1].conj())
+        """A unit-HS-norm domain element annihilated (up to numerics): the
+        kernel direction of the smallest singular value."""
+        return self.dom.from_coeffs(self.kernel()[-1])
 
     def inverse_on_image(self):
         """Inverse map defined on the orthonormalized image span."""
@@ -352,18 +350,16 @@ def verify_certificate(cert, phi):
 
 def _compressed_problem(phi):
     """Compress domain and codomain to their supports.  Returns
-    (S_basis, images, N, n, Vdom, Vcod): orthonormal compressed domain basis,
-    compressed images, compressed sizes, and the two isometries (or None)."""
-    N0, n0 = phi.dom.ambient.dim, phi.cod.dim
-    dom_mats = list(phi.dom.basis)
-    Vd = support_isometry(dom_mats, N0)
-    S = [Vd.conj().T @ b @ Vd for b in dom_mats] if Vd is not None else dom_mats
-    img_mats = list(phi.images)
-    Vc = support_isometry(img_mats, n0)
-    imgs = [Vc.conj().T @ b @ Vc for b in img_mats] if Vc is not None else img_mats
-    N = S[0].shape[0] if S else N0
-    n = imgs[0].shape[0] if imgs else n0
-    return S, imgs, N, n, Vd, Vc
+    (S_basis, images, N, n, Vdom, Vcod): orthonormal compressed domain basis
+    and compressed images as (d, N, N) and (d, n, n) stacks, compressed
+    sizes, and the two isometries (or None)."""
+    S, imgs = phi.dom.basis, phi.images
+    Vd, Vc = support(S), support(imgs)
+    if Vd is not None:
+        S = adjoints(Vd) @ S @ Vd
+    if Vc is not None:
+        imgs = adjoints(Vc) @ imgs @ Vc
+    return S, imgs, S.shape[-1], imgs.shape[-1], Vd, Vc
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +560,7 @@ def choi_feasibility(phi):
     """
     max_iter = current().max_iter
     S, imgs, N, n, _, _ = _compressed_problem(phi)
-    if not S:
+    if not len(S):
         return {"type": "choi", "choi": np.zeros((0, 0)), "residual": 0.0,
                 "dom_basis": np.zeros((0, 1, 1)), "images": np.zeros((0, 1, 1)),
                 "sizes": (0, 0)}, {"iterations": 0}
@@ -575,7 +571,9 @@ def choi_feasibility(phi):
     pins = [B[:, P][:, :, P] for P in dom_blocks]
     X4 = np.zeros((2 * N, 2 * n, 2 * N, 2 * n), dtype=complex)
     iterations, sq = 0, 0.0
-    for Q in cod_blocks:
+    # smallest first: a small infeasible block stops the run before a large
+    # feasible one converges
+    for Q in sorted(cod_blocks, key=len):
         Ys, its, res, infeasible = _dr_block(pins, R[:, Q][:, :, Q],
                                              max_iter, target)
         iterations += its
@@ -592,7 +590,7 @@ def choi_feasibility(phi):
                       "stalled": True}
     D = 4 * N * n
     cert = {"type": "choi", "choi": X4.reshape(D, D), "residual": res,
-            "dom_basis": np.array(S), "images": np.array(imgs),
+            "dom_basis": S, "images": imgs,
             "sizes": (N, n)}
     return cert, {"iterations": iterations, "residual": res}
 
@@ -603,7 +601,7 @@ def verify_choi_certificate(cert):
     if len(S) == 0:
         return True
     N, n = cert["sizes"]
-    B, R = _paulsen_pins(list(S), list(cert["images"]), N, n)
+    B, R = _paulsen_pins(S, cert["images"], N, n)
     X = cert["choi"]
     w = np.linalg.eigvalsh((X + X.conj().T) / 2)
     if w[0] < -10 * FEAS_TOL:
@@ -721,9 +719,8 @@ def falsifier_search(phi):
     re-verifies by recomputing them.
     """
     S, imgs, N, _, Vd, _ = _compressed_problem(phi)
-    if not S:
+    if not len(S):
         return 0.0, None
-    S, imgs = np.array(S), np.array(imgs)
     rng = np.random.default_rng(current().seed)
     best_ratio = 0.0
     for Q in _coordinate_blocks(imgs):
@@ -805,8 +802,8 @@ def _certifies(cert, phi):
     """True when a Choi certificate pins phi's own compressed problem, not
     that of another map."""
     S, imgs = _compressed_problem(phi)[:2]
-    return np.array_equal(cert["dom_basis"], np.array(S)) \
-        and np.array_equal(cert["images"], np.array(imgs))
+    return np.array_equal(cert["dom_basis"], S) \
+        and np.array_equal(cert["images"], imgs)
 
 
 def ci_check(phi):

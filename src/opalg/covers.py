@@ -17,7 +17,7 @@ import numpy as np
 from .cb import (CI, INCONCLUSIVE, LinearMap, Undecided, ci_check,
                  graph_map, require_decisive, star_hom_violations)
 from .linalg import (SIGNIFICANT, WITNESS_FLOOR, AlgebraSpan, compress_span,
-                     direct_sum, generate_algebra, null_space)
+                     direct_sum, generate_algebra)
 from .linalg import graph_closure  # noqa: F401  (stays a public name here)
 from .structure import blocks_of_ideal, corner_quotient, \
     minimal_central_projections
@@ -185,10 +185,8 @@ def induced_morphism(upper, lower):
         w = normalize_witness(obstruction.basis[0])
         return MorphismAbsence(source=upper, target=lower, witness=w,
                                obstruction_dim=obstruction.dim)
-    # the kernel: combinations of C_upper's basis that pi sends to zero
-    ker = null_space(pi.images.reshape(upper.C.dim, -1), left=True)
     kernel = AlgebraSpan(upper.ambient,
-                         np.tensordot(ker, upper.C.basis, axes=(1, 0)),
+                         np.tensordot(pi.kernel(), upper.C.basis, axes=(1, 0)),
                          self_adjoint=True, ideal_in=upper.C)
     morph = CoverMorphism(source=upper, target=lower, pi=pi, kernel=kernel)
     bad = star_hom_violations(pi, lower.C, unital=True,

@@ -165,21 +165,26 @@ def operator_norm(x):
     return float(np.linalg.norm(x, 2))
 
 
+def _kept(s):
+    """The rank rule: which of the singular values s (..., r), in descending
+    order, exceed RANK_TOL relative to the largest, floored at 1."""
+    return s > RANK_TOL * np.maximum(1.0, s[..., :1])
+
+
 def null_space(M, left=False):
     """Orthonormal rows spanning the null space of the matrix M: vectors c
     with M @ c = 0, or with c @ M = 0 when `left`.
 
-    Rank is decided by singular values against RANK_TOL (relative to the
-    largest singular value, floored at 1).  Only the singular factor that
-    holds the null space is formed in full.  M may be a (p, m, n) stack,
-    each matrix with its own cutoff; the result is then a (p, r, n) stack
-    for the largest nullity r, padded with zero rows.
+    Rank is decided by `_kept` on the singular values of M.  Only the
+    singular factor that holds the null space is formed in full.  M may be
+    a (p, m, n) stack, each matrix with its own cutoff; the result is then
+    a (p, r, n) stack for the largest nullity r, padded with zero rows.
     """
     m, n = M.shape[-2:]
     u, s, vh = np.linalg.svd(M, full_matrices=m > n if left else m < n)
     rows = adjoints(u) if left else vh.conj()
     null = np.ones(rows.shape[:-1], dtype=bool)
-    null[..., :s.shape[-1]] = s <= RANK_TOL * np.maximum(1.0, s[..., :1])
+    null[..., :s.shape[-1]] = ~_kept(s)
     start = null.shape[-1] - null.sum(-1).max()
     return np.ascontiguousarray((rows * null[..., None])[..., start:, :])
 
@@ -196,9 +201,8 @@ def intertwiner_space(dom_imgs, cod_imgs, space):
 def hs_orthonormalize(mats):
     """Orthonormal basis (as a (d, N, N) stack) of the span of `mats`.
 
-    Rank is decided by singular values against RANK_TOL (relative to the
-    largest singular value, floored at 1).  Deterministic for a fixed input
-    order.
+    Rank is decided by `_kept` on the singular values of the flattened
+    matrices.  Deterministic for a fixed input order.
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
     if not mats:
@@ -210,9 +214,7 @@ def hs_orthonormalize(mats):
         # already orthonormal; keep the given order (stable golden outputs)
         return np.array(mats)
     _, s, vh = np.linalg.svd(flat, full_matrices=False)
-    cutoff = RANK_TOL * max(1.0, float(s[0]) if len(s) else 1.0)
-    keep = s > cutoff
-    return vh[keep].reshape(-1, *shape)
+    return vh[_kept(s)].reshape(-1, *shape)
 
 
 @dataclass
@@ -358,6 +360,29 @@ def _intertwiners(Si, Sj):
     return (null_space(res) @ cand).reshape(p, -1, a, b)
 
 
+def _cosupport(S):
+    """Orthonormal rows c with c s = 0 for every s of the (k, N, N) stack S,
+    read off the matrices side by side: c*c is the projection onto the
+    complement of the joint support of S, when S holds its adjoints."""
+    return null_space(S.transpose(1, 0, 2).reshape(S.shape[-1], -1),
+                      left=True)
+
+
+def support(mats):
+    """Isometry V (N x m) onto the joint support of a (k, N, N) stack and
+    its adjoints, or None when the support is full: a coordinate selection
+    when the support projection is diagonal (keeps matrix units exact), and
+    otherwise the orthonormal complement of the rows `_cosupport` reads."""
+    mats = np.asarray(mats)
+    c = _cosupport(np.concatenate([mats, adjoints(mats)]))
+    if not len(c):
+        return None
+    P = c.conj().T @ c
+    if np.abs(P - np.diag(np.diag(P))).max() <= RANK_TOL:
+        return np.eye(len(P), dtype=complex)[:, np.diag(P).real < 0.5]
+    return null_space(c).T
+
+
 def generate_algebra(ambient, gens, unital=True):
     """C*-algebra generated by the generators and, when unital, the
     identity: the double commutant S'' of S = gens + gens* (von Neumann),
@@ -370,7 +395,7 @@ def generate_algebra(ambient, gens, unital=True):
     block-diagonal Y, whose singular values off S'' depend on S' alone, not
     on how close S comes to a larger commutant.  `null_space` makes every
     rank decision.  Without a unit it returns e S'' = C*(S), the part of
-    S'' orthogonal to 1 - e for the support projection e of S.
+    S'' orthogonal to 1 - e for the support projection e of S (`_cosupport`).
     """
     gens = ambient.check(gens)
     S = np.concatenate([gens, adjoints(gens)])
@@ -403,9 +428,7 @@ def generate_algebra(ambient, gens, unital=True):
         # summed into the normal matrix of stage 2 over all block-diagonal Y
         np.add.at(M.reshape(-1), (ix[:, :, None] * len(M)
                                   + ix[:, None, :]).ravel(), G.ravel())
-    # rows c with c s = 0 for every s span the complement of S's support
-    c = [] if unital else null_space(
-        S.transpose(1, 0, 2).reshape(ambient.dim, -1), left=True)
+    c = [] if unital else _cosupport(S)
     if len(c):
         f = (c.conj().T @ c)[ambient.mask()]
         M += np.outer(f, f.conj()) / np.vdot(f, f).real
@@ -426,37 +449,11 @@ def graph_closure(amb1, amb2, pairs, unital=True):
 def graph_obstruction(amb1, amb2, G):
     """Span of {y : (0, y) in G}, the obstruction to G being a graph."""
     N1 = amb1.dim
-    firsts = np.array([b[:N1, :N1].ravel() for b in G.basis])
-    if firsts.size == 0:
-        return orthonormal_span(amb2, [])
+    firsts = G.basis[:, :N1, :N1].reshape(G.dim, N1 * N1)
     # combinations of the graph basis whose first components cancel
-    mats = [np.tensordot(c, G.basis, axes=(0, 0))[N1:, N1:]
-            for c in null_space(firsts, left=True)]
-    return orthonormal_span(amb2, [m for m in mats
-                                   if np.linalg.norm(m) > RANK_TOL])
-
-
-def support_isometry(mats, N):
-    """Isometry V (N x m) onto the joint support of the given matrices, or
-    None when the support is full.  Coordinate selection when the support
-    projection is diagonal (keeps matrix units exact)."""
-    T = np.zeros((N, N), dtype=complex)
-    for b in mats:
-        T += b @ b.conj().T + b.conj().T @ b
-    offdiag = T - np.diag(np.diag(T))
-    scale = max(1.0, float(np.abs(T).max()) if T.size else 1.0)
-    if offdiag.size == 0 or np.abs(offdiag).max() < RANK_TOL * scale:
-        keep = np.where(np.real(np.diag(T)) > RANK_TOL * scale)[0]
-        if len(keep) == N:
-            return None
-        V = np.zeros((N, len(keep)), dtype=complex)
-        V[keep, np.arange(len(keep))] = 1.0
-        return V
-    w, U = np.linalg.eigh((T + T.conj().T) / 2)
-    keep = w > RANK_TOL * max(1.0, float(w[-1]))
-    if keep.all():
-        return None
-    return U[:, keep]
+    return orthonormal_span(amb2, [
+        np.tensordot(c, G.basis, axes=(0, 0))[N1:, N1:]
+        for c in null_space(firsts, left=True)])
 
 
 def compress_span(span):
@@ -467,26 +464,18 @@ def compress_span(span):
     dropped); otherwise the compressed ambient is a single full block.
     """
     amb = span.ambient
-    N = amb.dim
-    V = support_isometry(list(span.basis), N)
+    V = support(span.basis)
     if V is None:
         return span, None
-    m = V.shape[1]
-    is_selection = np.all((V == 0) | (V == 1)) and np.all(V.sum(axis=0) == 1)
-    if is_selection:
-        keep = np.where(V.sum(axis=1) > 0.5)[0]
-        dims, off = [], 0
-        for d in amb.block_dims:
-            c = int(np.sum((keep >= off) & (keep < off + d)))
-            if c:
-                dims.append(c)
-            off += d
-        new_amb = Ambient(tuple(dims))
+    if np.all((V == 0) | (V == 1)):
+        offs = np.cumsum((0,) + amb.block_dims)
+        kept = V.sum(axis=1).real
+        dims = [int(kept[a:b].sum()) for a, b in zip(offs, offs[1:])]
+        new_amb = Ambient(tuple(d for d in dims if d))
     else:
-        new_amb = Ambient((m,))
-    basis = np.array([V.conj().T @ b @ V for b in span.basis])
-    out = AlgebraSpan(new_amb, basis, self_adjoint=span.self_adjoint,
-                      unital=False)
+        new_amb = Ambient((V.shape[1],))
+    out = AlgebraSpan(new_amb, adjoints(V) @ span.basis @ V,
+                      self_adjoint=span.self_adjoint, unital=False)
     if span.self_adjoint and out.residual(new_amb.identity()) <= MEMBER_TOL:
         out.unital = True
     return out, V
@@ -494,14 +483,12 @@ def compress_span(span):
 
 def intersect_spans(V, W):
     """Orthonormal basis stack of the intersection of two spans."""
-    if V.dim == 0 or W.dim == 0:
-        return np.zeros((0, V.ambient.dim, V.ambient.dim), complex)
     # rows: components of V's basis orthogonal to W
     M = V._flat - (V._flat @ W._flat.conj().T) @ W._flat
-    # combinations c with sum_i c_i (1 - P_W) v_i = 0
-    mats = [(c @ V._flat).reshape(V.ambient.dim, V.ambient.dim)
-            for c in null_space(M, left=True)]
-    return hs_orthonormalize(mats)
+    # combinations c with sum_i c_i (1 - P_W) v_i = 0, orthonormal as the
+    # rows c and V's basis are
+    N = V.ambient.dim
+    return (null_space(M, left=True) @ V._flat).reshape(-1, N, N)
 
 
 def diagonal(A):

@@ -71,6 +71,20 @@ class TestLinearMap:
         assert np.linalg.norm(comp(k)) < 1e-9
         assert np.linalg.norm(k) == pytest.approx(1.0)
 
+    def test_kernel(self, m2):
+        amb = m2.ambient
+        p = amb.matrix_unit(0, 0)
+        comp = map_from_images(m2, amb, [p @ b @ p for b in m2.basis])
+        ker = comp.kernel()
+        assert np.allclose(ker @ ker.conj().T, np.eye(3))
+        assert np.linalg.norm(np.tensordot(ker, comp.images, 1)) < 1e-9
+
+    def test_kernel_of_zero_dimensional_domain(self):
+        dom = AlgebraSpan(Ambient((2,)), np.zeros((0, 2, 2)))
+        phi = map_from_images(dom, Ambient((3,)), np.zeros((0, 3, 3)))
+        assert len(phi.kernel()) == 0
+        assert phi.is_injective()
+
     def test_kernel_element_of_complex_map(self, m2):
         rng = np.random.default_rng(8)
         x, y = rand_mat(rng, 2), rand_mat(rng, 2)
@@ -367,24 +381,33 @@ def test_stacked_falsifier_matches_sequential_restarts(build, seed):
 
 
 def test_falsifier_svd_count_does_not_scale_with_restarts(monkeypatch):
-    """The restarts ascend as one stack: at most two stacked SVDs per step,
-    counting the one inside np.linalg.norm(x, 2), and no certificate on a
-    completely contractive map."""
+    """The restarts ascend as one stack: at most two stacked (3-D) SVDs per
+    step, counting the one inside np.linalg.norm(x, 2), and no certificate
+    on a completely contractive map.  The support compression adds exactly
+    two 2-D SVDs, one per side, whatever the number of restarts."""
     phi = _compression(2)
-    calls = []
+    ndims = []
     svd = np.linalg.svd
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
+    def recording(a, *args, **kwargs):
+        ndims.append(np.ndim(a))
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, "svd", recording)
     monkeypatch.setattr(sys.modules[np.linalg.norm.__module__], "svd",
-                        counting)
+                        recording)
     with using(seed=0):
         ratio, cert = falsifier_search(phi)
     assert cert is None and 0.8 < ratio <= 1
-    assert 0 < len(calls) <= 2 * 40
+    assert 0 < ndims.count(3) <= 2 * 40 and ndims.count(2) == 2
+    for restarts in (1, 4 * cb.FALSIFIER_RESTARTS):
+        monkeypatch.setattr(cb, "FALSIFIER_RESTARTS", restarts)
+        ndims.clear()
+        with using(seed=0):
+            ratio, cert = falsifier_search(phi)
+        assert cert is None
+        assert 0 < ndims.count(3) <= 2 * 40 and ndims.count(2) == 2
+        assert len(ndims) == ndims.count(2) + ndims.count(3)
 
 
 def test_falsifier_never_amplifies_beyond_a_codomain_block(m2, monkeypatch):
@@ -397,7 +420,8 @@ def test_falsifier_never_amplifies_beyond_a_codomain_block(m2, monkeypatch):
     svd = np.linalg.svd
 
     def recording(a, *args, **kwargs):
-        shapes.append(np.shape(a)[-2:])
+        if np.ndim(a) == 3:  # the ascent's; the compression's are 2-D
+            shapes.append(np.shape(a)[-2:])
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording)
@@ -440,6 +464,25 @@ def test_decisive_near_cb_norm_one_on_direct_sums():
             assert cb.verify_certificate(rep.certificate, phi)
             found += 1
     assert found >= 4
+
+
+def test_smallest_codomain_block_is_separated_first():
+    """On x -> x (+) t V*xV with t in [1.03, 1.2] the 2 x 2 block is
+    infeasible, and it runs before the identity block converges."""
+    for seed in range(8):
+        cert, diag = choi_feasibility(_sum_with_compression(seed, 1.03, 1.2))
+        assert cert is None and diag.get("infeasible")
+        assert diag["iterations"] <= 128
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-6])
+def test_compression_keeps_a_small_singular_direction(eps):
+    # diag(1, eps) has full support; a rank rule on sum b b* + b* b drops it
+    amb = Ambient((2,))
+    dom = orthonormal_span(amb, [np.diag([1.0, eps])])
+    phi = map_from_images(dom, amb, list(dom.basis))
+    S, imgs, N, n, Vd, Vc = cb._compressed_problem(phi)
+    assert (N, n) == (2, 2) and Vd is None and Vc is None
 
 
 def test_zero_iteration_budget_gives_no_certificate(m2):

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opalg import linalg
 from opalg.linalg import (RANK_TOL, AlgebraSpan, Ambient, AmbientMismatch,
                           NotInSpan, compress_span, diagonal,
                           direct_sum, generate_algebra, hs_orthonormalize,
                           intersect_spans, intertwiner_space, null_space,
-                          operator_norm, orthonormal_span, support_isometry)
+                          operator_norm, orthonormal_span, support)
 
 
 def rand_mat(rng, n):
@@ -288,6 +289,7 @@ def test_intersect_spans():
     W = orthonormal_span(amb, [b, c])
     inter = intersect_spans(V, W)
     assert len(inter) == 1
+    assert np.linalg.norm(inter[0]) == pytest.approx(1.0)
     assert V.contains(inter[0]) and W.contains(inter[0])
 
 
@@ -328,10 +330,47 @@ class TestCompression:
         assert operator_norm(comp.basis[0]) == pytest.approx(
             operator_norm(span.basis[0]))
 
-    def test_support_isometry_dense_case(self):
+    def test_support_dense_case(self):
         rng = np.random.default_rng(11)
         u = np.linalg.qr(rand_mat(rng, 3))[0]
         x = u @ np.diag([1.0, 0.0, 0.0]).astype(complex) @ u.conj().T
-        V = support_isometry([x], 3)
+        V = support([x])
         assert V.shape == (3, 1)
         assert np.allclose(V.conj().T @ V, np.eye(1))
+        assert np.allclose(V @ V.conj().T @ x, x)
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6])
+    def test_small_singular_value_keeps_its_direction(self, eps):
+        # The support of diag(1, eps) is full: a rank rule on sum b b* + b* b
+        # squares eps below RANK_TOL and drops it.
+        amb = Ambient((2,))
+        span = orthonormal_span(amb, [np.diag([1.0, eps])])
+        comp, V = compress_span(span)
+        assert V is None and comp.ambient.block_dims == (2,)
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6])
+    def test_support_is_the_unit_of_the_nonunital_algebra(self, eps,
+                                                          monkeypatch):
+        # support(gens) and the 1 - e generate_algebra reads are
+        # complementary projections, in a rotated (non-diagonal) frame too.
+        rng = np.random.default_rng(12)
+        u = np.linalg.qr(rand_mat(rng, 3))[0]
+        gens = np.array([u @ np.diag([1.0, eps, 0.0]) @ u.conj().T,
+                         u @ np.diag([0.5, 0.0, 0.0]) @ u.conj().T])
+        V = support(gens)
+        cosupport = linalg._cosupport
+        seen = []
+
+        def recording(S):
+            seen.append(cosupport(S))
+            return seen[-1]
+
+        monkeypatch.setattr(linalg, "_cosupport", recording)
+        alg = generate_algebra(Ambient((3,)), gens, unital=False)
+        (c,) = seen
+        assert V.shape == (3, 2)
+        assert np.allclose(V @ V.conj().T + c.conj().T @ c, np.eye(3),
+                           rtol=0, atol=1e-9)
+        e = V @ V.conj().T
+        assert alg.contains(e)
+        assert np.allclose(e @ alg.basis, alg.basis, rtol=0, atol=1e-9)
