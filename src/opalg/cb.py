@@ -21,10 +21,12 @@ Two independent oracles back every other verdict.  `cc_check` runs the
 Choi solver first, and the falsifier only when the solver returns no
 certificate:
 
-* a feasibility search for a unital completely positive extension of the
-  2x2 off-diagonal (Paulsen) companion map, certified by a PSD Choi matrix
-  satisfying the pinning affine constraints (phi is completely contractive
-  exactly when such an extension exists; Paulsen 2002, ch. 7-8).  The
+* a feasibility search for a unital completely positive extension,
+  certified by a PSD Choi matrix satisfying the pinning affine constraints:
+  of phi~(a + b*) = phi(a) + phi(b)* on S + S* when phi is unital and
+  *-consistent (Paulsen 2002, Prop. 3.5), and otherwise, or when that
+  fails, of the 2x2 off-diagonal (Paulsen) companion map, which has one
+  exactly when phi is completely contractive (Paulsen 2002, ch. 7-8).  The
   search runs on a block-diagonal Choi variable: the connected components
   of the compressed domain and codomain coordinates split it into one
   independent problem per codomain block, each with one PSD block per
@@ -363,36 +365,51 @@ def _compressed_problem(phi):
 
 
 # ---------------------------------------------------------------------------
-# feasibility oracle (Choi matrix of a UCP extension of the Paulsen map)
+# feasibility oracle (Choi matrix of a UCP extension)
 
 
 def _paulsen_pins(S, images, N, n):
     """HS-orthonormal basis of the companion operator system in M_{2N} and
-    the matching required images in M_{2n}."""
-    bs, Rs = [], []
-
-    def corner(N_, top_left, top_right, bot_left, bot_right):
-        out = np.zeros((2 * N_, 2 * N_), dtype=complex)
-        if top_left is not None:
-            out[:N_, :N_] = top_left
-        if top_right is not None:
-            out[:N_, N_:] = top_right
-        if bot_left is not None:
-            out[N_:, :N_] = bot_left
-        if bot_right is not None:
-            out[N_:, N_:] = bot_right
+    the matching required images in M_{2n}: the two identity pins, then
+    [[0, s], [0, 0]] and [[0, 0], [s*, 0]] for each basis element s."""
+    def system(T, m):
+        out = np.zeros((2 + 2 * len(T), 2 * m, 2 * m), dtype=complex)
+        out[0, :m, :m] = out[1, m:, m:] = np.eye(m) / np.sqrt(N)
+        out[2::2, :m, m:] = T
+        out[3::2, m:, :m] = adjoints(T)
         return out
+    return system(S, N), system(images, n)
 
-    bs.append(corner(N, np.eye(N) / np.sqrt(N), None, None, None))
-    Rs.append(corner(n, np.eye(n) / np.sqrt(N), None, None, None))
-    bs.append(corner(N, None, None, None, np.eye(N) / np.sqrt(N)))
-    Rs.append(corner(n, None, None, None, np.eye(n) / np.sqrt(N)))
-    for s, img in zip(S, images):
-        bs.append(corner(N, None, s, None, None))
-        Rs.append(corner(n, None, img, None, None))
-        bs.append(corner(N, None, None, s.conj().T, None))
-        Rs.append(corner(n, None, None, img.conj().T, None))
-    return np.array(bs), np.array(Rs)
+
+def _unital_pins(S, images, N, n):
+    """HS-orthonormal basis of the operator system S + S* in M_N and the
+    required images of phi~(a + b*) = phi(a) + phi(b)* in M_n, or None
+    unless phi~ is well defined (phi is *-consistent on S and S*) and
+    unital, to 10 * MEMBER_TOL; phi(1) is checked first when 1 is in S.  A
+    PSD Choi matrix pinned to them is a UCP extension Phi of phi, so
+    ||phi||_cb <= ||Phi(1)|| = 1 (Paulsen 2002, Prop. 3.5)."""
+    tol, one, one_n = 10 * MEMBER_TOL, np.eye(N).ravel(), np.eye(n).ravel()
+    d = len(S)
+    S1, I1 = S.reshape(d, -1), images.reshape(d, -1)
+    u = S1.conj() @ one
+    if np.linalg.norm(u @ S1 - one) <= tol < np.linalg.norm(u @ I1 - one_n):
+        return None  # 1 is in S and phi(1) is not 1
+    F = np.concatenate([S1, adjoints(S).reshape(d, -1)])
+    G = np.concatenate([I1, adjoints(images).reshape(d, -1)])
+    B = hs_orthonormalize(F)
+    u = B.conj() @ one
+    if np.linalg.norm(u @ B - one) > tol \
+            or np.linalg.norm(null_space(F, left=True) @ G) > tol:
+        return None  # 1 is not in S + S*, or phi~ is not well defined
+    c, *_ = np.linalg.lstsq(F.T, B.T, rcond=None)
+    R = c.T @ G
+    if np.linalg.norm(u @ R - one_n) > tol:
+        return None
+    return B.reshape(-1, N, N), R.reshape(-1, n, n)
+
+
+# the pinned systems choi_feasibility tries, in order
+_PINS = {"unital": _unital_pins, "paulsen": _paulsen_pins}
 
 
 def _choi_apply(B, X4):
@@ -454,15 +471,17 @@ def _separates(pins, R, y, target):
     the domain blocks), and let X be any PSD variable with pin residual
     r = ||R - AX|| < target.  Then
       * Re<y, AX> = Re<A*y, X> = sum_i tr(Herm(A*y)_i X_i) >= lam tr X;
-      * the two identity pins are I/sqrt(N) on the diagonal corners of
-        M_2N (2N = the sum of the domain block sizes), so tr X = <w, AX>
-        for w = sqrt(N) (I_m, I_m, 0, ...), with <w, R> = m and
-        ||w|| = sqrt(2Nm): tr X <= m + sqrt(2Nm) r < m + sqrt(2Nm) target;
+      * the pins span the identity 1 of M_M (M = the sum of the domain
+        block sizes: 2N for the Paulsen system, N for S + S*), with
+        Phi(1) pinned to 1, so 1 = sum_l u_l B_l with ||u|| = ||1|| =
+        sqrt(M), and tr X = tr Phi(1) = <w, AX> for w_l = conj(u_l) I_m,
+        with <w, R> = m and ||w|| = sqrt(Mm):
+        tr X <= m + sqrt(Mm) r < m + sqrt(Mm) target;
       * Re<y, R> = Re<y, AX> + Re<y, R - AX>
-                 > lam (m + sqrt(2Nm) target) - ||y|| target.
+                 > lam (m + sqrt(Mm) target) - ||y|| target.
     So Re<y, R> at or below that bound rules out every such X.  At target
     0 this is plain Farkas: every feasible Choi block has trace m, since
-    the identity pins force Phi(1) = 1.  Rounding in lam and the inner
+    the pins force Phi(1) = 1.  Rounding in lam and the inner
     products is of order eps ||y||, far below the ||y|| target term."""
     L, m = R.shape[:2]
     y = y.reshape(L, -1)
@@ -531,45 +550,25 @@ def _dr_block(pins, R, max_iter, target):
     return None, it + 1, res, False
 
 
-def choi_feasibility(phi):
-    """Search for a PSD Choi matrix of a UCP map pinned to the Paulsen
-    companion of phi, by Douglas-Rachford splitting between the PSD cone
-    and the affine pinning set, for at most the current RunConfig's
-    `max_iter` iterations per block.
+def _pinned_choi(B, R, max_iter):
+    """Douglas-Rachford for a PSD Choi matrix pinned to R (L, m, m) on the
+    HS-orthonormal pins B (L, M, M).  The pins never link coordinates in
+    different connected components of the domain (resp. codomain)
+    coordinates, so a feasible Choi matrix pinched to those blocks stays
+    feasible: each codomain block is an independent _dr_block run with
+    target FEAS_TOL/sqrt(#blocks), and a separated one stops the search.
 
-    The pins never link coordinates in different connected components of
-    the compressed domain (resp. codomain) coordinates, so a feasible Choi
-    matrix pinched to those blocks stays feasible: the variable is
-    block-diagonal, each codomain block is an independent problem with
-    residual target FEAS_TOL/sqrt(#blocks), and within it the PSD
-    projection is one eigh per domain block.  A single block is the dense
-    problem.
-
-    A block whose residual gives a Farkas separation (see _separates and
-    _dr_block) stops early: no PSD Choi block pins it to within its target,
-    so the whole problem has no certificate.
-
-    Returns (certificate | None, diagnostics).  The certificate is the dense
-    Choi matrix assembled from the blocks (zeros elsewhere), with its pin
-    residual recomputed on the dense pins; it re-verifies independently:
-    PSD to tolerance and affine residual below tolerance.  `iterations` is
-    summed over the blocks.  Without a certificate the diagnostics carry
-    `infeasible: True` when a block was separated, and `stalled: True` when
-    a block ran out of iterations or progress, or the assembled matrix
-    missed FEAS_TOL.
-    """
-    max_iter = current().max_iter
-    S, imgs, N, n, _, _ = _compressed_problem(phi)
-    if not len(S):
-        return {"type": "choi", "choi": np.zeros((0, 0)), "residual": 0.0,
-                "dom_basis": np.zeros((0, 1, 1)), "images": np.zeros((0, 1, 1)),
-                "sizes": (0, 0)}, {"iterations": 0}
-    B, R = _paulsen_pins(S, imgs, N, n)
+    Returns (the dense (M*m, M*m) Choi matrix assembled from the blocks |
+    None, diagnostics): `iterations` summed over the blocks, the residual
+    (recomputed on the dense pins), and `infeasible: True` when a block
+    was separated or `stalled: True` when a block ran out of iterations or
+    progress, or the assembled matrix missed FEAS_TOL."""
     dom_blocks = _coordinate_blocks(B)
     cod_blocks = _coordinate_blocks(R)
     target = FEAS_TOL / np.sqrt(len(cod_blocks))
     pins = [B[:, P][:, :, P] for P in dom_blocks]
-    X4 = np.zeros((2 * N, 2 * n, 2 * N, 2 * n), dtype=complex)
+    M, m = B.shape[-1], R.shape[-1]
+    X4 = np.zeros((M, m, M, m), dtype=complex)
     iterations, sq = 0, 0.0
     # smallest first: a small infeasible block stops the run before a large
     # feasible one converges
@@ -588,26 +587,65 @@ def choi_feasibility(phi):
     if res >= FEAS_TOL:
         return None, {"iterations": iterations, "residual": res,
                       "stalled": True}
-    D = 4 * N * n
-    cert = {"type": "choi", "choi": X4.reshape(D, D), "residual": res,
-            "dom_basis": S, "images": imgs,
-            "sizes": (N, n)}
-    return cert, {"iterations": iterations, "residual": res}
+    return X4.reshape(M * m, M * m), {"iterations": iterations,
+                                      "residual": res}
+
+
+def choi_feasibility(phi):
+    """Search for a PSD Choi matrix of a UCP map that certifies phi
+    completely contractive, on phi compressed to its supports, for at most
+    the current RunConfig's `max_iter` iterations per block and run.
+
+    A unital, *-consistent phi is solved first on S + S* (_unital_pins), a
+    Choi matrix in M_N (x) M_n.  When that system does not apply, or its
+    run stalls or separates, the search runs on the Paulsen companion of
+    phi in M_2N (x) M_2n, which has a UCP extension exactly when phi is
+    completely contractive (Paulsen 2002, ch. 7-8); so every verdict is
+    that of the Paulsen problem alone.
+
+    Returns (certificate | None, diagnostics).  The certificate records the
+    pinned `system` ("unital" or "paulsen"), the Choi matrix, its residual
+    and the compressed problem, and re-verifies independently (see
+    verify_choi_certificate).  `iterations` is summed over both runs;
+    otherwise the diagnostics are the last run's (see _pinned_choi).
+    """
+    max_iter = current().max_iter
+    S, imgs, N, n, _, _ = _compressed_problem(phi)
+    cert = {"type": "choi", "system": "paulsen", "choi": np.zeros((0, 0)),
+            "residual": 0.0, "dom_basis": S, "images": imgs, "sizes": (N, n)}
+    if not len(S):
+        return cert, {"iterations": 0}
+    iterations = 0
+    for system, build in _PINS.items():
+        pins = build(S, imgs, N, n)
+        if pins is None:
+            continue
+        X, diag = _pinned_choi(*pins, max_iter)
+        iterations += diag["iterations"]
+        diag["iterations"] = iterations
+        if X is not None:
+            return dict(cert, system=system, choi=X,
+                        residual=diag["residual"]), diag
+    return None, diag
 
 
 def verify_choi_certificate(cert):
-    """Independent re-check of a feasibility certificate."""
+    """Independent re-check of a feasibility certificate on the pins of its
+    recorded system, rebuilt from its compressed problem: False when a
+    "unital" certificate's map is not unital and *-consistent."""
     S = cert["dom_basis"]
     if len(S) == 0:
         return True
-    N, n = cert["sizes"]
-    B, R = _paulsen_pins(S, cert["images"], N, n)
+    pins = _PINS[cert["system"]](S, cert["images"], *cert["sizes"])
+    if pins is None:
+        return False
+    B, R = pins
     X = cert["choi"]
     w = np.linalg.eigvalsh((X + X.conj().T) / 2)
     if w[0] < -10 * FEAS_TOL:
         return False
-    X4 = X.reshape(2 * N, 2 * n, 2 * N, 2 * n)
-    res = float(np.linalg.norm(R - _choi_apply(B, X4)))
+    M, m = B.shape[-1], R.shape[-1]
+    res = float(np.linalg.norm(R - _choi_apply(B, X.reshape(M, m, M, m))))
     return res < 10 * FEAS_TOL
 
 

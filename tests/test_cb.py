@@ -17,6 +17,7 @@ from opalg.dynamics import inner_in_itself
 from opalg.linalg import (ASCENT_GAIN, TINY_NORM, AlgebraSpan, Ambient,
                           direct_sum, generate_algebra, orthonormal_span,
                           using)
+from opalg.suite import paper_suite
 
 
 def rand_mat(rng, n):
@@ -589,24 +590,27 @@ def test_choi_solver_splits_along_coordinate_blocks(trivialization_map,
     monkeypatch.setattr(np.linalg, "eigh", recording)
     cert, diag = choi_feasibility(phi)
     monkeypatch.undo()
-    assert cert is not None
-    assert cert["choi"].shape == (4 * 8 * 8, 4 * 8 * 8)
+    assert cert is not None and cert["system"] == "unital"
+    assert cert["choi"].shape == (8 * 8, 8 * 8)
     assert cert["residual"] < FEAS_TOL
     assert verify_choi_certificate(cert)
-    # Coordinate blocks (4, 2, 2) on both sides, doubled to (8, 4, 4) by
-    # the Paulsen companion: no Choi block is wider than 8 * 8.
-    assert widths and max(widths) <= 64
+    # The map is unital, so it is solved on S + S* in M_8 (x) M_8, with
+    # coordinate blocks (4, 2, 2) on both sides: no Choi block is wider
+    # than 4 * 4.
+    assert widths and max(widths) <= 16
 
 
-def _dense_douglas_rachford(phi, max_iter):
-    """Reference: Douglas-Rachford on the dense Choi matrix, with the three
-    pin-operator applications per iteration written out."""
+def _dense_douglas_rachford(phi, system, max_iter):
+    """Reference: Douglas-Rachford on the dense Choi matrix of the pinned
+    `system`, with the three pin-operator applications per iteration
+    written out."""
     S, imgs, N, n, _, _ = cb._compressed_problem(phi)
-    B, R = cb._paulsen_pins(S, imgs, N, n)
-    D = 4 * N * n
+    B, R = cb._PINS[system](S, imgs, N, n)
+    M, m = B.shape[-1], R.shape[-1]
+    D = M * m
 
     def p_aff(X):
-        X4 = X.reshape(2 * N, 2 * n, 2 * N, 2 * n)
+        X4 = X.reshape(M, m, M, m)
         diff = R - np.einsum("lij,iajb->lab", B, X4)
         corr = np.einsum("lij,lab->iajb", B.conj(), diff).reshape(D, D)
         return X + corr, np.linalg.norm(diff)
@@ -637,11 +641,14 @@ def _rotated_diagonal(m2):
 
 @pytest.mark.parametrize("build", [_halved, _rotated_diagonal])
 def test_one_codomain_block_matches_dense_reference(m2, build):
-    # One codomain block: the split solver runs the dense iteration, with
-    # one PSD block per domain block (one for M_2, two for the diagonal).
+    # One codomain block: the split solver runs the dense iteration of the
+    # system its certificate pins (Paulsen for the non-unital halving,
+    # S + S* for the unital rotation), with one PSD block per domain block
+    # (one for M_2, two for the diagonal).
     phi = build(m2)
     cert, diag = choi_feasibility(phi)
-    ref, iterations = _dense_douglas_rachford(phi, 1000)
+    assert cert["system"] == ("paulsen", "unital")[build is _rotated_diagonal]
+    ref, iterations = _dense_douglas_rachford(phi, cert["system"], 1000)
     assert diag["iterations"] == iterations
     assert np.allclose(cert["choi"], ref, rtol=0, atol=1e-9)
 
@@ -666,22 +673,21 @@ def test_direct_sum_with_expanding_summand_is_not_cc(m2):
     assert diag["infeasible"] and diag["iterations"] < 64
 
 
-def _block_problem(phi):
-    """The pins and required images of phi's one codomain block, as
-    choi_feasibility hands them to the Douglas-Rachford run."""
+def _block_problem(phi, system="paulsen"):
+    """The pins and required images of phi's one codomain block in the
+    pinned `system`, as choi_feasibility hands them to the Douglas-Rachford
+    run."""
     S, imgs, N, n, _, _ = cb._compressed_problem(phi)
-    B, R = cb._paulsen_pins(S, imgs, N, n)
+    B, R = cb._PINS[system](S, imgs, N, n)
     (Q,) = cb._coordinate_blocks(R)
     return [B[:, P][:, :, P] for P in cb._coordinate_blocks(B)], \
         R[:, Q][:, :, Q]
 
 
-@pytest.mark.parametrize("seed", [0, 2, 4])
-def test_no_separation_on_a_completely_contractive_map(seed, monkeypatch):
-    # t V*xV with t <= 1 has a UCP extension of its Paulsen map, so no y
-    # may separate: neither the residuals of a run on it nor random ones.
-    phi = _compression(seed)
-    pins, R = _block_problem(phi)
+def _assert_no_separation(phi, system, seed, monkeypatch):
+    """phi's problem in `system` has a PSD solution, so no y may separate
+    it: neither the residuals of a run on it nor random ones."""
+    pins, R = _block_problem(phi, system)
     rng = np.random.default_rng(seed)
     for _ in range(200):
         y = rng.standard_normal(R.shape) + 1j * rng.standard_normal(R.shape)
@@ -695,8 +701,30 @@ def test_no_separation_on_a_completely_contractive_map(seed, monkeypatch):
 
     monkeypatch.setattr(cb, "_separates", recording)
     cert, diag = choi_feasibility(phi)
-    assert cert is not None and seen and not any(seen)
+    assert cert is not None and cert["system"] == system
+    assert seen and not any(seen)
     assert "infeasible" not in diag and "stalled" not in diag
+
+
+@pytest.mark.parametrize("seed", [0, 2, 4])
+def test_no_separation_on_a_completely_contractive_map(seed, monkeypatch):
+    # t V*xV with t <= 1 has a UCP extension of its Paulsen map; it is not
+    # unital, so only the Paulsen system runs.
+    _assert_no_separation(_compression(seed), "paulsen", seed, monkeypatch)
+
+
+def _ucp_compression(seed):
+    """x -> V*xV: _compression(seed) divided by its t = ||phi(1)||."""
+    phi = _compression(seed)
+    t = np.linalg.norm(phi(np.eye(4)), 2)
+    return map_from_images(phi.dom, phi.cod, phi.images / t)
+
+
+@pytest.mark.parametrize("seed", [0, 2, 4])
+def test_no_separation_on_a_ucp_map_in_the_unital_system(seed, monkeypatch):
+    # V*xV is UCP, so its Choi matrix solves the S + S* problem
+    _assert_no_separation(_ucp_compression(seed), "unital", seed,
+                          monkeypatch)
 
 
 def test_choi_certified_map_never_runs_the_falsifier(m2, monkeypatch):
@@ -776,6 +804,116 @@ def test_codomain_permutation_keeps_the_verdict(m2, t, want):
     permuted = _identity_plus_compression(m2, t, perm=(2, 0, 1))
     assert cc_check(plain).verdict == want
     assert cc_check(permuted).verdict == want
+
+
+# ---------------------------------------------------------------------------
+# the unital system S + S*
+
+
+def test_zero_dimensional_domain_certificate_verifies(m2):
+    phi = map_from_images(AlgebraSpan(m2.ambient, np.zeros((0, 2, 2))),
+                          m2.ambient, np.zeros((0, 2, 2)))
+    cert, diag = choi_feasibility(phi)
+    assert cert["dom_basis"].shape == cert["images"].shape == (0, 0, 0)
+    assert cb.verify_certificate(cert, phi)
+
+
+def _inconsistent_on_s_cap_s_star(m2):
+    """S = span{1, E00} in M_2 with phi(1) = 1 and phi(E00) = E00 + E01:
+    unital but not *-consistent (S is self-adjoint and phi(E00) is not),
+    and not completely contractive."""
+    amb = m2.ambient
+    e00, e01 = amb.matrix_unit(0, 0), amb.matrix_unit(0, 1)
+    dom = orthonormal_span(amb, [np.eye(2), e00])
+    return cb.map_from_generators(dom, [np.eye(2), e00],
+                                  [np.eye(2), e00 + e01], amb), {}
+
+
+@pytest.mark.parametrize("build", [_inconsistent_on_s_cap_s_star, _transpose])
+def test_unital_map_that_is_not_cc_falls_through_to_paulsen(m2, build,
+                                                           monkeypatch):
+    # The transpose is unital, *-consistent and positive but not CP, so its
+    # S + S* problem runs and separates; the inconsistent map never runs it.
+    phi = build(m2)[0]
+    runs = []
+    solve = cb._pinned_choi
+
+    def recording(B, R, max_iter):
+        X, diag = solve(B, R, max_iter)
+        runs.append((B.shape[-1], X is None, diag.get("infeasible")))
+        return X, diag
+
+    monkeypatch.setattr(cb, "_pinned_choi", recording)
+    rep = cc_check(phi)
+    assert rep.verdict == NOT_CC and rep.certificate["type"] == "falsifier"
+    assert cb.verify_certificate(rep.certificate, phi)
+    N = phi.dom.ambient.dim
+    assert runs[-1] == (2 * N, True, True)
+    assert runs[:-1] == ([(N, True, True)] if build is _transpose else [])
+
+
+def test_unital_system_is_tried_on_unital_maps_only(m2):
+    S, imgs, N, n, _, _ = cb._compressed_problem(_transpose(m2)[0])
+    assert cb._unital_pins(S, imgs, N, n) is not None
+    assert cb._unital_pins(S, 0.5 * imgs, N, n) is None
+    S, imgs, N, n, _, _ = cb._compressed_problem(
+        _inconsistent_on_s_cap_s_star(m2)[0])
+    assert cb._unital_pins(S, imgs, N, n) is None
+    # 1 = (a + a*)/2 is in S + S* but not in S = span{a}
+    a = np.eye(2) + 1j * np.diag([1.0, -1.0])
+    S = orthonormal_span(m2.ambient, [a]).basis
+    assert cb._unital_pins(S, S, 2, 2) is not None
+    assert cb._unital_pins(S, 0.5 * S, 2, 2) is None
+
+
+@pytest.mark.parametrize("spoil", [_negative_eigenvalue, _shifted_pin])
+def test_unverified_unital_choi_certificate_is_inconclusive(monkeypatch,
+                                                           spoil):
+    phi = _ucp_compression(0)
+    solve = cb.choi_feasibility
+
+    def corrupted(phi):
+        cert, diag = solve(phi)
+        assert cert["system"] == "unital"
+        return spoil(cert), diag
+
+    monkeypatch.setattr(cb, "choi_feasibility", corrupted)
+    rep = cc_check(phi)
+    assert rep.verdict == INCONCLUSIVE
+    assert rep.diagnostics["failed_check"] == "verify_choi_certificate"
+
+
+def test_unital_certificate_with_inconsistent_images_fails(m2):
+    amb = m2.ambient
+    dom = orthonormal_span(amb, [np.eye(2), amb.matrix_unit(0, 0)])
+    cert, _ = choi_feasibility(map_from_images(dom, amb, dom.basis))
+    assert cert["system"] == "unital" and verify_choi_certificate(cert)
+    # phi'(s) = phi(s) + eps <h, s> E01 for h = diag(1, -1)/sqrt(2) in S:
+    # phi'(1) = 1, but phi'(h) = h + eps E01 is not self-adjoint.  eps is
+    # below the pin-residual bound, so only the consistency check sees it.
+    eps = 5e-7
+    h = np.diag([1.0, -1.0]) / np.sqrt(2)
+    shift = eps * dom.coeffs(h).conj()[:, None, None] * amb.matrix_unit(0, 1)
+    spoiled = dict(cert, images=cert["images"] + shift)
+    assert not verify_choi_certificate(spoiled)
+
+
+def test_every_suite_choi_certificate_pins_the_unital_system(monkeypatch):
+    seen = []
+    solve = cb.choi_feasibility
+
+    def recording(phi):
+        cert, diag = solve(phi)
+        seen.append((phi, cert, diag))
+        return cert, diag
+
+    monkeypatch.setattr(cb, "choi_feasibility", recording)
+    paper_suite()
+    assert len(seen) == 4
+    for phi, cert, diag in seen:
+        assert cert["system"] == "unital" and diag["iterations"] <= 20
+        assert verify_choi_certificate(cert)
+        assert cb.verify_certificate(cert, phi)
 
 
 # ---------------------------------------------------------------------------

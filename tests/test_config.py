@@ -49,7 +49,7 @@ def test_falsifier_reads_the_configured_seed():
 
 def test_cli_budget_does_not_outlive_the_command(tmp_path):
     res = CliRunner().invoke(main, ["structure", example_file(tmp_path),
-                                    "--cover", "diag", "--max-iter", "1"])
+                                    "--cover", "diag", "--max-iter", "0"])
     assert res.exit_code == 2
     assert current() == RunConfig()
     assert current().max_iter == 50000

@@ -331,11 +331,11 @@ class TestCli:
         assert res.exit_code == 0
 
     def test_starved_solver_exits_2(self, scenario_file):
-        # With a one-iteration feasibility budget the complete-isometry
-        # check of the cover cannot conclude.
+        # With no feasibility iterations the complete-isometry check of the
+        # cover cannot conclude.
         res = CliRunner().invoke(main, ["structure", scenario_file,
                                         "--cover", "diag",
-                                        "--max-iter", "1"])
+                                        "--max-iter", "0"])
         assert res.exit_code == 2
 
     def test_starved_paper_suite_exits_2(self):
