@@ -16,9 +16,9 @@ from .cb import (CC, CI, INCONCLUSIVE, NOT_CC, NOT_CI, CbReport, LinearMap,
                  Undecided, cc_check, ci_check, star_hom_violations)
 from .covers import (CoverError, CoverMorphism, CstarCover, MorphismAbsence,
                      NotCompletelyIsometric, NotHomomorphism,
-                     OperatorAlgebra, envelope, equivalent, induced_morphism,
-                     is_boundary, join, leq, make_cover, meet,
-                     quotient_cover, quotient_map, shilov)
+                     OperatorAlgebra, envelope, equivalent, inclusion_cover,
+                     induced_morphism, is_boundary, join, leq, make_cover,
+                     meet, quotient_cover, quotient_map, shilov)
 from .crossed import (CrossedProduct, NotAdmissibleCover, crossed_equivalent,
                       cstar_crossed, full_crossed, relative_crossed,
                       trivialization_iso)

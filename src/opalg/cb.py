@@ -848,7 +848,9 @@ def ci_check(phi):
     """Decide complete isometry: injectivity plus complete contractivity of
     the map and of its inverse on the image.  A kernel certificate is
     re-verified like the others; the CI certificate is the pair of the two
-    directions' certificates, and `decided_by` is recorded per direction."""
+    directions' certificates, and `decided_by` is recorded per direction.
+    An injective forward *-homomorphism extension lends its inverse to the
+    inverse map as a carried certificate, which spares its graph closure."""
     if phi.dom.dim == 0:
         return CbReport(CI, None, {"trivial": "zero-dimensional domain",
                                    "decided_by": "trivial"})
@@ -868,6 +870,11 @@ def ci_check(phi):
     if fwd.verdict == NOT_CC:
         return CbReport(NOT_CI, fwd.certificate, fwd.diagnostics)
     inv = phi.inverse_on_image()
+    cert = fwd.certificate
+    if fwd.verdict == CC and cert["type"] == "homomorphism" \
+            and cert["extension"].is_injective():
+        inv.certificate = {"type": "homomorphism",
+                           "extension": cert["extension"].inverse_on_image()}
     bwd = cc_check(inv)
     if bwd.verdict == NOT_CC:
         d = dict(bwd.diagnostics)

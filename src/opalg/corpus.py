@@ -12,7 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .covers import OperatorAlgebra, envelope, join, make_cover
+from .covers import (OperatorAlgebra, envelope, inclusion_cover, join,
+                     make_cover)
 from .dynamics import FiniteGroup, make_system, trivial_system
 from .linalg import AlgebraSpan, Ambient, direct_sum, orthonormal_span
 
@@ -100,9 +101,8 @@ def a4_symmetrized_cover():
 
 @lru_cache(maxsize=None)
 def a4_inclusion_cover():
-    """A4 inside M4 as given."""
-    A = a4_algebra()
-    return make_cover(A, A.ambient, list(A.span.basis), name="a4-inclusion")
+    """A4 inside M4 as given (A4's one inclusion_cover)."""
+    return inclusion_cover(a4_algebra())
 
 
 @lru_cache(maxsize=None)
@@ -136,9 +136,8 @@ def t2_trivial_system():
 
 @lru_cache(maxsize=None)
 def t2_inclusion_cover():
-    """T2 inside M2; this is already the C*-envelope."""
-    A = t2_algebra()
-    return make_cover(A, A.ambient, list(A.span.basis), name="t2-inclusion")
+    """T2 inside M2 (its one inclusion_cover); already the C*-envelope."""
+    return inclusion_cover(t2_algebra())
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +186,8 @@ SYSTEM_BUILDERS = {
 
 def clear_caches():
     """Forget every memoised corpus object, so that the next builder calls
-    rebuild and re-certify their covers from scratch."""
+    rebuild and re-certify their covers from scratch; the inclusion covers,
+    envelopes and admissibility reports stored on them go too."""
     for builder in (a4_algebra, t2_algebra, *COVER_BUILDERS.values(),
                     *SYSTEM_BUILDERS.values()):
         builder.cache_clear()

@@ -42,6 +42,8 @@ class OperatorAlgebra:
 
     span: AlgebraSpan
     name: str = "A"
+    _inclusion: "CstarCover | None" = field(default=None, repr=False,
+                                            compare=False)
 
     @property
     def ambient(self):
@@ -71,6 +73,8 @@ class CstarCover:
     _shilov: frozenset | None = field(default=None, repr=False, compare=False)
     _quotient_reports: dict = field(default_factory=dict, repr=False,
                                     compare=False)
+    _admissibility: list = field(default_factory=list, repr=False,
+                                 compare=False)  # (system, report) pairs
 
     @property
     def ambient(self):
@@ -166,6 +170,15 @@ def _validated_cover(A, j, name, verify=True, C=None, rep=None):
         raise CoverError(f"cover {name!r}: C is not a C*-algebra: "
                          + "; ".join(bad))
     return CstarCover(A=A, C=C, j=j, name=name)
+
+
+def inclusion_cover(A):
+    """A inside its own ambient, named after A; built and certified once
+    per algebra, so its envelope is too."""
+    if A._inclusion is None:
+        A._inclusion = make_cover(A, A.ambient, list(A.span.basis),
+                                  name=f"{A.name.lower()}-inclusion")
+    return A._inclusion
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cb import (CI, LinearMap, ci_check, map_from_generators,
                  require_decisive, star_hom_violations)
-from .covers import CoverError, CstarCover, envelope, make_cover
+from .covers import CoverError, CstarCover, envelope, inclusion_cover
 from .dynamics import (ADMISSIBLE, DynamicalSystem, admissible,
                        trivial_system)
 from .linalg import MEMBER_TOL, AlgebraSpan, Ambient, hs_orthonormalize
@@ -139,12 +139,9 @@ def relative_crossed(ds, cover, report=None):
 
 def full_crossed(ds):
     """THE crossed product A x G, computed relative to the C*-envelope (all
-    relative crossed products over admissible covers agree for finite G)."""
-    span = ds.A.span
-    inclusion = make_cover(ds.A, span.ambient, list(span.basis),
-                           name="inclusion")
-    env = envelope(inclusion)
-    return relative_crossed(ds, env)
+    relative crossed products over admissible covers agree for finite G);
+    the envelope is that of A's one inclusion_cover."""
+    return relative_crossed(ds, envelope(inclusion_cover(ds.A)))
 
 
 NOT_ISOMETRIC = "not completely isometric"

@@ -202,13 +202,24 @@ def _canonical_witness(ds, cover, s, obstruction):
 
 
 def admissible(ds, cover):
-    """Decide alpha-admissibility of a cover.
+    """Decide alpha-admissibility of a cover, once per system object: the
+    report is stored on the cover for the same `ds` (by identity), valid
+    under any RunConfig as no cb oracle or seeded search takes part.
 
     For each group element the candidate extension is the graph closure of
     {(j(a), j(alpha_s(a)))} in C+C; a non-graph closure yields a
     NotAdmissible verdict with a normalized witness, otherwise the
     extensions are assembled and the group law re-verified.
     """
+    for system, report in cover._admissibility:
+        if system is ds:
+            return report
+    report = _decide_admissible(ds, cover)
+    cover._admissibility.append((ds, report))
+    return report
+
+
+def _decide_admissible(ds, cover):
     amb = cover.ambient
     xs = np.array([cover.j(a) for a in ds.A.span.basis])
     betas, bad = [], []

@@ -1058,3 +1058,53 @@ def test_kernel_certificate_is_reverified(m2, monkeypatch):
     rep = ci_check(comp)
     assert rep.verdict == INCONCLUSIVE
     assert rep.diagnostics["failed_check"] == "kernel_certificate"
+
+
+def _a4_inclusion_map():
+    """A4 -> M4 as given, carrying no certificate: an injective
+    *-homomorphism whose extension to C*(A4) = M4 is injective too."""
+    A = a4_algebra()
+    return map_from_images(A.span, A.ambient, A.span.basis)
+
+
+def _recorded_closures(monkeypatch):
+    closures, closure = [], cb.graph_closure
+
+    def recording(*args, **kwargs):
+        closures.append(args)
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(cb, "graph_closure", recording)
+    return closures
+
+
+def test_inverse_certificate_is_read_off_the_forward_closure(monkeypatch):
+    phi = _a4_inclusion_map()
+    closures = _recorded_closures(monkeypatch)
+    rep = ci_check(phi)
+    assert rep.verdict == CI
+    assert len(closures) == 1
+    assert rep.diagnostics["inverse"]["decided_by"] == "homomorphism"
+    assert rep.certificate["inverse"]["type"] == "homomorphism"
+    assert cb.verify_certificate(rep.certificate, phi)
+
+
+def test_spoilt_inverse_certificate_falls_back_to_the_closure(monkeypatch):
+    phi = _a4_inclusion_map()
+    verdict = ci_check(phi).verdict
+    spoilt, inverse_on_image = [], LinearMap.inverse_on_image
+
+    def spoiling(self):
+        inv = inverse_on_image(self)
+        if self is not phi:  # the forward extension, inverted
+            spoilt.append(self)
+            inv.images = 2 * inv.images
+        return inv
+
+    monkeypatch.setattr(LinearMap, "inverse_on_image", spoiling)
+    closures = _recorded_closures(monkeypatch)
+    rep = ci_check(phi)
+    assert spoilt
+    assert len(closures) == 2
+    assert rep.verdict == verdict == CI
+    assert rep.diagnostics["inverse"]["decided_by"] == "homomorphism"

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from opalg.corpus import (Z2, a4_envelope, a4_schur_cover, a4_swap_unitary,
+from opalg.corpus import (Z2, a4_envelope, a4_inclusion_cover,
+                          a4_schur_cover, a4_swap_unitary,
                           a4_symmetrized_cover, a4_system,
                           a4_trivial_system, t2_algebra, t2_diag_cover,
                           t2_envelope, t2_system)
-from opalg import dynamics
+from opalg import corpus, dynamics
 from opalg.cb import LinearMap
 from opalg.covers import envelope, induced_morphism
-from opalg.dynamics import (ADMISSIBLE, NOT_ADMISSIBLE, FiniteGroup,
-                            GroupError, SystemError_, admissible,
+from opalg.crossed import full_crossed
+from opalg.dynamics import (ADMISSIBLE, NOT_ADMISSIBLE, DynamicalSystem,
+                            FiniteGroup, GroupError, SystemError_, admissible,
                             inner_in_itself, invariant_kernel_check,
                             locally_inner, make_system, trivial_system)
+from opalg.suite import paper_suite
 
 
 class TestFiniteGroup:
@@ -65,6 +68,11 @@ class TestMakeSystem:
         assert np.allclose(triv.act(1, x), x)
 
 
+def _identity_extensions(amb1, amb2, pairs, dom, unital=True):
+    """graph_map reading the identity off every graph."""
+    return LinearMap(dom=dom, cod=amb2, images=dom.basis), None
+
+
 class TestAdmissibility:
     def test_schur_cover_not_admissible_for_swap(self):
         rep = admissible(a4_system(), a4_schur_cover())
@@ -91,11 +99,10 @@ class TestAdmissibility:
 
     def test_extension_is_checked_against_its_pairs(self, monkeypatch):
         # Read the identity off every graph: a *-automorphism of C obeying
-        # the group law, but it does not carry the swap.
-        monkeypatch.setattr(
-            dynamics, "graph_map",
-            lambda amb1, amb2, pairs, dom, unital=True: (
-                LinearMap(dom=dom, cod=amb2, images=dom.basis), None))
+        # the group law, but it does not carry the swap.  The covers are
+        # rebuilt, so no stored report answers instead of the patched map.
+        corpus.clear_caches()
+        monkeypatch.setattr(dynamics, "graph_map", _identity_extensions)
         with pytest.raises(SystemError_, match="beta_1 does not send"):
             admissible(a4_system(), envelope(a4_schur_cover()))
 
@@ -118,6 +125,72 @@ class TestAdmissibility:
         assert invariant_kernel_check(ds, rep, m)
         m_bad = induced_morphism(upper, a4_schur_cover())
         assert not invariant_kernel_check(ds, rep, m_bad)
+
+
+def _recorded_graph_maps(monkeypatch):
+    calls, graph_map = [], dynamics.graph_map
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return graph_map(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "graph_map", recording)
+    return calls
+
+
+class TestDecideOnce:
+    """Admissibility is decided once per system object and cover, and the
+    crossed product reuses the corpus envelope."""
+
+    def test_second_call_returns_the_stored_report(self, monkeypatch):
+        ds, cov = a4_system(), a4_symmetrized_cover()
+        first = admissible(ds, cov)
+        calls = _recorded_graph_maps(monkeypatch)
+        assert admissible(ds, cov) is first
+        assert calls == []
+
+    def test_another_system_object_is_decided_afresh(self, monkeypatch):
+        ds, cov = a4_system(), a4_symmetrized_cover()
+        first = admissible(ds, cov)
+        twin = DynamicalSystem(A=ds.A, G=ds.G, alpha=ds.alpha)
+        calls = _recorded_graph_maps(monkeypatch)
+        rep = admissible(twin, cov)
+        assert rep is not first and len(calls) == 1
+        assert rep.verdict == first.verdict == ADMISSIBLE
+        for b1, b2 in zip(rep.extension, first.extension):
+            assert np.allclose(b1.images, b2.images)
+        assert admissible(twin, cov) is rep
+
+    def test_failed_verification_is_not_stored(self, monkeypatch):
+        corpus.clear_caches()
+        ds, cov = a4_system(), envelope(a4_schur_cover())
+        with monkeypatch.context() as patched:
+            patched.setattr(dynamics, "graph_map", _identity_extensions)
+            with pytest.raises(SystemError_):
+                admissible(ds, cov)
+        assert admissible(ds, cov).verdict == ADMISSIBLE
+
+    def test_full_crossed_shares_the_corpus_envelope(self):
+        cp = full_crossed(a4_system())
+        assert cp.cover is a4_envelope() is envelope(a4_inclusion_cover())
+        assert full_crossed(a4_trivial_system()).cover is cp.cover
+
+    def test_suite_is_unchanged_by_a_second_run(self):
+        assert paper_suite()["verdict_text"] == paper_suite()["verdict_text"]
+
+    def test_suite_decides_each_pair_once(self, monkeypatch):
+        decided, decide = [], dynamics._decide_admissible
+
+        def recording(ds, cover):
+            decided.append((ds, cover))
+            return decide(ds, cover)
+
+        monkeypatch.setattr(dynamics, "_decide_admissible", recording)
+        assert paper_suite()["all_pass"]
+        repeats = [(ds.A.name, cov.name)
+                   for i, (ds, cov) in enumerate(decided)
+                   if any(ds is d and cov is c for d, c in decided[:i])]
+        assert decided and repeats == []
 
 
 class TestInner:

@@ -3,7 +3,7 @@ import pytest
 
 from opalg.corpus import (a4_envelope, a4_schur_cover, a4_system, t2_algebra,
                           t2_diag_cover, t2_system)
-from opalg import cb, covers, partialact
+from opalg import cb, corpus, covers, partialact
 from opalg.cb import LinearMap
 from opalg.linalg import AlgebraSpan, Ambient, orthonormal_span
 from opalg.covers import OperatorAlgebra, envelope, make_cover, shilov
@@ -91,7 +91,9 @@ class TestPartialAction:
 
     def test_graph_closures_lie_in_the_envelope(self, monkeypatch):
         """The corner action is the envelope's extension: the action's graph
-        closures are taken in the envelope's ambient, not the cover's."""
+        closures are taken in the envelope's ambient, not the cover's.  The
+        covers are rebuilt, so no stored admissibility report skips them."""
+        corpus.clear_caches()
         cov, ds = a4_schur_cover(), a4_system()
         env = envelope(cov)
         seen, closure = [], cb.graph_closure
