@@ -44,9 +44,9 @@ certificate:
   one, while the witness and its ratio are the first found rather than the
   best of a finished ascent.
 
-A NotCC verdict always rests on a falsifier certificate: a separation that
-the falsifier cannot turn into a witness leaves the verdict Inconclusive,
-with `infeasible` in its diagnostics.
+A NotCC verdict always rests on a falsifier certificate, the unit's (see
+cc_check) or the ascent's: a separation that neither gives leaves the
+verdict Inconclusive, with `infeasible` in its diagnostics.
 
 Verdicts are three-valued; when neither oracle lands within budget, or a
 certificate fails its independent re-verification, the result is
@@ -65,6 +65,7 @@ from .linalg import (ASCENT_GAIN, MEMBER_TOL, NORM_RECHECK_TOL, RANK_TOL,
                      null_space, operator_norm, orthonormal_span, support)
 
 FEAS_TOL = 1e-7
+STALL_WINDOW = 1000
 FALSIFIER_MARGIN = 1e-6
 FALSIFIER_RESTARTS = 32
 
@@ -378,22 +379,31 @@ def _paulsen_pins(S, images, N, n):
         out[2::2, :m, m:] = T
         out[3::2, m:, :m] = adjoints(T)
         return out
-    return system(S, N), system(images, n)
+    return system(S, N), system(images, n), 1.0
+
+
+def _unit_scale(v, one_n, tol):
+    """lam with v / lam = 1 to tol and 0 < lam <= 1 + tol (1.0 if v = 1)."""
+    lam = 1.0 if np.linalg.norm(v - one_n) <= tol \
+        else (one_n @ v).real / (one_n @ one_n)
+    ok = 0 < lam <= 1 + tol and np.linalg.norm(v / lam - one_n) <= tol
+    return lam if ok else None
 
 
 def _unital_pins(S, images, N, n):
-    """HS-orthonormal basis of the operator system S + S* in M_N and the
-    required images of phi~(a + b*) = phi(a) + phi(b)* in M_n, or None
-    unless phi~ is well defined (phi is *-consistent on S and S*) and
-    unital, to 10 * MEMBER_TOL; phi(1) is checked first when 1 is in S.  A
-    PSD Choi matrix pinned to them is a UCP extension Phi of phi, so
-    ||phi||_cb <= ||Phi(1)|| = 1 (Paulsen 2002, Prop. 3.5)."""
+    """HS-orthonormal basis of the operator system S + S* in M_N, the
+    required images of phi~(a + b*) = (phi(a) + phi(b)*) / lam in M_n, and
+    lam; or None unless phi~ is well defined (phi is *-consistent on S and
+    S*) and phi~(1) = lam 1 (_unit_scale, tol 10 * MEMBER_TOL), checked on
+    phi(1) first when 1 is in S.  A PSD Choi matrix pinned to them is a UCP
+    extension of phi / lam, so ||phi||_cb <= lam (Paulsen 2002, Prop. 3.5)."""
     tol, one, one_n = 10 * MEMBER_TOL, np.eye(N).ravel(), np.eye(n).ravel()
     d = len(S)
     S1, I1 = S.reshape(d, -1), images.reshape(d, -1)
     u = S1.conj() @ one
-    if np.linalg.norm(u @ S1 - one) <= tol < np.linalg.norm(u @ I1 - one_n):
-        return None  # 1 is in S and phi(1) is not 1
+    if np.linalg.norm(u @ S1 - one) <= tol \
+            and _unit_scale(u @ I1, one_n, tol) is None:
+        return None  # 1 is in S and phi(1) is not lam 1
     F = np.concatenate([S1, adjoints(S).reshape(d, -1)])
     G = np.concatenate([I1, adjoints(images).reshape(d, -1)])
     B = hs_orthonormalize(F)
@@ -403,12 +413,13 @@ def _unital_pins(S, images, N, n):
         return None  # 1 is not in S + S*, or phi~ is not well defined
     c, *_ = np.linalg.lstsq(F.T, B.T, rcond=None)
     R = c.T @ G
-    if np.linalg.norm(u @ R - one_n) > tol:
+    lam = _unit_scale(u @ R, one_n, tol)
+    if lam is None:
         return None
-    return B.reshape(-1, N, N), R.reshape(-1, n, n)
+    return B.reshape(-1, N, N), (R / lam).reshape(-1, n, n), lam
 
 
-# the pinned systems choi_feasibility tries, in order
+# the pinned systems choi_feasibility tries, in order: (B, R, scale)
 _PINS = {"unital": _unital_pins, "paulsen": _paulsen_pins}
 
 
@@ -510,7 +521,7 @@ def _dr_block(pins, R, max_iter, target):
     accepts it the run stops as infeasible; its margin covers every PSD
     point below the target, so the stop never cuts short a run that would
     reach the target.  A run that neither converges nor separates stops
-    when its residual has not improved by 0.1% in 1000 iterations.
+    when its residual has not improved by 0.1% in STALL_WINDOW iterations.
 
     Returns (Choi blocks | None, iterations, residual, infeasible)."""
     L, m = R.shape[:2]
@@ -541,7 +552,7 @@ def _dr_block(pins, R, max_iter, target):
             best, since_best = res, 0
         else:
             since_best += 1
-            if since_best > 1000 and res > 100 * target:
+            if since_best > STALL_WINDOW and res > 100 * target:
                 break
         step = diff - AY + AZ
         Z = [X + _choi_layout(H @ step, p, m)
@@ -596,18 +607,21 @@ def choi_feasibility(phi):
     completely contractive, on phi compressed to its supports, for at most
     the current RunConfig's `max_iter` iterations per block and run.
 
-    A unital, *-consistent phi is solved first on S + S* (_unital_pins), a
-    Choi matrix in M_N (x) M_n.  When that system does not apply, or its
-    run stalls or separates, the search runs on the Paulsen companion of
-    phi in M_2N (x) M_2n, which has a UCP extension exactly when phi is
-    completely contractive (Paulsen 2002, ch. 7-8); so every verdict is
-    that of the Paulsen problem alone.
+    A *-consistent phi with phi~(1) = lam 1, 0 < lam <= 1, is solved first
+    on S + S* for phi / lam (_unital_pins; at most STALL_WINDOW iterations
+    when lam < 1), a Choi matrix in M_N (x) M_n that bounds ||phi||_cb by
+    lam.  When that does not apply or ends without a certificate, the
+    search runs on the Paulsen companion of phi in M_2N (x) M_2n, which has
+    a UCP extension exactly when phi is completely contractive (Paulsen
+    2002, ch. 7-8); so every verdict is that of the Paulsen problem alone.
 
     Returns (certificate | None, diagnostics).  The certificate records the
     pinned `system` ("unital" or "paulsen"), the Choi matrix, its residual
-    and the compressed problem, and re-verifies independently (see
-    verify_choi_certificate).  `iterations` is summed over both runs;
-    otherwise the diagnostics are the last run's (see _pinned_choi).
+    and the compressed problem with phi's own images, and re-verifies
+    independently (see verify_choi_certificate).  `iterations` is summed
+    over both runs, and `scale` is the bound on ||phi||_cb that the run's
+    certificate proves (lam, or 1 on the Paulsen problem); otherwise the
+    diagnostics are the last run's (see _pinned_choi).
     """
     max_iter = current().max_iter
     S, imgs, N, n, _, _ = _compressed_problem(phi)
@@ -620,9 +634,11 @@ def choi_feasibility(phi):
         pins = build(S, imgs, N, n)
         if pins is None:
             continue
-        X, diag = _pinned_choi(*pins, max_iter)
+        # lam < 1: DR may creep here for 1e4 iterations, Paulsen's takes 1e2
+        X, diag = _pinned_choi(*pins[:2], max_iter if pins[2] == 1
+                               else min(max_iter, STALL_WINDOW))
         iterations += diag["iterations"]
-        diag["iterations"] = iterations
+        diag["iterations"], diag["scale"] = iterations, pins[2]
         if X is not None:
             return dict(cert, system=system, choi=X,
                         residual=diag["residual"]), diag
@@ -631,15 +647,15 @@ def choi_feasibility(phi):
 
 def verify_choi_certificate(cert):
     """Independent re-check of a feasibility certificate on the pins of its
-    recorded system, rebuilt from its compressed problem: False when a
-    "unital" certificate's map is not unital and *-consistent."""
+    recorded system, rebuilt from its compressed problem (lam re-derived):
+    False when a "unital" certificate's map fails _unital_pins' checks."""
     S = cert["dom_basis"]
     if len(S) == 0:
         return True
     pins = _PINS[cert["system"]](S, cert["images"], *cert["sizes"])
     if pins is None:
         return False
-    B, R = pins
+    B, R, _ = pins
     X = cert["choi"]
     w = np.linalg.eigvalsh((X + X.conj().T) / 2)
     if w[0] < -10 * FEAS_TOL:
@@ -797,25 +813,35 @@ def verify_falsifier(phi, cert):
 
 def cc_check(phi):
     """Decide complete contractivity of phi.  The structural certificates
-    come first (see _structural_certificates); then the feasibility oracle
-    looks for a UCP-extension certificate, and only when it returns none
-    does the falsifier search for a witness.  Neither oracle depends on the
-    other (the falsifier seeds a fresh generator on every call), so the
-    order changes no verdict that one oracle decides, and criterion 8
-    checks that they never both decide.  A decisive verdict is returned
-    only with a certificate that re-verifies against phi, and its
-    diagnostics name what decided it (`decided_by`: the certificate type,
-    or "falsifier"); otherwise the verdict is Inconclusive and the
-    diagnostics name the failed check, or carry the feasibility oracle's
-    `infeasible` or `stalled` status when the falsifier found nothing.  A
-    NotCC verdict always carries a falsifier certificate: a Farkas
-    separation alone leaves the verdict Inconclusive."""
+    come first (see _structural_certificates), then the unit: x = 1 is a
+    level-1 falsifier when it is in the domain and ||phi(1)|| > 1 + margin,
+    as ||phi||_cb >= ||phi(1)||.  Then the feasibility oracle looks for a
+    UCP-extension certificate, and only when it returns none does the
+    falsifier search for a witness.  Neither oracle depends on the other
+    (the falsifier seeds a fresh generator on each call), so the order
+    changes no verdict one oracle decides; criterion 8 checks that they
+    never both decide.  A decisive verdict is returned only with a
+    certificate that re-verifies against phi, and its diagnostics name what
+    decided it (`decided_by`: the certificate type, or "falsifier" with
+    `witness` "unit" or "ascent"); otherwise the verdict is Inconclusive
+    and the diagnostics name the failed check, or carry the feasibility
+    oracle's `infeasible` or `stalled` status when the falsifier found
+    nothing.  A NotCC verdict always carries a falsifier certificate: a
+    Farkas separation alone leaves the verdict Inconclusive."""
     if phi.dom.dim == 0:
         return CbReport(CC, None, {"trivial": "zero-dimensional domain",
                                    "decided_by": "trivial"})
     for cert in _structural_certificates(phi):
         if verify_certificate(cert, phi):
             return CbReport(CC, cert, {"decided_by": cert["type"]})
+    one = phi.dom.ambient.identity()
+    if phi.dom.contains(one):
+        cert = {"type": "falsifier", "level": 1, "x": one, "norm_x": 1.0,
+                "norm_image": operator_norm(phi(one)),
+                "margin": FALSIFIER_MARGIN}
+        if verify_falsifier(phi, cert):
+            return CbReport(NOT_CC, cert, {"decided_by": "falsifier",
+                                           "witness": "unit"})
     choi, diag = choi_feasibility(phi)
     if choi is not None:
         if not verify_choi_certificate(choi):
@@ -829,6 +855,7 @@ def cc_check(phi):
     ratio, cert = falsifier_search(phi)
     diag["best_ratio"] = ratio
     if cert is not None:
+        diag["witness"] = "ascent"
         if verify_falsifier(phi, cert):
             diag["decided_by"] = "falsifier"
             return CbReport(NOT_CC, cert, diag)

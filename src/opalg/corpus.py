@@ -186,8 +186,8 @@ SYSTEM_BUILDERS = {
 
 def clear_caches():
     """Forget every memoised corpus object, so that the next builder calls
-    rebuild and re-certify their covers from scratch; the inclusion covers,
-    envelopes and admissibility reports stored on them go too."""
+    rebuild and re-certify their covers from scratch; what is stored on
+    them (inclusion covers, trivial systems, envelopes, reports) goes too."""
     for builder in (a4_algebra, t2_algebra, *COVER_BUILDERS.values(),
                     *SYSTEM_BUILDERS.values()):
         builder.cache_clear()

@@ -44,6 +44,7 @@ class OperatorAlgebra:
     name: str = "A"
     _inclusion: "CstarCover | None" = field(default=None, repr=False,
                                             compare=False)
+    _trivial: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def ambient(self):

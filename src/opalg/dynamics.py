@@ -173,9 +173,11 @@ def group_law_violations(G, maps, span, name):
 
 
 def trivial_system(A, G):
-    span = A.span
-    ident = LinearMap(dom=span, cod=span.ambient, images=span.basis.copy())
-    return DynamicalSystem(A=A, G=G, alpha=[ident] * G.order)
+    """G acting trivially on A: one system per (algebra, group), kept on A."""
+    if G not in A._trivial:
+        ident = LinearMap(A.span, A.ambient, A.span.basis.copy())
+        A._trivial[G] = DynamicalSystem(A=A, G=G, alpha=[ident] * G.order)
+    return A._trivial[G]
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -111,9 +113,10 @@ class TestAdmissibility:
         assert rep.verdict == ADMISSIBLE
 
     def test_extension_is_unique(self):
+        # a twin system object is decided afresh, not read off the memo
         r1 = admissible(t2_system(), t2_diag_cover())
-        r2 = admissible(t2_system(), t2_diag_cover())
-        assert r1.verdict == ADMISSIBLE
+        r2 = admissible(dataclasses.replace(t2_system()), t2_diag_cover())
+        assert r1.verdict == r2.verdict == ADMISSIBLE and r2 is not r1
         for b1, b2 in zip(r1.extension, r2.extension):
             assert np.allclose(b1.images, b2.images)
 
@@ -178,7 +181,10 @@ class TestDecideOnce:
     def test_suite_is_unchanged_by_a_second_run(self):
         assert paper_suite()["verdict_text"] == paper_suite()["verdict_text"]
 
-    def test_suite_decides_each_pair_once(self, monkeypatch):
+    @staticmethod
+    def _decided_in_suite(monkeypatch):
+        """The (system, cover) pairs of the admissibility bodies that one
+        paper_suite() runs."""
         decided, decide = [], dynamics._decide_admissible
 
         def recording(ds, cover):
@@ -187,10 +193,26 @@ class TestDecideOnce:
 
         monkeypatch.setattr(dynamics, "_decide_admissible", recording)
         assert paper_suite()["all_pass"]
+        return decided
+
+    def test_suite_decides_each_pair_once(self, monkeypatch):
+        decided = self._decided_in_suite(monkeypatch)
         repeats = [(ds.A.name, cov.name)
                    for i, (ds, cov) in enumerate(decided)
                    if any(ds is d and cov is c for d, c in decided[:i])]
         assert decided and repeats == []
+
+    def test_suite_decides_the_trivial_t2_action_once(self, monkeypatch):
+        # trivialization_iso and full_crossed share one trivial system
+        corpus.clear_caches()
+        decided = self._decided_in_suite(monkeypatch)
+        A = corpus.t2_algebra()
+        assert trivial_system(A, Z2) is corpus.t2_trivial_system()
+        trivial = [ds for ds, cov in decided
+                   if cov is corpus.t2_inclusion_cover() and ds.A is A
+                   and all(np.array_equal(a.images, A.span.basis)
+                           for a in ds.alpha)]
+        assert len(trivial) == 1
 
 
 class TestInner:
