@@ -29,12 +29,10 @@ from .dynamics import (ADMISSIBLE, NOT_ADMISSIBLE, AdmissibilityReport,
 from .linalg import (AlgebraSpan, Ambient, AmbientMismatch, NotInSpan,
                      diagonal, direct_sum, generate_algebra, operator_norm,
                      orthonormal_span)
-from .partialact import (Decomposition, PartialActionSpec, PartialCrossed,
-                         RecoveryReport, ShilovNotMaximal,
-                         build_partial_action, decompose, partial_crossed,
+from .partialact import (PartialActionSpec, PartialCrossed, RecoveryReport,
+                         build_partial_action, partial_crossed,
                          verify_partial_recovery)
 from .structure import (BlockStructure, BlockStructureError, annihilator,
-                        blocks_of_ideal, center, corner_quotient,
-                        ideal_blocks, is_essential, is_maximal_ideal,
-                        minimal_central_projections)
+                        blocks_of_ideal, center, ideal_blocks, is_essential,
+                        is_maximal_ideal, minimal_central_projections)
 from .suite import paper_suite

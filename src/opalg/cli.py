@@ -57,15 +57,24 @@ def _exit_code(report):
     return EXIT_PASS if report.get("all_pass") else EXIT_FAIL
 
 
+def _refuse_input(exc):
+    click.echo(dumps({"error": str(exc)}, indent=2), err=True)
+    sys.exit(EXIT_INPUT)
+
+
 def _build_report(seed, max_iter, make_report):
     """Build a report inside the run configuration; exit 3 on malformed
-    input and 2 when a verdict the report needs is inconclusive."""
+    input (a bad seed included) and 2 when a verdict the report needs is
+    inconclusive."""
+    try:
+        RunConfig(seed=seed, max_iter=max_iter)
+    except ValueError as exc:
+        _refuse_input(exc)
     try:
         with using(seed=seed, max_iter=max_iter):
             return make_report()
     except ScenarioError as exc:
-        click.echo(dumps({"error": str(exc)}, indent=2), err=True)
-        sys.exit(EXIT_INPUT)
+        _refuse_input(exc)
     except Undecided as exc:
         click.echo(dumps({"inconclusive": str(exc)}, indent=2), err=True)
         sys.exit(EXIT_INCONCLUSIVE)

@@ -19,8 +19,7 @@ from .cb import (CI, INCONCLUSIVE, LinearMap, Undecided, ci_check,
 from .linalg import (SIGNIFICANT, WITNESS_FLOOR, AlgebraSpan, compress_span,
                      direct_sum, generate_algebra)
 from .linalg import graph_closure  # noqa: F401  (stays a public name here)
-from .structure import blocks_of_ideal, corner_quotient, \
-    minimal_central_projections
+from .structure import blocks_of_ideal, corner, minimal_central_projections
 
 
 class CoverError(ValueError):
@@ -280,16 +279,19 @@ def quotient_cover(cover, S, name="quotient"):
 
 
 def quotient_map(C, S):
-    """(q(C), q): the quotient q of C by the block ideal z_S C, realized on
-    the complementary corner and compressed onto that corner's support,
-    and the C*-algebra q(C) it is onto."""
-    corner, q = corner_quotient(C, S)
-    comp, V = compress_span(corner)
+    """(q(C), q): the quotient q of C by the block ideal z_S C, realized as
+    b -> z b on the complementary corner zC and compressed onto that
+    corner's support, and the C*-algebra q(C) it is onto.  The library's
+    only quotient by a block ideal."""
+    bs = minimal_central_projections(C)
+    z = bs.subset_projection(bs.complement(S))
+    images = z @ C.basis
+    comp, V = compress_span(corner(C, z))
     if V is not None:
-        q = LinearMap(dom=C, cod=comp.ambient,
-                      images=V.conj().T @ q.images @ V)
-    return AlgebraSpan(comp.ambient, comp.basis, self_adjoint=True,
-                       unital=True), q
+        images = V.conj().T @ images @ V
+    return (AlgebraSpan(comp.ambient, comp.basis, self_adjoint=True,
+                        unital=True),
+            LinearMap(dom=C, cod=comp.ambient, images=images))
 
 
 def _quotient_ci(cover, S, qj):

@@ -11,6 +11,7 @@ orthonormal basis under the Hilbert-Schmidt inner product
 from __future__ import annotations
 
 import itertools
+import numbers
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
@@ -42,6 +43,11 @@ class RunConfig:
 
     seed: int = 0
     max_iter: int = 50000
+
+    def __post_init__(self):
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(
+                f"seed must be a non-negative integer, not {self.seed!r}")
 
 
 _RUN_CONFIG = ContextVar("opalg_run_config", default=RunConfig())

@@ -4,12 +4,12 @@ the cover, realize the partial crossed product concretely, and verify that
 the operator-algebra crossed product sits inside it completely isometrically.
 
 The partial action's domain is C at the identity and the corner pC
-elsewhere, and pC is the C*-envelope.  The dynamics always extends to the
-envelope, so the action on pC is the extension `dynamics.admissible` finds
-there, and the partial crossed product is the envelope's crossed product
-plus the Shilov part (1-p)C at the identity fiber.  `decompose` reaches
-both pieces of C through `covers.quotient_map`, and everything downstream
-reads its two quotient maps.
+elsewhere, where p is the unit of the Shilov ideal's annihilator, so pC is
+the C*-envelope, with as many blocks as it has.  The dynamics always
+extends to the envelope, so the action on pC is the extension
+`dynamics.admissible` finds there, and the partial crossed product is the
+envelope's crossed product plus the Shilov part (1-p)C at the identity
+fiber.  Both pieces of C are reached through `covers.quotient_map`.
 
 The point of the pipeline: even when a cover is not admissible (the action
 does not extend to it globally), the action survives as a partial action
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cb import LinearMap, map_from_generators
-from .covers import CoverError, CstarCover, envelope, quotient_map, shilov
+from .covers import CstarCover, envelope, quotient_map, shilov
 from .crossed import (NOT_ISOMETRIC, CrossedProduct, cstar_crossed,
                       full_crossed, generator_isomorphism)
 from .dynamics import ADMISSIBLE, DynamicalSystem, SystemError_, admissible
@@ -32,59 +32,19 @@ from .linalg import (MEMBER_TOL, AlgebraSpan, Ambient, hs_orthonormalize,
 from .structure import minimal_central_projections
 
 
-class ShilovNotMaximal(CoverError):
-    """The Shilov ideal is not maximal (the envelope is not simple); the
-    full recovery pipeline requires maximality."""
-
-
-@dataclass
-class Decomposition:
-    """The split of a cover along the Shilov ideal that `covers.shilov`
-    decided, with p the unit of the ideal's annihilator: q maps C onto the
-    envelope corner pC (the envelope's C, so q . j is the envelope's
-    embedding), and r onto the Shilov part (1-p)C, or is None when the
-    Shilov ideal is zero."""
-
-    cover: CstarCover
-    shilov_blocks: frozenset
-    q: LinearMap
-    r: LinearMap | None
-
-
-def decompose(cover):
-    """Split a cover along its Shilov ideal S.
-
-    Raises ShilovNotMaximal unless exactly one block lies outside S.  The
-    split is read off what `shilov` decided, with no cb oracle call:
-    p j is completely isometric because `shilov` verified
-    `is_boundary(cover, S)`; (1-p) j is not, because `shilov` tested every
-    singleton and the one block i0 outside S failed `is_boundary(cover,
-    {i0})`, the test of exactly r . j; and (1-p) j is a completely
-    contractive homomorphism because r is a *-homomorphism after the
-    completely isometric j, the `composition` certificate.
-    """
-    S = shilov(cover)
-    bs = cover.structure()
-    env_blocks = bs.num_blocks - len(S)
-    if env_blocks != 1:
-        raise ShilovNotMaximal(
-            f"envelope has {env_blocks} blocks; Shilov ideal not maximal")
-    q = quotient_map(cover.C, S)[1]
-    r = quotient_map(cover.C, bs.complement(S))[1] if S else None
-    return Decomposition(cover=cover, shilov_blocks=S, q=q, r=r)
-
-
 @dataclass
 class PartialActionSpec:
     """The paper's partial action of G on a cover C: full domain at the
     identity, the annihilator corner pC everywhere else.  pC is the
-    C*-envelope, realized as `envelope.C` through the decomposition's q,
-    and the action on it is the envelope's extension `betas` of the
-    dynamics."""
+    C*-envelope, realized as `envelope.C`; q is the quotient of C onto it
+    (q . j is the envelope's embedding), r the quotient onto the Shilov
+    part (1-p)C, or None when the Shilov ideal is zero, and `betas` the
+    envelope's extension of the dynamics."""
 
     ds: DynamicalSystem
     cover: CstarCover
-    decomposition: Decomposition
+    q: LinearMap
+    r: LinearMap | None
     envelope: CstarCover
     betas: list               # LinearMap on envelope.C per group element
 
@@ -93,17 +53,21 @@ class PartialActionSpec:
 
 
 def build_partial_action(ds, cover):
-    """The partial action induced on a cover.  The dynamics always extends
-    to the C*-envelope (Katsoulis & Ramsey), so the action on the corner is
-    the envelope's admissibility extension; SystemError_ when the envelope
-    is not admissible."""
-    dec = decompose(cover)
+    """The partial action induced on a cover, split along the Shilov set S
+    that `shilov` decided, with no cb oracle call of its own.  The dynamics
+    always extends to the C*-envelope (Katsoulis & Ramsey), so the action
+    on the corner is the envelope's admissibility extension; SystemError_
+    when the envelope is not admissible."""
+    S = shilov(cover)
+    q = quotient_map(cover.C, S)[1]
+    r = quotient_map(cover.C, cover.structure().complement(S))[1] \
+        if S else None
     env = envelope(cover)
     rep = admissible(ds, env)
     if rep.verdict != ADMISSIBLE:
         raise SystemError_("the action does not extend to the C*-envelope")
-    return PartialActionSpec(ds=ds, cover=cover, decomposition=dec,
-                             envelope=env, betas=rep.extension)
+    return PartialActionSpec(ds=ds, cover=cover, q=q, r=r, envelope=env,
+                             betas=rep.extension)
 
 
 @dataclass
@@ -130,25 +94,20 @@ def partial_crossed(spec):
     """Build the Gamma-model of the partial crossed product and verify it
     against the convolution law (x delta_s)(y delta_t) =
     theta_s(theta_{s^-1}(x) y) delta_{st} on all basis pairs."""
-    ds, cover, env = spec.ds, spec.cover, spec.envelope
-    q, r = spec.decomposition.q, spec.decomposition.r
-    G = ds.G
+    cover, env, r, G = spec.cover, spec.envelope, spec.r, spec.ds.G
     cp = cstar_crossed(env.C, G, spec.betas)
     NG = cp.ambient.dim
-    amb, shilov_part = cp.ambient, None
-    if r is not None:
-        amb = amb.direct_sum(r.cod)
-        shilov_part = r.images
+    amb = cp.ambient if r is None else cp.ambient.direct_sum(r.cod)
 
-    def pad(top, bottom=None):
+    def pad(top, bottom=0):
         out = np.zeros((len(top), amb.dim, amb.dim), dtype=complex)
         out[:, :NG, :NG] = top
-        if bottom is not None:
-            out[:, NG:, NG:] = bottom
+        out[:, NG:, NG:] = bottom
         return out
 
     gamma_e = LinearMap(dom=cover.C, cod=amb,
-                        images=pad(cp.hat(q.images), shilov_part))
+                        images=pad(cp.hat(spec.q.images),
+                                   0 if r is None else r.images))
     gamma_s = [LinearMap(dom=env.C, cod=amb, images=pad(cp.hat.images @ lam))
                for lam in cp.lambdas]
     mats = [gamma_e.images] + [g.images for s, g in enumerate(gamma_s)
@@ -162,11 +121,10 @@ def partial_crossed(spec):
     pc = PartialCrossed(spec=spec, ambient=amb, algebra=algebra,
                         envelope_crossed=cp, gamma_e=gamma_e,
                         gamma_s=gamma_s)
-    res = _convolution_residual(pc)
+    pc.convolution_residual = res = _convolution_residual(pc)
     if res > 100 * MEMBER_TOL:
         raise SystemError_(
             f"convolution law residual {res:.2e} above tolerance")
-    pc.convolution_residual = res
     bad = algebra.verify()
     if bad:
         raise SystemError_("partial crossed product span invalid: " +
@@ -179,9 +137,8 @@ def _convolution_residual(pc):
     stack of y's per (s, t) block.  Products leaving the identity fiber are
     taken in the envelope, where q carries the identity fiber's C."""
     spec = pc.spec
-    G = spec.ds.G
+    G, q, betas = spec.ds.G, spec.q, spec.betas
     e = G.identity
-    q, betas = spec.decomposition.q, spec.betas
     stacks = [spec.domain(s).basis for s in range(G.order)]
     gammas = [pc.gamma(s, stacks[s]) for s in range(G.order)]
     env_stacks = [q(x) if s == e else x for s, x in enumerate(stacks)]

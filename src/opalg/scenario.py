@@ -222,8 +222,8 @@ def _op_envelope(sc, args):
 
 
 def _op_order(sc, args):
-    up = sc.cover(args["upper"])
-    low = sc.cover(args["lower"])
+    up, low = _one_algebra(args, sc.cover(args["upper"]),
+                           sc.cover(args["lower"]))
     m = induced_morphism(up, low)
     if isinstance(m, MorphismAbsence):
         return {"verdict": "Absence", "witness": mat_to_json(m.witness),
@@ -233,32 +233,45 @@ def _op_order(sc, args):
             "morphism_hash": digest(m.pi.images)}
 
 
-def _cover_names(args):
-    """The `covers` argument, refused unless it is a list of strings."""
+def _covers(sc, args):
+    """The covers the `covers` argument names, refused unless it is a list
+    of strings naming covers of one algebra."""
     names = args["covers"]
     if not isinstance(names, list) \
             or not all(isinstance(n, str) for n in names):
         raise ScenarioError(f"op {args.op!r}: argument 'covers' must be a "
                             f"list of cover names, not {names!r}")
-    return names
+    return _one_algebra(args, *[sc.cover(n) for n in names])
+
+
+def _one_algebra(args, *objs):
+    """Systems and covers, refused unless they are all of one algebra."""
+    if any(o.A is not objs[0].A for o in objs):
+        raise ScenarioError(f"op {args.op!r}: objects of different algebras "
+                            f"{[o.A.name for o in objs]}")
+    return objs
+
+
+def _system_and_cover(sc, args):
+    ds, cov = sc.system(args["system"]), sc.cover(args["cover"])
+    return _one_algebra(args, ds, cov)
 
 
 def _op_join(sc, args):
-    cov = join(*[sc.cover(n) for n in _cover_names(args)])
+    cov = join(*_covers(sc, args))
     return {"dim": cov.C.dim, "blocks": block_dims(cov.C)}
 
 
 def _op_meet(sc, args):
-    names = _cover_names(args)
-    if len(names) != 2:
+    covs = _covers(sc, args)
+    if len(covs) != 2:
         raise ScenarioError("meet takes exactly two covers")
-    cov = meet(sc.cover(names[0]), sc.cover(names[1]))
+    cov = meet(*covs)
     return {"dim": cov.C.dim, "blocks": block_dims(cov.C)}
 
 
 def _op_admissible(sc, args):
-    ds = sc.system(args["system"])
-    rep = admissible(ds, sc.cover(args["cover"]))
+    rep = admissible(*_system_and_cover(sc, args))
     out = {"verdict": rep.verdict}
     if rep.witness is not None:
         s, y = rep.witness
@@ -271,12 +284,11 @@ def _op_admissible(sc, args):
 
 
 def _op_inner(sc, args):
-    ds = sc.system(args["system"])
     if "cover" in args:
-        rep = locally_inner(ds, sc.cover(args["cover"]))
+        rep = locally_inner(*_system_and_cover(sc, args))
         kind = "locally_inner"
     else:
-        rep = inner_in_itself(ds)
+        rep = inner_in_itself(sc.system(args["system"]))
         kind = "inner_in_itself"
     out = {"kind": kind, "found": rep.found}
     if rep.found:
@@ -288,11 +300,10 @@ def _op_inner(sc, args):
 
 
 def _op_crossed(sc, args):
-    ds = sc.system(args["system"])
     if "cover" in args:
-        cp = relative_crossed(ds, sc.cover(args["cover"]))
+        cp = relative_crossed(*_system_and_cover(sc, args))
     else:
-        cp = full_crossed(ds)
+        cp = full_crossed(sc.system(args["system"]))
     D = diagonal(cp.subalgebra)
     return {"cstar_dim": cp.algebra.dim,
             "dim": cp.subalgebra.dim,
@@ -303,8 +314,7 @@ def _op_crossed(sc, args):
 
 
 def _op_partial(sc, args):
-    ds = sc.system(args["system"])
-    rep = verify_partial_recovery(ds, sc.cover(args["cover"]))
+    rep = verify_partial_recovery(*_system_and_cover(sc, args))
     return {"verified": rep.verified,
             "subalgebra_dim": rep.subalgebra_dim,
             "partial_blocks": list(rep.partial_blocks),

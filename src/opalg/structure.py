@@ -1,6 +1,6 @@
 """Wedderburn structure of finite-dimensional C*-algebras given as spans:
 center, minimal central projections, the (finite, Boolean) ideal lattice,
-corner quotients, annihilators, essentiality and maximality tests.
+corners, annihilators, essentiality and maximality tests.
 
 Closed two-sided ideals of a finite-dimensional C*-algebra are exactly the
 sums of its simple blocks, so ideals are handled as subsets of block indices
@@ -191,17 +191,6 @@ def blocks_of_ideal(C, J):
     if back.dim != J.dim or not back.contains_span(J):
         raise BlockStructureError("subspace is not an ideal of the algebra")
     return S
-
-
-def corner_quotient(C, S):
-    """Quotient of C by the block ideal z_S C, realized as the complementary
-    corner.  Returns (corner span, quotient LinearMap)."""
-    from .cb import LinearMap  # local import to keep module layering acyclic
-    bs = minimal_central_projections(C)
-    zc = bs.subset_projection(bs.complement(S))
-    q = LinearMap(dom=C, cod=C.ambient,
-                  images=np.array([zc @ b for b in C.basis]))
-    return corner(C, zc), q
 
 
 def annihilator(C, J):

@@ -19,7 +19,7 @@ from opalg.crossed import crossed_equivalent, full_crossed, \
 from opalg.dynamics import (ADMISSIBLE, NOT_ADMISSIBLE, admissible,
                             inner_in_itself, invariant_kernel_check)
 from opalg.linalg import Ambient, diagonal, orthonormal_span, using
-from opalg.partialact import decompose, verify_partial_recovery
+from opalg.partialact import verify_partial_recovery
 from opalg.structure import (annihilator, blocks_of_ideal, ideal_blocks,
                              minimal_central_projections)
 from opalg.suite import _correspondence_pairs, paper_suite
@@ -152,14 +152,13 @@ def test_criterion_7_partial_recovery():
     of the informal description)."""
     ds = corpus.a4_system()
     cov = corpus.a4_schur_cover()
-    dec = decompose(cov)
     rep = verify_partial_recovery(ds, cov)
     ok = rep.verified and rep.subalgebra_dim == 16
     ok = ok and sorted(rep.partial_blocks, reverse=True) == [4, 4, 2, 1, 1]
     ok = ok and sum(d * d for d in rep.partial_blocks) == 38
     ok = ok and rep.residual < 1e-6
     boundary = sorted(cov.structure().block_dims[i]
-                      for i in dec.shilov_blocks)
+                      for i in shilov(cov))
     ok = ok and boundary == [1, 1, 2]
     _report("7 partial-recovery", ok)
 

@@ -79,3 +79,14 @@ def test_every_library_function_has_a_non_test_caller():
         if uses.count(name) - own <= 0:
             unused.append(f"{module}.{qualname}")
     assert unused == []
+
+
+def test_no_module_imports_inside_a_function():
+    """Imports sit at module level, where the layering of the package is
+    visible: a function-local import is how an import cycle hides."""
+    local = []
+    for module, qualname, fn in _definitions():
+        for sub in ast.walk(fn):
+            if isinstance(sub, (ast.Import, ast.ImportFrom)):
+                local.append(f"{module}.{qualname}:{sub.lineno}")
+    assert local == []

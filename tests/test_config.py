@@ -9,13 +9,16 @@ import re
 import runpy
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 import opalg
+from opalg import corpus
 from opalg.cb import CC, LinearMap, cc_check, falsifier_search
 from opalg.cli import main
 from opalg.corpus import t2_algebra
 from opalg.linalg import Ambient, RunConfig, current, orthonormal_span, using
+from opalg.suite import paper_suite
 
 EXAMPLE = pathlib.Path(__file__).parents[1] / "scripts" / \
     "make_example_scenario.py"
@@ -45,6 +48,20 @@ def test_falsifier_reads_the_configured_seed():
         ratio, _ = falsifier_search(phi)
         assert ratio == falsifier_search(phi)[0]
     assert ratio != falsifier_search(phi)[0]
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_a_bad_seed_is_refused_before_any_work(seed, monkeypatch):
+    def refuse():
+        raise AssertionError("the corpus was touched")
+
+    monkeypatch.setattr(corpus, "clear_caches", refuse)
+    with pytest.raises(ValueError, match="seed"):
+        with using(seed=seed):
+            pass
+    with pytest.raises(ValueError, match="seed"):
+        paper_suite(seed=seed)
+    assert current() == RunConfig()
 
 
 def test_cli_budget_does_not_outlive_the_command(tmp_path):

@@ -3,13 +3,15 @@ import pytest
 
 from opalg.corpus import (a4_envelope, a4_schur_cover, a4_system, t2_algebra,
                           t2_diag_cover, t2_system)
-from opalg import cb, corpus, covers, partialact
+from opalg import cb, corpus, covers, crossed, dynamics, partialact
 from opalg.cb import LinearMap
-from opalg.linalg import AlgebraSpan, Ambient, orthonormal_span
-from opalg.covers import OperatorAlgebra, envelope, make_cover, shilov
-from opalg.dynamics import FiniteGroup, trivial_system
-from opalg.partialact import (ShilovNotMaximal, build_partial_action,
-                              decompose, partial_crossed,
+from opalg.linalg import (AlgebraSpan, Ambient, direct_sum,
+                          orthonormal_span)
+from opalg.covers import (OperatorAlgebra, envelope, inclusion_cover,
+                          make_cover, shilov)
+from opalg.dynamics import (NOT_ADMISSIBLE, FiniteGroup, admissible,
+                            make_system, trivial_system)
+from opalg.partialact import (build_partial_action, partial_crossed,
                               verify_partial_recovery)
 from opalg.structure import minimal_central_projections
 
@@ -20,53 +22,46 @@ def schur_spec():
 
 
 class TestDecompose:
-    def test_schur_cover_split(self):
-        cov = a4_schur_cover()
-        dec = decompose(cov)
+    def test_schur_cover_split(self, schur_spec):
+        cov = schur_spec.cover
         env = envelope(cov)
         # q maps C onto the envelope's M4 summand, carrying j to its j.
-        assert dec.q.cod == env.ambient
-        assert np.allclose(dec.q(cov.j.images), env.j.images, atol=1e-10)
+        assert schur_spec.q.cod == env.ambient
+        assert np.allclose(schur_spec.q(cov.j.images), env.j.images,
+                           atol=1e-10)
 
-    def test_split_maps_reassemble_j(self):
-        cov = a4_schur_cover()
-        dec = decompose(cov)
+    def test_split_maps_reassemble_j(self, schur_spec):
+        cov = schur_spec.cover
         # x -> q(x) (+) r(x) is injective on C: 16 + 6 = 22.
-        parts = [m(cov.C.basis).reshape(cov.C.dim, -1) for m in (dec.q, dec.r)]
+        parts = [m(cov.C.basis).reshape(cov.C.dim, -1)
+                 for m in (schur_spec.q, schur_spec.r)]
         assert [np.linalg.matrix_rank(x) for x in parts] == [16, 6]
         assert np.linalg.matrix_rank(np.concatenate(parts, axis=1)) == 22
 
     def test_envelope_decomposes_trivially(self):
         env = a4_envelope()
-        dec = decompose(env)
-        assert dec.shilov_blocks == frozenset()
-        assert dec.r is None
-        assert np.allclose(dec.q(env.C.basis), env.C.basis, atol=1e-12)
+        spec = build_partial_action(a4_system(), env)
+        assert shilov(env) == frozenset()
+        assert spec.r is None
+        assert np.allclose(spec.q(env.C.basis), env.C.basis, atol=1e-12)
 
     def test_split_is_read_off_the_shilov_decision(self, monkeypatch):
-        """Once the Shilov set is known, decompose asks no cb oracle."""
-        cov = a4_schur_cover()
+        """Once the Shilov set is known, building the partial action asks
+        no cb oracle.  The covers are rebuilt, so nothing stored on them
+        answers for the envelope's admissibility."""
+        corpus.clear_caches()
+        cov, ds = a4_schur_cover(), a4_system()
         shilov(cov)
 
         def refuse(phi):
-            raise AssertionError("decompose called a cb oracle")
+            raise AssertionError("build_partial_action called a cb oracle")
 
-        for module in (cb, covers, partialact):
+        for module in (cb, covers, crossed, dynamics, partialact):
             for name in ("ci_check", "cc_check"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
-        assert decompose(cov).shilov_blocks == frozenset({1, 2, 3})
-
-    def test_non_maximal_shilov_raises(self):
-        # C^2 is its own envelope with two blocks, so the Shilov ideal
-        # (zero) is not maximal.
-        amb = Ambient((1, 1))
-        span = AlgebraSpan(amb, orthonormal_span(
-            amb, [amb.matrix_unit(0, 0), amb.matrix_unit(1, 1)]).basis,
-            self_adjoint=True, unital=True)
-        A = OperatorAlgebra(span, name="C2")
-        cov = make_cover(A, amb, list(span.basis), verify=False)
-        with pytest.raises(ShilovNotMaximal):
-            decompose(cov)
+        spec = build_partial_action(ds, cov)
+        assert shilov(cov) == frozenset({1, 2, 3})
+        assert spec.r is not None
 
 
 class TestPartialAction:
@@ -125,7 +120,7 @@ class TestPartialCrossed:
         identity fiber's C into."""
         def pairwise(pc):
             G, betas = pc.spec.ds.G, pc.spec.betas
-            q = pc.spec.decomposition.q
+            q = pc.spec.q
             e, res = G.identity, 0.0
             for s in range(G.order):
                 for t in range(G.order):
@@ -186,3 +181,89 @@ class TestRecovery:
                                                      FiniteGroup.cyclic(2)),
                                       t2_diag_cover())
         assert rep.verified
+
+
+def t2_sum_algebra():
+    """T2 (+) T2, block-diagonal in M4; its envelope is M2 (+) M2."""
+    amb = Ambient((4,))
+    span = orthonormal_span(amb, [amb.matrix_unit(i, j) for i, j in (
+        (0, 0), (1, 1), (0, 1), (2, 2), (3, 3), (2, 3))])
+    return OperatorAlgebra(AlgebraSpan(amb, span.basis, unital=True),
+                           name="T2+T2")
+
+
+def t2_sum_covers(A):
+    """a (+) diag(a), a (+) a11 and a (+) a11 (+) a33."""
+    def cover(ambient, tail):
+        return make_cover(A, Ambient(ambient),
+                          [direct_sum(a, *tail(a)) for a in A.span.basis])
+
+    return {"diag": cover((4, 4), lambda a: [np.diag(np.diag(a))]),
+            "a11": cover((4, 1), lambda a: [a[:1, :1]]),
+            "a11+a33": cover((4, 1, 1), lambda a: [a[:1, :1], a[2:3, 2:3]])}
+
+
+def t2_sum_systems(A):
+    """Z/2 acting by the swap of the two summands or by diag(1,-1,1,-1)."""
+    G = FiniteGroup.cyclic(2)
+    one, zero = np.eye(2), np.zeros((2, 2))
+    units = {"swap": np.block([[zero, one], [one, zero]]),
+             "sign": np.diag([1.0, -1.0, 1.0, -1.0])}
+    return {name: make_system(A, G, {0: np.eye(4, dtype=complex),
+                                     1: u.astype(complex)})
+            for name, u in units.items()}
+
+
+@pytest.fixture(scope="module")
+def t2_sum():
+    A = t2_sum_algebra()
+    return t2_sum_covers(A), t2_sum_systems(A)
+
+
+class TestRecoveryBeyondASimpleEnvelope:
+    """Covers whose envelope has more than one block, and whose Shilov
+    ideal is therefore not maximal, recover A x G too."""
+
+    @pytest.mark.parametrize("cover,system,partial,crossed_", [
+        ("diag", "swap", (4, 1, 1, 1, 1), (4,)),
+        ("diag", "sign", (2, 2, 2, 2, 1, 1, 1, 1), (2, 2, 2, 2)),
+        ("a11", "swap", (4, 1), (4,)),
+        ("a11", "sign", (2, 2, 2, 2, 1), (2, 2, 2, 2)),
+        ("a11+a33", "swap", (4, 1, 1), (4,)),
+        ("a11+a33", "sign", (2, 2, 2, 2, 1, 1), (2, 2, 2, 2)),
+    ])
+    def test_t2_sum_recovery(self, t2_sum, cover, system, partial, crossed_):
+        covs, systems = t2_sum
+        cov = covs[cover]
+        assert envelope(cov).structure().block_dims == (2, 2)
+        rep = verify_partial_recovery(systems[system], cov)
+        assert rep.verified
+        assert rep.subalgebra_dim == 12
+        assert rep.partial_blocks == partial
+        assert rep.crossed_blocks == crossed_
+        assert rep.residual < 1e-6
+
+    def test_swap_on_a11_is_not_admissible(self, t2_sum):
+        """The case the paper's claim is about: no global extension of the
+        action to the cover, and yet recovery above."""
+        covs, systems = t2_sum
+        assert admissible(systems["swap"], covs["a11"]).verdict \
+            == NOT_ADMISSIBLE
+
+    @pytest.mark.parametrize("action", ["swap", "trivial"])
+    def test_c2_recovery(self, action):
+        # C^2 is its own envelope with two blocks and a zero Shilov ideal.
+        amb = Ambient((1, 1))
+        span = AlgebraSpan(amb, orthonormal_span(
+            amb, [amb.matrix_unit(0, 0), amb.matrix_unit(1, 1)]).basis,
+            self_adjoint=True, unital=True)
+        A = OperatorAlgebra(span, name="C2")
+        G = FiniteGroup.cyclic(2)
+        ds = trivial_system(A, G) if action == "trivial" else make_system(
+            A, G, {0: np.eye(2, dtype=complex),
+                   1: np.array([[0, 1], [1, 0]], dtype=complex)})
+        cov = inclusion_cover(A)
+        assert shilov(cov) == frozenset()
+        rep = verify_partial_recovery(ds, cov)
+        assert rep.verified
+        assert rep.subalgebra_dim == 4

@@ -136,6 +136,25 @@ def admissible_system_is_an_object(raw):
     raw["checks"].append({"op": "admissible", "system": {}, "cover": "diag"})
 
 
+def with_diagonal_algebra(raw):
+    """Add D, the diagonal of M2, and its inclusion cover dinc."""
+    units = [_mat([[1, 0], [0, 0]]), _mat([[0, 0], [0, 1]])]
+    raw["algebras"]["D"] = {"ambient": "M2", "basis": units}
+    raw["covers"]["dinc"] = {"algebra": "D", "ambient": "M2", "j": units}
+    return raw
+
+
+MIXED_ALGEBRA_COMMANDS = [
+    ["admissible", "--system", "sign", "--cover", "dinc"],
+    ["inner", "--system", "sign", "--cover", "dinc"],
+    ["crossed", "--system", "sign", "--cover", "dinc"],
+    ["partial", "--system", "sign", "--cover", "dinc"],
+    ["join", "--covers", "diag,dinc"],
+    ["meet", "--covers", "diag,dinc"],
+    ["order", "--upper", "diag", "--lower", "dinc"],
+]
+
+
 @pytest.fixture()
 def scenario_file(tmp_path):
     path = tmp_path / "t2.json"
@@ -329,6 +348,39 @@ class TestCli:
         res = CliRunner().invoke(main, ["join", scenario_file,
                                         "--covers", "diag,inc"])
         assert res.exit_code == 0
+
+    @pytest.mark.parametrize("command", MIXED_ALGEBRA_COMMANDS,
+                             ids=lambda c: c[0])
+    def test_mixed_algebras_exit_3(self, tmp_path, command):
+        """An op pairing objects of two algebras is malformed input, not a
+        traceback from deep inside the library."""
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(with_diagonal_algebra(t2_scenario())))
+        res = CliRunner().invoke(main, [command[0], str(path), *command[1:]])
+        assert res.exit_code == 3
+        assert isinstance(res.exception, SystemExit)
+        assert "different algebras" in json.loads(res.stderr)["error"]
+        assert "Traceback" not in res.output
+
+    def test_one_algebra_ops_still_run(self, tmp_path):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(with_diagonal_algebra(t2_scenario())))
+        res = CliRunner().invoke(main, ["join", str(path),
+                                        "--covers", "diag,inc"])
+        assert res.exit_code == 0
+
+    @pytest.mark.parametrize("command", [
+        ["run", "SCENARIO", "--seed", "-1"],
+        ["structure", "SCENARIO", "--cover", "diag", "--seed", "-2"],
+        ["paper-suite", "--seed", "-3"],
+    ], ids=lambda c: c[0])
+    def test_negative_seed_exits_3(self, scenario_file, command):
+        command = [scenario_file if c == "SCENARIO" else c for c in command]
+        res = CliRunner().invoke(main, command)
+        assert res.exit_code == 3
+        assert isinstance(res.exception, SystemExit)
+        assert "seed" in json.loads(res.stderr)["error"]
+        assert res.stdout == ""
 
     def test_starved_solver_exits_2(self, scenario_file):
         # With no feasibility iterations the complete-isometry check of the

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from opalg.covers import quotient_map
 from opalg.linalg import Ambient, generate_algebra
 from opalg.structure import (BlockStructureError, annihilator,
-                             blocks_of_ideal, center, corner_quotient,
-                             ideal_blocks, is_essential, is_maximal_ideal,
+                             blocks_of_ideal, center, ideal_blocks,
+                             is_essential, is_maximal_ideal,
                              minimal_central_projections)
 
 
@@ -86,8 +87,8 @@ def test_blocks_of_ideal_rejects_non_block_subspace(m2_plus_c2):
         blocks_of_ideal(m2_plus_c2, bad)
 
 
-def test_corner_quotient(m2_plus_c2):
-    corner, q = corner_quotient(m2_plus_c2, {0})
+def test_quotient_map(m2_plus_c2):
+    corner, q = quotient_map(m2_plus_c2, {0})
     assert corner.dim == 2
     # q kills the M2 block and is the identity on the two scalar blocks.
     amb = m2_plus_c2.ambient
