@@ -62,7 +62,8 @@ import numpy as np
 from .linalg import (ASCENT_GAIN, MEMBER_TOL, NORM_RECHECK_TOL, RANK_TOL,
                      TINY_NORM, AlgebraSpan, Ambient, adjoints, current,
                      graph_closure, graph_obstruction, hs_orthonormalize,
-                     null_space, operator_norm, orthonormal_span, support)
+                     null_space, operator_norm, orthonormal_span,
+                     product_stacks, support)
 
 FEAS_TOL = 1e-7
 STALL_WINDOW = 1000
@@ -100,13 +101,17 @@ class LinearMap:
                                      compare=False)
 
     def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=complex).reshape(
-            self.dom.dim, self.cod.dim, self.cod.dim)
+        n = self.cod.dim
+        self.images = np.ascontiguousarray(
+            self.images, dtype=complex).reshape(self.dom.dim, n, n)
 
     def __call__(self, x):
-        """phi(x), or the (k, n, n) stack of images of a (k, N, N) stack."""
+        """phi(x), or the (k, n, n) stack of images of a (k, N, N) stack:
+        one product of the coefficients with the flattened images."""
         c = self.dom.coeffs(x)
-        return np.tensordot(c, self.images, axes=(c.ndim - 1, 0))
+        n = self.cod.dim
+        return (c @ self.images.reshape(-1, n * n)).reshape(
+            c.shape[:-1] + (n, n))
 
     def image_span(self):
         return AlgebraSpan(self.cod, hs_orthonormalize(list(self.images)))
@@ -166,9 +171,10 @@ def star_hom_violations(phi, onto=None, *, gens=None, unital=False,
     adjoint-preserving on the generators when they are given (they are
     then joined by their adjoints) or the domain is self-adjoint;
     unit-preserving when `unital`; onto the span `onto`; and phi(xs) = ys
-    for `pairs` = (xs, ys), two stacks.  phi is evaluated on one stack per
-    basis element; a generator, product or pair outside the domain, or of
-    another shape, is a violation, never an exception."""
+    for `pairs` = (xs, ys), two stacks.  The products of the domain and of
+    the codomain come from `product_stacks`, cut at the same rows; a
+    generator, product or pair outside the domain, or of another shape, is
+    a violation, never an exception."""
     tol = 10 * MEMBER_TOL
 
     def value(x):
@@ -189,8 +195,8 @@ def star_hom_violations(phi, onto=None, *, gens=None, unital=False,
         gens = np.concatenate([gens, adjoints(gens)])
         imgs = value(gens)
     bad = []
-    if imgs is None or any(misses(b @ gens, fb @ imgs)
-                           for b, fb in zip(phi.dom.basis, phi.images)):
+    if imgs is None or any(misses(*stacks) for stacks in product_stacks(
+            (phi.dom.basis, gens), (phi.images, imgs))):
         bad.append("not multiplicative")
     if unital and misses(phi.dom.ambient.identity(), phi.cod.identity()):
         bad.append("not unit-preserving")

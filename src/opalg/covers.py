@@ -75,6 +75,8 @@ class CstarCover:
                                     compare=False)
     _admissibility: list = field(default_factory=list, repr=False,
                                  compare=False)  # (system, report) pairs
+    _summands: tuple = field(default=(), repr=False,
+                             compare=False)  # a join's (cover, lo, hi)
 
     @property
     def ambient(self):
@@ -190,10 +192,20 @@ def induced_morphism(upper, lower):
     pi . j_upper = j_lower, or a MorphismAbsence with a witness.
 
     Existence of pi is exactly the statement that `lower` sits below `upper`
-    in the cover order.
+    in the cover order.  When `lower` is one of the summands that `join`
+    built `upper` from, pi is the compression to that summand's range;
+    otherwise it is read off the graph closure.  Either way it is verified.
     """
-    pi, obstruction = graph_map(upper.ambient, lower.ambient,
-                                zip(upper.j.images, lower.j.images), upper.C)
+    part = next(((lo, hi) for c, lo, hi in upper._summands if c is lower),
+                None)
+    if part is not None:
+        lo, hi = part
+        pi = LinearMap(dom=upper.C, cod=lower.ambient,
+                       images=upper.C.basis[:, lo:hi, lo:hi])
+    else:
+        pi, obstruction = graph_map(upper.ambient, lower.ambient,
+                                    zip(upper.j.images, lower.j.images),
+                                    upper.C)
     if pi is None:
         w = normalize_witness(obstruction.basis[0])
         return MorphismAbsence(source=upper, target=lower, witness=w,
@@ -235,8 +247,11 @@ def join(*covers, name=None):
     summand already is), so validation is structural only; when both
     summands carry certificates, j carries their direct-sum certificate.
     More than two covers are joined pairwise from the left, and the last
-    join takes the name.
+    join takes the name.  The join keeps its two summands with their ranges
+    in its ambient, for `induced_morphism`.
     """
+    if not covers:
+        raise ValueError("join needs at least one cover, got none")
     if len(covers) == 1:
         return covers[0]
     *rest, c2 = covers
@@ -245,6 +260,8 @@ def join(*covers, name=None):
     imgs = [direct_sum(x, y) for x, y in zip(c1.j.images, c2.j.images)]
     out = make_cover(c1.A, amb, imgs, verify=False,
                      name=name or f"join({c1.name},{c2.name})")
+    N1 = c1.ambient.dim
+    out._summands = ((c1, 0, N1), (c2, N1, amb.dim))
     if c1.j.certificate is not None and c2.j.certificate is not None:
         out.j.certificate = {"type": "direct-sum",
                              "cods": (c1.ambient, c2.ambient),

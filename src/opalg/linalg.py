@@ -34,6 +34,10 @@ NORM_RECHECK_TOL = 1e-9
 WITNESS_FLOOR = 1e-12
 SIGNIFICANT = 1e-6
 EXPECT_TOL = 1e-6
+# A check forms its products x @ y in stacks of at most PRODUCT_BUDGET
+# complex entries (`product_stacks`): a few large products per check, and
+# memory that does not grow with dim^2.
+PRODUCT_BUDGET = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -45,9 +49,11 @@ class RunConfig:
     max_iter: int = 50000
 
     def __post_init__(self):
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(
-                f"seed must be a non-negative integer, not {self.seed!r}")
+        for name in ("seed", "max_iter"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(
+                    f"{name} must be a non-negative integer, not {value!r}")
 
 
 _RUN_CONFIG = ContextVar("opalg_run_config", default=RunConfig())
@@ -195,6 +201,19 @@ def null_space(M, left=False):
     return np.ascontiguousarray((rows * null[..., None])[..., start:, :])
 
 
+def normal_null_space(L, residuals):
+    """Null space of an operator R given by its normal matrix L = R*R (a
+    matrix, or a (p, n, n) stack) and by `residuals(cand)`, R applied to
+    the candidate rows cand as a (m, r) matrix, or (p, m, r) stack, with
+    one column per row.  null_space(L) proposes the candidates; as L
+    squares the singular values, their own residuals decide.  One more row
+    keeps the zero rows null_space pads a stack with out of the result."""
+    cand = null_space(L)
+    pad = 1 - np.linalg.norm(cand, axis=-1) ** 2
+    res = np.concatenate([residuals(cand), pad[..., None, :]], axis=-2)
+    return null_space(res) @ cand
+
+
 def intertwiner_space(dom_imgs, cod_imgs, space):
     """Coefficient basis (rows, against space's basis) of
     {U in space : U x_a = y_a U for all a}."""
@@ -304,21 +323,35 @@ class AlgebraSpan:
             bad.append("basis not HS-orthonormal")
         if self.ambient.off_block_norm(self.basis) > MEMBER_TOL:
             bad.append("basis leaves ambient block pattern")
-        # one stack of products per basis row, never all dim^2 at once
-        if any(self.residual(a @ self.basis) > MEMBER_TOL
-               for a in self.basis):
+        if any(self.residual(p) > MEMBER_TOL
+               for p, in product_stacks((self.basis, self.basis))):
             bad.append("not closed under multiplication")
         if self.self_adjoint and self.residual(
                 adjoints(self.basis)) > MEMBER_TOL:
             bad.append("not closed under adjoint")
         if self.unital and self.identity_residual() > MEMBER_TOL:
             bad.append("does not contain the ambient identity")
-        if self.ideal_in is not None and any(
-                self.residual(c @ self.basis) > MEMBER_TOL
-                or self.residual(self.basis @ c) > MEMBER_TOL
-                for c in self.ideal_in.basis):
-            bad.append("not an ideal in the enclosing algebra")
+        if self.ideal_in is not None:
+            J = self.ideal_in.basis
+            sides = itertools.chain(product_stacks((J, self.basis)),
+                                    product_stacks((self.basis, J)))
+            if any(self.residual(p) > MEMBER_TOL for p, in sides):
+                bad.append("not an ideal in the enclosing algebra")
         return bad
+
+
+def product_stacks(*pairs):
+    """The products x @ y for every x in xs and y in ys, for each pair
+    (xs, ys) of stacks, all xs of one length: yielded as one tuple of
+    (r * len(ys), a, c) stacks per slice of r consecutive rows of the xs,
+    every pair cut at the same rows, with as many rows as keep a tuple
+    within PRODUCT_BUDGET entries (one row at least, so only a row larger
+    than the budget by itself makes a larger tuple)."""
+    row = sum(len(ys) * xs.shape[-2] * ys.shape[-1] for xs, ys in pairs)
+    step = max(1, PRODUCT_BUDGET // max(row, 1))
+    for i in range(0, len(pairs[0][0]), step):
+        yield tuple((xs[i:i + step, None] @ ys).reshape(
+            -1, xs.shape[-2], ys.shape[-1]) for xs, ys in pairs)
 
 
 def orthonormal_span(ambient, mats):
@@ -344,9 +377,8 @@ def _kron_sum(X, Y):
 def _intertwiners(Si, Sj):
     """Orthonormal bases of {X : s_i X = X s_j for every s}, for the block
     stacks Si (p, k, a, a) and Sj (p, k, b, b) of p block pairs, as a
-    (p, r, a, b) stack padded with zero matrices.  The null space of the
-    normal matrix L of X -> (s_i X - X s_j)_s gives the candidates; as L
-    squares the singular values, the candidates' residuals decide.
+    (p, r, a, b) stack padded with zero matrices: the null space of
+    X -> (s_i X - X s_j)_s, read by `normal_null_space`.
     """
     (p, k, a, _), b = Si.shape, Sj.shape[-1]
     Qi = (adjoints(Si) @ Si).sum(1, keepdims=True)
@@ -356,14 +388,14 @@ def _intertwiners(Si, Sj):
     L = _kron_sum(
         np.concatenate([Qi, np.broadcast_to(np.eye(a), Qi.shape), -2 * Si], 1),
         np.concatenate([np.broadcast_to(np.eye(b), Qj.shape), Qj, Sj], 1))
-    cand = null_space(L)
-    r = cand.shape[1]
-    X = cand.reshape(p, 1, r, a, b)
-    res = np.moveaxis(Si[:, :, None] @ X - X @ Sj[:, :, None], 2, -1)
-    # one more row keeps the zero rows null_space pads with out of the span
-    pad = 1 - np.linalg.norm(cand, axis=-1) ** 2
-    res = np.concatenate([res.reshape(p, k * a * b, r), pad[:, None]], axis=1)
-    return (null_space(res) @ cand).reshape(p, -1, a, b)
+
+    def residuals(cand):
+        r = cand.shape[1]
+        X = cand.reshape(p, 1, r, a, b)
+        res = np.moveaxis(Si[:, :, None] @ X - X @ Sj[:, :, None], 2, -1)
+        return res.reshape(p, k * a * b, r)
+
+    return normal_null_space(L, residuals).reshape(p, -1, a, b)
 
 
 def _cosupport(S):

@@ -234,13 +234,13 @@ def _op_order(sc, args):
 
 
 def _covers(sc, args):
-    """The covers the `covers` argument names, refused unless it is a list
-    of strings naming covers of one algebra."""
+    """The covers the `covers` argument names, refused unless it is a
+    non-empty list of strings naming covers of one algebra."""
     names = args["covers"]
-    if not isinstance(names, list) \
+    if not isinstance(names, list) or not names \
             or not all(isinstance(n, str) for n in names):
         raise ScenarioError(f"op {args.op!r}: argument 'covers' must be a "
-                            f"list of cover names, not {names!r}")
+                            f"non-empty list of cover names, not {names!r}")
     return _one_algebra(args, *[sc.cover(n) for n in names])
 
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (MEMBER_TOL, AlgebraSpan, current, hs_orthonormalize,
-                     intertwiner_space, orthonormal_span)
+from .linalg import (MEMBER_TOL, AlgebraSpan, adjoints, current,
+                     hs_orthonormalize, normal_null_space, orthonormal_span,
+                     product_stacks)
 
 CLUSTER_GAP = 1e-6
 _MAX_RESAMPLE = 5
@@ -78,13 +79,26 @@ class BlockStructure:
 
 
 def center(C):
-    """Center of a self-adjoint unital span: the elements of C that
-    intertwine every basis element with itself."""
+    """Center of a self-adjoint unital span: the elements of C that commute
+    with every basis element, the null space of c -> ([sum_k c_k b_k, x])_x
+    read by `normal_null_space`.  Its d x d normal matrix is summed over
+    the commutator rows [x, b_k] of `product_stacks`, with b x read as
+    (x* b*)*."""
     if C.dim == 0:
         return orthonormal_span(C.ambient, [])
-    mats = [C.from_coeffs(c)
-            for c in intertwiner_space(C.basis, C.basis, C)]
-    return AlgebraSpan(C.ambient, hs_orthonormalize(mats),
+    B, (d, N, _) = C.basis, C.basis.shape
+    G = np.zeros((d, d), dtype=complex)
+    for xb, xb_star in product_stacks((B, B), (adjoints(B), adjoints(B))):
+        R = (xb - adjoints(xb_star)).reshape(-1, d, N * N)
+        R = R.transpose(1, 0, 2).reshape(d, -1)
+        G += R.conj() @ R.T
+
+    def residuals(cand):
+        Z = (cand @ C._flat).reshape(-1, 1, N, N)
+        return (Z @ B - B @ Z).reshape(len(cand), -1).T
+
+    z = normal_null_space(G, residuals) @ C._flat
+    return AlgebraSpan(C.ambient, hs_orthonormalize(z.reshape(-1, N, N)),
                        self_adjoint=True, unital=C.unital)
 
 
@@ -144,11 +158,13 @@ def minimal_central_projections(C):
         # order blocks deterministically: big blocks first, then by support
         info = []
         for z in zs:
-            zC = corner(C, z)
-            m = int(round(np.sqrt(zC.dim)))
-            if m * m != zC.dim:
+            # x -> z x is the HS-orthogonal projection of C onto zC, so its
+            # trace sum_k |z b_k|^2 is dim zC
+            dim = int(round(np.linalg.norm(z @ C.basis) ** 2))
+            m = int(round(np.sqrt(dim)))
+            if m * m != dim:
                 raise BlockStructureError(
-                    f"corner dimension {zC.dim} is not a perfect square")
+                    f"corner dimension {dim} is not a perfect square")
             r = int(round(float(np.real(np.trace(z))) / m))
             first = int(np.argmax(np.real(np.diag(z)) > 0.5))
             info.append((m, r, first, z))

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opalg import cb, corpus, crossed
+from opalg import cb, corpus, crossed, linalg
 from opalg.cb import (CC, CI, FEAS_TOL, INCONCLUSIVE, NOT_CC, NOT_CI, CbReport,
                       LinearMap, Undecided, cc_check, ci_check,
                       falsifier_search, choi_feasibility, require_decisive,
                       star_hom_violations,
                       verify_choi_certificate, verify_falsifier)
 from opalg.corpus import a4_algebra, schur_projection_p
-from opalg.covers import join
+from opalg.covers import induced_morphism, join
 from opalg.dynamics import inner_in_itself
 from opalg.linalg import (ASCENT_GAIN, TINY_NORM, AlgebraSpan, Ambient,
                           direct_sum, generate_algebra, orthonormal_span,
@@ -169,9 +169,11 @@ def test_star_hom_violations_names_each_failure(m2, build, want):
                                pairs=(m2.basis, m2.basis)) == []
 
 
-def test_star_hom_violations_evaluates_one_stack_per_basis_row(monkeypatch):
-    """Checking the identity on M4 evaluates coefficients O(dim) times,
-    not once per basis x generator product."""
+def test_star_hom_violations_evaluates_budgeted_product_stacks(monkeypatch):
+    """Checking the identity on M4 evaluates its 16 x 16 basis products as
+    one stack within PRODUCT_BUDGET: two coefficient calls in all, the
+    products and the adjoints.  Cut to one basis row per stack, it takes
+    one call per row."""
     amb = Ambient((4,))
     m4 = generate_algebra(amb, [amb.matrix_unit(i, j) for i in range(4)
                                 for j in range(4)])
@@ -179,13 +181,45 @@ def test_star_hom_violations_evaluates_one_stack_per_basis_row(monkeypatch):
     coeffs = AlgebraSpan.coeffs
 
     def counting(self, x):
-        calls.append(np.shape(x))
+        calls.append(np.size(x))
         return coeffs(self, x)
 
     monkeypatch.setattr(AlgebraSpan, "coeffs", counting)
     assert star_hom_violations(_identity(m4), onto=m4) == []
     assert m4.dim == 16
-    assert len(calls) <= 2 * m4.dim
+    assert calls == [16 * 16 * 16, 16 * 16]
+    assert max(calls) <= linalg.PRODUCT_BUDGET
+    calls.clear()
+    monkeypatch.setattr(linalg, "PRODUCT_BUDGET", 1)
+    assert star_hom_violations(_identity(m4), onto=m4) == []
+    assert len(calls) == m4.dim + 1
+
+
+def test_checks_of_the_symmetrized_cover_stay_within_the_budget(
+        monkeypatch):
+    """Every stack that star_hom_violations and AlgebraSpan.verify
+    evaluate while checking the a4-symmetrized cover, its C and its
+    projection onto a Schur summand holds at most PRODUCT_BUDGET
+    entries, and the products are stacked more than one row at a time."""
+    cov = corpus.a4_symmetrized_cover()
+    m = induced_morphism(cov, corpus.a4_schur_cover())
+    sizes = []
+    for name in ("coeffs", "residual"):
+        method = getattr(AlgebraSpan, name)
+
+        def recording(self, x, method=method):
+            sizes.append(np.size(x))
+            return method(self, x)
+
+        monkeypatch.setattr(AlgebraSpan, name, recording)
+    assert star_hom_violations(cov.j, unital=True) == []
+    assert cov.C.verify() == []
+    assert star_hom_violations(m.pi, m.target.C, unital=True,
+                               pairs=(cov.j.images, m.target.j.images)) == []
+    assert m.kernel.verify() == []
+    N = cov.ambient.dim
+    assert max(sizes) <= linalg.PRODUCT_BUDGET
+    assert max(sizes) > cov.C.dim * N * N
 
 
 class TestOracles:

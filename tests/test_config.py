@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import opalg
-from opalg import corpus
+from opalg import corpus, linalg
 from opalg.cb import CC, LinearMap, cc_check, falsifier_search
 from opalg.cli import main
 from opalg.corpus import t2_algebra
@@ -64,6 +64,25 @@ def test_a_bad_seed_is_refused_before_any_work(seed, monkeypatch):
     assert current() == RunConfig()
 
 
+@pytest.mark.parametrize("max_iter", [-1, 1.5, "3"])
+def test_a_bad_max_iter_is_refused_before_any_work(max_iter, tmp_path,
+                                                   monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scenario was run")
+
+    with pytest.raises(ValueError, match="max_iter"):
+        with using(max_iter=max_iter):
+            pass
+    assert current() == RunConfig()
+    assert RunConfig(max_iter=0).max_iter == 0
+    if isinstance(max_iter, int):  # the CLI parses --max-iter as an int
+        monkeypatch.setattr("opalg.cli.run_scenario", refuse)
+        res = CliRunner().invoke(main, ["run", example_file(tmp_path),
+                                        "--max-iter", str(max_iter)])
+        assert res.exit_code == 3
+        assert "max_iter" in res.output
+
+
 def test_cli_budget_does_not_outlive_the_command(tmp_path):
     res = CliRunner().invoke(main, ["structure", example_file(tmp_path),
                                     "--cover", "diag", "--max-iter", "0"])
@@ -73,6 +92,22 @@ def test_cli_budget_does_not_outlive_the_command(tmp_path):
     span = t2_algebra().span
     identity = LinearMap(dom=span, cod=span.ambient, images=span.basis)
     assert cc_check(identity).verdict == CC
+
+
+def test_outputs_do_not_depend_on_the_product_budget(tmp_path, monkeypatch):
+    """The suite's verdict text and `opalg run`'s output are byte-identical
+    with the checks' products stacked one basis row at a time and at the
+    default budget: the budget changes only how a check is evaluated."""
+    path = example_file(tmp_path)
+
+    def outputs():
+        run = CliRunner().invoke(main, ["run", path])
+        assert run.exit_code == 0
+        return paper_suite()["verdict_text"].encode(), run.output.encode()
+
+    default = outputs()
+    monkeypatch.setattr(linalg, "PRODUCT_BUDGET", 1)
+    assert outputs() == default
 
 
 def test_run_reports_the_seed_it_used(tmp_path):

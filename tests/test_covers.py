@@ -261,6 +261,57 @@ class TestLattice:
             "join(join(t2-diag,t2-corner),t2-inclusion)"
 
 
+class TestJoinProjections:
+    """The induced morphism of a join onto one of its summands is the
+    compression to that summand's range, verified like any other."""
+
+    JOINS = [(lambda: (t2_diag_cover(), t2_corner_cover()), 0),
+             (lambda: (t2_diag_cover(), t2_corner_cover()), 1),
+             (lambda: (a4_schur_cover(), a4_schur_cover_swapped()), 0),
+             (lambda: (a4_schur_cover(), a4_schur_cover_swapped()), 1)]
+
+    @pytest.mark.parametrize("summands, which", JOINS)
+    def test_is_the_closure_map_without_a_closure(self, summands, which,
+                                                  monkeypatch):
+        parts = summands()
+        v, low = join(*parts), parts[which]
+        ref, _ = cb.graph_map(v.ambient, low.ambient,
+                              zip(v.j.images, low.j.images), v.C)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("graph_map called")
+
+        monkeypatch.setattr(covers, "graph_map", refuse)
+        m = induced_morphism(v, low)
+        assert isinstance(m, CoverMorphism)
+        assert np.abs(m.pi.images - ref.images).max() < 1e-12
+        assert m.kernel.dim == len(ref.kernel())
+        assert m.kernel.verify() == []
+
+    def test_a_twin_of_a_summand_takes_the_closure(self, monkeypatch):
+        c1 = t2_diag_cover()
+        v = join(c1, t2_corner_cover())
+        twin = make_cover(c1.A, c1.ambient, c1.j.images, name=c1.name,
+                          verify=False)
+        calls = []
+        graph_map = covers.graph_map
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return graph_map(*args, **kwargs)
+
+        monkeypatch.setattr(covers, "graph_map", counting)
+        m = induced_morphism(v, twin)
+        assert len(calls) == 1
+        assert np.abs(m.pi.images - induced_morphism(v, c1).pi.images) \
+            .max() < 1e-12
+        assert len(calls) == 1
+
+    def test_a_join_of_nothing_is_refused(self):
+        with pytest.raises(ValueError, match="at least one cover"):
+            join()
+
+
 class TestBoundary:
     def test_shilov_of_schur_cover(self):
         S = shilov(a4_schur_cover())

@@ -124,6 +124,10 @@ def join_covers_is_a_number(raw):
     raw["checks"].append({"op": "join", "covers": 5})
 
 
+def join_covers_is_empty(raw):
+    raw["checks"].append({"op": "join", "covers": []})
+
+
 def meet_covers_is_a_number(raw):
     raw["checks"].append({"op": "meet", "covers": 5})
 
@@ -274,6 +278,7 @@ class TestCli:
                                        action_is_a_list,
                                        covers_section_is_a_list,
                                        join_covers_is_a_number,
+                                       join_covers_is_empty,
                                        meet_covers_is_a_number,
                                        structure_cover_is_a_list,
                                        admissible_system_is_an_object])
@@ -284,6 +289,12 @@ class TestCli:
         path.write_text(json.dumps(raw))
         res = CliRunner().invoke(main, ["run", str(path)])
         assert res.exit_code == 3
+
+    def test_an_empty_join_names_its_argument(self):
+        raw = t2_scenario()
+        join_covers_is_empty(raw)
+        with pytest.raises(ScenarioError, match="'join'.*'covers'.*non-empty"):
+            run_check(load_scenario(raw), raw["checks"][-1])
 
     def test_check_cover_reports_rejection(self, tmp_path):
         raw = t2_scenario()

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from opalg import corpus
 from opalg.covers import quotient_map
-from opalg.linalg import Ambient, generate_algebra
+from opalg.linalg import (AlgebraSpan, Ambient, generate_algebra,
+                          intertwiner_space, orthonormal_span)
 from opalg.structure import (BlockStructureError, annihilator,
                              blocks_of_ideal, center, ideal_blocks,
                              is_essential, is_maximal_ideal,
@@ -27,6 +31,82 @@ def test_center_of_full_matrix_algebra():
     C = generate_algebra(amb, [amb.matrix_unit(i, j)
                                for i in range(3) for j in range(3)])
     assert center(C).dim == 1
+
+
+def _reference_center(C):
+    """The center as the intertwiners of C's basis with itself, one SVD of
+    every commutator row (the rule `center` replaced)."""
+    return orthonormal_span(C.ambient, [
+        C.from_coeffs(c) for c in intertwiner_space(C.basis, C.basis, C)])
+
+
+def _same_span(V, W):
+    return V.dim == W.dim and V.contains_span(W) and W.contains_span(V)
+
+
+def _rotated_blocks(sizes, mults, seed):
+    """The direct sum of the M_m (x) 1_r in one full block of size
+    sum m * r, conjugated by a seeded random unitary."""
+    N = sum(m * r for m, r in zip(sizes, mults))
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((N, N))
+                        + 1j * rng.standard_normal((N, N)))
+    units, off = [], 0
+    for m, r in zip(sizes, mults):
+        for a in range(m):
+            for b in range(m):
+                e = np.zeros((N, N), dtype=complex)
+                for k in range(r):
+                    e[off + k * m + a, off + k * m + b] = 1.0
+                units.append(u @ e @ u.conj().T)
+        off += m * r
+    span = orthonormal_span(Ambient((N,)), units)
+    return AlgebraSpan(span.ambient, span.basis, self_adjoint=True,
+                       unital=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)),
+                min_size=1, max_size=3),
+       st.integers(0, 10 ** 6))
+def test_center_matches_the_intertwiner_reference(blocks, seed):
+    sizes, mults = zip(*blocks)
+    C = _rotated_blocks(sizes, mults, seed)
+    Z = center(C)
+    assert Z.dim == len(blocks)
+    assert _same_span(Z, _reference_center(C))
+    assert Z.verify() == []
+    bs = minimal_central_projections(C)
+    assert sorted(zip(bs.block_dims, bs.mults)) == sorted(blocks)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.COVER_BUILDERS))
+def test_center_of_every_corpus_cover(name):
+    C = corpus.COVER_BUILDERS[name]().C
+    assert _same_span(center(C), _reference_center(C))
+
+
+def test_block_sizes_are_read_off_traces(monkeypatch):
+    # no corner is built or orthonormalized to size a block
+    C = _rotated_blocks((2, 1, 3), (1, 2, 1), 3)
+    monkeypatch.setattr("opalg.structure.corner", None)
+    bs = minimal_central_projections(C)
+    assert bs.block_dims == (3, 2, 1)
+    assert bs.verify() == []
+
+
+def test_a_corner_of_no_square_dimension_is_refused(m2_plus_c2,
+                                                    monkeypatch):
+    # A commuting family that is not central: diag(1, 0, 0, 0) splits the
+    # M2 block, and its "corner" has dimension 2.
+    amb = m2_plus_c2.ambient
+    fake = orthonormal_span(amb, [np.diag(d).astype(complex) for d in
+                                  ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1])])
+    monkeypatch.setattr("opalg.structure.center", lambda C: fake)
+    C = AlgebraSpan(amb, m2_plus_c2.basis, self_adjoint=True, unital=True)
+    with pytest.raises(BlockStructureError, match="dimension 2 is not a "
+                                                  "perfect square"):
+        minimal_central_projections(C)
 
 
 def test_minimal_central_projections(m2_plus_c2):
