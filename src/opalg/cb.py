@@ -26,7 +26,8 @@ certificate:
   of phi~(a + b*) = phi(a) + phi(b)* on S + S* when phi is unital and
   *-consistent (Paulsen 2002, Prop. 3.5), and otherwise, or when that
   fails, of the 2x2 off-diagonal (Paulsen) companion map, which has one
-  exactly when phi is completely contractive (Paulsen 2002, ch. 7-8).  The
+  exactly when phi is completely contractive (Paulsen 2002, ch. 7-8),
+  solved folded into M_n (see _paulsen_pins).  The
   search runs on a block-diagonal Choi variable: the connected components
   of the compressed domain and codomain coordinates split it into one
   independent problem per codomain block, each with one PSD block per
@@ -376,16 +377,34 @@ def _compressed_problem(phi):
 
 
 def _paulsen_pins(S, images, N, n):
-    """HS-orthonormal basis of the companion operator system in M_{2N} and
-    the matching required images in M_{2n}: the two identity pins, then
-    [[0, s], [0, 0]] and [[0, 0], [s*, 0]] for each basis element s."""
-    def system(T, m):
-        out = np.zeros((2 + 2 * len(T), 2 * m, 2 * m), dtype=complex)
-        out[0, :m, :m] = out[1, m:, m:] = np.eye(m) / np.sqrt(N)
-        out[2::2, :m, m:] = T
-        out[3::2, m:, :m] = adjoints(T)
-        return out
-    return system(S, N), system(images, n), 1.0
+    """HS-orthonormal basis of the companion operator system in M_{2N}: the
+    two identity pins, then [[0, s], [0, 0]] and [[0, 0], [s*, 0]] for each
+    basis element s; and their required images folded into M_n, each the
+    n x n corner of the companion's image that matches its pin's own
+    corner: 1_n / sqrt(N) for both identity pins, then phi(s) and phi(s)*.
+
+    The fold is exact (the form of Watrous, "Simpler semidefinite programs
+    for completely bounded norms", 2013).  A UCP extension Phi: M_{2N} ->
+    M_{2n} of the unfolded pins restricts its Choi matrix to the principal
+    block W = {(p, c) : half(p) = half(c)}, which is the Choi matrix of a CP
+    map Psi: M_{2N} -> M_n meeting the folded pins; conversely a folded
+    solution padded with zeros off W is a UCP extension, since each pin and
+    its image sit in matching corners.  Psi sends each half's identity to
+    1_n, so Psi(1) = 2 1_n.  Its Choi matrix has side 2Nn, a quarter of the
+    unfolded one's entries, and every Douglas-Rachford iterate of the
+    unfolded problem lies on W already (A* R does, and the PSD and affine
+    steps keep it there): the folded run is the unfolded one without W's
+    zero rows and columns."""
+    d = len(S)
+    B = np.zeros((2 + 2 * d, 2 * N, 2 * N), dtype=complex)
+    B[0, :N, :N] = B[1, N:, N:] = np.eye(N) / np.sqrt(N)
+    B[2::2, :N, N:] = S
+    B[3::2, N:, :N] = adjoints(S)
+    R = np.empty((2 + 2 * d, n, n), dtype=complex)
+    R[:2] = np.eye(n) / np.sqrt(N)
+    R[2::2] = images
+    R[3::2] = adjoints(images)
+    return B, R, 1.0
 
 
 def _unit_scale(v, one_n, tol):
@@ -488,27 +507,33 @@ def _separates(pins, R, y, target):
     the domain blocks), and let X be any PSD variable with pin residual
     r = ||R - AX|| < target.  Then
       * Re<y, AX> = Re<A*y, X> = sum_i tr(Herm(A*y)_i X_i) >= lam tr X;
-      * the pins span the identity 1 of M_M (M = the sum of the domain
-        block sizes: 2N for the Paulsen system, N for S + S*), with
-        Phi(1) pinned to 1, so 1 = sum_l u_l B_l with ||u|| = ||1|| =
-        sqrt(M), and tr X = tr Phi(1) = <w, AX> for w_l = conj(u_l) I_m,
-        with <w, R> = m and ||w|| = sqrt(Mm):
-        tr X <= m + sqrt(Mm) r < m + sqrt(Mm) target;
+      * the orthonormal pins B_l (pins[i][l] summed over the domain blocks
+        i) span the identity of the domain, 1 = sum_l conj(tr B_l) B_l, so
+        tr X = tr Phi(1) = Re<w, AX> for w_l = tr(B_l) 1_m, and
+        tr X <= Re<w, R> + ||w|| r < Re<w, R> + ||w|| target;
       * Re<y, R> = Re<y, AX> + Re<y, R - AX>
-                 > lam (m + sqrt(Mm) target) - ||y|| target.
-    So Re<y, R> at or below that bound rules out every such X.  At target
-    0 this is plain Farkas: every feasible Choi block has trace m, since
-    the pins force Phi(1) = 1.  Rounding in lam and the inner
-    products is of order eps ||y||, far below the ||y|| target term."""
+                 > lam (Re<w, R> + ||w|| target) - ||y|| target.
+    So Re<y, R> at or below that bound rules out every such X.  The trace
+    bound is read off the pins: Re<w, R> = tr Phi(1) is m on S + S*, where
+    Phi(1) = 1, and 2m on the folded Paulsen system, where Phi(1) = 2 1_m;
+    ||w|| = sqrt(Mm) on both (M = the sum of the domain block sizes: N for
+    S + S*, 2N for the Paulsen system).  At target 0 this is plain Farkas.
+    As lam <= 0 and the trace bound is positive, the bound cannot hold when
+    Re<y, R> > -||y|| target, and that test comes before any eigenvalue.
+    Rounding in lam and the inner products is of order eps ||y||, far below
+    the ||y|| target term."""
     L, m = R.shape[:2]
-    y = y.reshape(L, -1)
-    sizes = [P.shape[1] for P in pins]
+    y, R = y.reshape(L, -1), R.reshape(L, -1)
+    slack = np.linalg.norm(y) * target
+    yR = np.vdot(y, R).real
+    if yR > -slack:
+        return False
+    w = np.outer(sum(np.trace(P, axis1=1, axis2=2) for P in pins),
+                 np.eye(m).ravel())
+    trace_bound = np.vdot(w, R).real + np.linalg.norm(w) * target
     lam = min(0.0, *(np.linalg.eigvalsh(_hermitian(_choi_layout(
-        P.reshape(L, -1).conj().T @ y, p, m)))[0]
-        for P, p in zip(pins, sizes)))
-    trace_bound = m + np.sqrt(sum(sizes) * m) * target
-    return np.vdot(y, R.reshape(L, -1)).real \
-        <= lam * trace_bound - np.linalg.norm(y) * target
+        P.reshape(L, -1).conj().T @ y, P.shape[1], m)))[0] for P in pins))
+    return yR <= lam * trace_bound - slack
 
 
 def _dr_block(pins, R, max_iter, target):
@@ -617,9 +642,12 @@ def choi_feasibility(phi):
     on S + S* for phi / lam (_unital_pins; at most STALL_WINDOW iterations
     when lam < 1), a Choi matrix in M_N (x) M_n that bounds ||phi||_cb by
     lam.  When that does not apply or ends without a certificate, the
-    search runs on the Paulsen companion of phi in M_2N (x) M_2n, which has
-    a UCP extension exactly when phi is completely contractive (Paulsen
-    2002, ch. 7-8); so every verdict is that of the Paulsen problem alone.
+    search runs on the Paulsen companion of phi, which has a UCP extension
+    exactly when phi is completely contractive (Paulsen 2002, ch. 7-8); so
+    every verdict is that of the Paulsen problem alone.  That problem is
+    solved folded (_paulsen_pins): a CP map of M_2N into M_n that sends
+    each half's identity to 1_n, a Choi matrix in M_2N (x) M_n, half the
+    side of the companion's M_2N (x) M_2n.
 
     Returns (certificate | None, diagnostics).  The certificate records the
     pinned `system` ("unital" or "paulsen"), the Choi matrix, its residual
@@ -654,19 +682,26 @@ def choi_feasibility(phi):
 def verify_choi_certificate(cert):
     """Independent re-check of a feasibility certificate on the pins of its
     recorded system, rebuilt from its compressed problem (lam re-derived):
-    False when a "unital" certificate's map fails _unital_pins' checks."""
-    S = cert["dom_basis"]
+    False when a "unital" certificate's map fails _unital_pins' checks, or
+    when the recorded sizes, images or Choi matrix do not fit the rebuilt
+    pins (a Paulsen Choi matrix has side 2Nn)."""
+    S, imgs = np.asarray(cert["dom_basis"]), np.asarray(cert["images"])
     if len(S) == 0:
         return True
-    pins = _PINS[cert["system"]](S, cert["images"], *cert["sizes"])
+    N, n = cert["sizes"]
+    if S.shape != (len(S), N, N) or imgs.shape != (len(S), n, n):
+        return False
+    pins = _PINS[cert["system"]](S, imgs, N, n)
     if pins is None:
         return False
     B, R, _ = pins
-    X = cert["choi"]
+    X = np.asarray(cert["choi"])
+    M, m = B.shape[-1], R.shape[-1]
+    if X.shape != (M * m, M * m):
+        return False
     w = np.linalg.eigvalsh((X + X.conj().T) / 2)
     if w[0] < -10 * FEAS_TOL:
         return False
-    M, m = B.shape[-1], R.shape[-1]
     res = float(np.linalg.norm(R - _choi_apply(B, X.reshape(M, m, M, m))))
     return res < 10 * FEAS_TOL
 
@@ -821,12 +856,13 @@ def cc_check(phi):
     """Decide complete contractivity of phi.  The structural certificates
     come first (see _structural_certificates), then the unit: x = 1 is a
     level-1 falsifier when it is in the domain and ||phi(1)|| > 1 + margin,
-    as ||phi||_cb >= ||phi(1)||.  Then the feasibility oracle looks for a
-    UCP-extension certificate, and only when it returns none does the
-    falsifier search for a witness.  Neither oracle depends on the other
-    (the falsifier seeds a fresh generator on each call), so the order
-    changes no verdict one oracle decides; criterion 8 checks that they
-    never both decide.  A decisive verdict is returned only with a
+    as ||phi||_cb >= ||phi(1)||; the witness is built and re-verified only
+    then, so a map below that pays one norm.  Then the feasibility oracle
+    looks for a UCP-extension certificate, and only when it returns none
+    does the falsifier search for a witness.  Neither oracle depends on the
+    other (the falsifier seeds a fresh generator on each call), so the
+    order changes no verdict one oracle decides; criterion 8 checks that
+    they never both decide.  A decisive verdict is returned only with a
     certificate that re-verifies against phi, and its diagnostics name what
     decided it (`decided_by`: the certificate type, or "falsifier" with
     `witness` "unit" or "ascent"); otherwise the verdict is Inconclusive
@@ -842,12 +878,13 @@ def cc_check(phi):
             return CbReport(CC, cert, {"decided_by": cert["type"]})
     one = phi.dom.ambient.identity()
     if phi.dom.contains(one):
-        cert = {"type": "falsifier", "level": 1, "x": one, "norm_x": 1.0,
-                "norm_image": operator_norm(phi(one)),
-                "margin": FALSIFIER_MARGIN}
-        if verify_falsifier(phi, cert):
-            return CbReport(NOT_CC, cert, {"decided_by": "falsifier",
-                                           "witness": "unit"})
+        norm = operator_norm(phi(one))
+        if norm > 1 + FALSIFIER_MARGIN:
+            cert = {"type": "falsifier", "level": 1, "x": one, "norm_x": 1.0,
+                    "norm_image": norm, "margin": FALSIFIER_MARGIN}
+            if verify_falsifier(phi, cert):
+                return CbReport(NOT_CC, cert, {"decided_by": "falsifier",
+                                               "witness": "unit"})
     choi, diag = choi_feasibility(phi)
     if choi is not None:
         if not verify_choi_certificate(choi):

@@ -541,9 +541,27 @@ def _shifted_pin(cert):
     return dict(cert, images=cert["images"] + 1e-3 * np.eye(n))
 
 
-@pytest.mark.parametrize("spoil", [_negative_eigenvalue, _shifted_pin])
-def test_unverified_choi_certificate_is_inconclusive(m2, monkeypatch, spoil):
-    halved = map_from_images(m2, m2.ambient, [0.5 * b for b in m2.basis])
+def _trimmed(cert):
+    return dict(cert, choi=cert["choi"][:-1, :-1])
+
+
+def _three_by_three(cert):
+    return dict(cert, choi=np.eye(3))
+
+
+def _wider_codomain(cert):
+    N, n = cert["sizes"]
+    return dict(cert, sizes=(N, n + 1))
+
+
+def _unfolded(cert):
+    """A Paulsen certificate in the unfolded layout, side 4Nn."""
+    return dict(cert, choi=_padded(cert["choi"], *cert["sizes"]))
+
+
+def _assert_spoilt_certificate_is_refused(phi, spoil, monkeypatch):
+    """The spoilt certificate fails verify_certificate without raising,
+    and cc_check reports Inconclusive for it."""
     solve = cb.choi_feasibility
 
     def corrupted(phi):
@@ -551,9 +569,26 @@ def test_unverified_choi_certificate_is_inconclusive(m2, monkeypatch, spoil):
         return spoil(cert), diag
 
     monkeypatch.setattr(cb, "choi_feasibility", corrupted)
-    rep = cc_check(halved)
+    rep = cc_check(phi)
     assert rep.verdict == INCONCLUSIVE
     assert rep.diagnostics["failed_check"] == "verify_choi_certificate"
+    assert not cb.verify_certificate(corrupted(phi)[0], phi)
+
+
+@pytest.mark.parametrize("spoil", [_negative_eigenvalue, _shifted_pin,
+                                   _trimmed, _three_by_three,
+                                   _wider_codomain])
+def test_unverified_choi_certificate_is_inconclusive(m2, monkeypatch, spoil):
+    halved = map_from_images(m2, m2.ambient, [0.5 * b for b in m2.basis])
+    _assert_spoilt_certificate_is_refused(halved, spoil, monkeypatch)
+
+
+@pytest.mark.parametrize("spoil", [_negative_eigenvalue, _trimmed,
+                                   _wider_codomain, _unfolded])
+def test_unverified_paulsen_certificate_is_inconclusive(monkeypatch, spoil):
+    phi = _non_unital_kraus_sum(0, (2, 1))
+    assert choi_feasibility(phi)[0]["system"] == "paulsen"
+    _assert_spoilt_certificate_is_refused(phi, spoil, monkeypatch)
 
 
 def test_choi_certificate_of_another_map_is_inconclusive(monkeypatch):
@@ -862,6 +897,26 @@ def test_unit_decides_every_kraus_sum():
             assert cb.verify_certificate(rep.certificate, phi)
 
 
+def test_unit_witness_is_built_only_above_norm_one(m2, monkeypatch):
+    """A map whose ||phi(1)|| is at most 1 + margin pays one norm at the
+    unit; one above it pays two more, to re-verify its witness."""
+    norm = cb.operator_norm
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return norm(x)
+
+    monkeypatch.setattr(cb, "operator_norm", counting)
+    assert cc_check(_halved(m2)).verdict == CC
+    assert len(calls) == 1
+    calls.clear()
+    doubled = map_from_images(m2, m2.ambient, [2 * b for b in m2.basis])
+    rep = cc_check(doubled)
+    assert rep.diagnostics == {"decided_by": "falsifier", "witness": "unit"}
+    assert len(calls) == 3
+
+
 def test_diagnostics_name_the_witness_and_the_scale(m2):
     doubled = map_from_images(m2, m2.ambient, [2 * b for b in m2.basis])
     rep = cc_check(doubled)
@@ -1003,6 +1058,176 @@ def test_every_suite_choi_certificate_pins_the_unital_system(monkeypatch):
         assert cert["system"] == "unital" and diag["iterations"] <= 20
         assert verify_choi_certificate(cert)
         assert cb.verify_certificate(cert, phi)
+
+
+# ---------------------------------------------------------------------------
+# the folded Paulsen problem
+
+
+def _unfolded_paulsen_pins(S, images, N, n):
+    """Reference: the Paulsen pins with their images in M_{2n}, each
+    required image in the corner of M_{2n} that matches its pin's."""
+    def system(T, m):
+        out = np.zeros((2 + 2 * len(T), 2 * m, 2 * m), dtype=complex)
+        out[0, :m, :m] = out[1, m:, m:] = np.eye(m) / np.sqrt(N)
+        out[2::2, :m, m:] = T
+        out[3::2, m:, :m] = cb.adjoints(T)
+        return out
+    return system(S, N), system(images, n), 1.0
+
+
+def _non_unital_kraus_sum(seed, blocks):
+    """x -> sum_i A_i* x B_i (+) ... from a unital subspace of M4 into
+    the direct sum of M_m over `blocks`, two 4 x m Kraus pairs per block
+    scaled to Haagerup bound t within 3-20% of 1: phi(1) is no multiple of
+    1, so choi_feasibility skips S + S* and runs the Paulsen problem."""
+    rng = np.random.default_rng(seed)
+    lo, hi = ((0.85, 0.97), (1.03, 1.2))[seed % 2]
+    t = float(rng.uniform(lo, hi))
+    dom = _unital_subspace(rng, 4)
+    parts = []
+    for m in blocks:
+        A, B = (rng.standard_normal((2, 4, m))
+                + 1j * rng.standard_normal((2, 4, m)) for _ in range(2))
+        row, col = (np.linalg.norm(np.einsum("iba,ibc->ac", K.conj(), K), 2)
+                    for K in (A, B))
+        parts.append(t / np.sqrt(row * col) * np.einsum(
+            "iba,kbc,icd->kad", A.conj(), dom.basis, B))
+    return map_from_images(dom, Ambient(tuple(blocks)),
+                           [direct_sum(*imgs) for imgs in zip(*parts)])
+
+
+def _paulsen_problems(m2):
+    """Folded and unfolded Paulsen pins of seeded non-unital Kraus sums
+    into M_2 and into M_2 (+) M_1, and of the infeasible psi (+) 1.5 chi."""
+    maps = [_non_unital_kraus_sum(seed, blocks)
+            for blocks in ((2,), (2, 1)) for seed in range(4)]
+    maps.append(_identity_plus_compression(m2, 1.5))
+    for phi in maps:
+        S, imgs, N, n, _, _ = cb._compressed_problem(phi)
+        yield (N, n), cb._paulsen_pins(S, imgs, N, n), \
+            _unfolded_paulsen_pins(S, imgs, N, n)
+
+
+def _padded(X, N, n):
+    """A folded Choi matrix (side 2Nn) zero-padded to the unfolded layout
+    (side 4Nn): pin coordinate p meets codomain coordinate c only when
+    both lie in the same half."""
+    Y = np.zeros((2 * N, 2 * n, 2 * N, 2 * n), dtype=complex)
+    Xf = X.reshape(2 * N, n, 2 * N, n)
+    for h in range(2):
+        for k in range(2):
+            Y[h * N:(h + 1) * N, h * n:(h + 1) * n,
+              k * N:(k + 1) * N, k * n:(k + 1) * n] = \
+                Xf[h * N:(h + 1) * N, :, k * N:(k + 1) * N, :]
+    return Y.reshape(4 * N * n, 4 * N * n)
+
+
+def test_folded_paulsen_run_is_the_unfolded_run_on_its_principal_block(m2):
+    """Every iterate of the unfolded run lies on the principal block W of
+    coordinates whose pin and codomain halves agree, so the folded run
+    ends the same way after as many iterations, and its Choi matrix padded
+    with zeros solves the unfolded problem and equals the unfolded one."""
+    outcomes = []
+    for (N, n), folded, unfolded in _paulsen_problems(m2):
+        X, diag = cb._pinned_choi(*folded[:2], 10000)
+        Xu, diag_u = cb._pinned_choi(*unfolded[:2], 10000)
+        assert (X is None, diag["iterations"], diag.get("infeasible"),
+                diag.get("stalled")) == (Xu is None, diag_u["iterations"],
+                                         diag_u.get("infeasible"),
+                                         diag_u.get("stalled"))
+        outcomes.append(X is None)
+        if X is None:
+            continue
+        assert X.shape == (2 * N * n, 2 * N * n)
+        Y = _padded(X, N, n)
+        assert np.linalg.eigvalsh(Y)[0] >= -FEAS_TOL
+        B, R, _ = unfolded
+        res = np.linalg.norm(R - cb._choi_apply(
+            B, Y.reshape(2 * N, 2 * n, 2 * N, 2 * n)))
+        assert res < FEAS_TOL
+        assert np.allclose(Y, Xu, rtol=0, atol=1e-9)
+    assert outcomes == [False] * 8 + [True]
+
+
+def test_paulsen_certificate_has_side_2nn():
+    for blocks in ((2,), (2, 1)):
+        phi = _non_unital_kraus_sum(0, blocks)
+        rep = cc_check(phi)
+        assert rep.verdict == CC and rep.certificate["system"] == "paulsen"
+        N, n = rep.certificate["sizes"]
+        assert rep.certificate["choi"].shape == (2 * N * n, 2 * N * n)
+        assert cb.verify_certificate(rep.certificate, phi)
+
+
+@pytest.mark.parametrize("system, build, fold", [
+    ("unital", _ucp_compression, 1),
+    ("paulsen", _compression, 2),
+    ("paulsen", lambda seed: _non_unital_kraus_sum(seed, (2, 1)), 2)])
+def test_trace_of_a_feasible_point_is_read_off_the_pins(system, build, fold):
+    """tr X = Re<w, AX> for w_l = tr(B_l) 1_m, the trace bound of
+    _separates: at a feasible point it is tr Phi(1) = fold * m (Phi(1) is 1
+    on S + S*, 2 1_m on the folded Paulsen system), and ||w|| = sqrt(Mm)."""
+    phi = build(0)
+    S, imgs, N, n, _, _ = cb._compressed_problem(phi)
+    B, R, _ = cb._PINS[system](S, imgs, N, n)
+    X, _ = cb._pinned_choi(B, R, 10000)
+    M, m = B.shape[-1], R.shape[-1]
+    w = np.einsum("l,ij->lij", np.trace(B, axis1=1, axis2=2), np.eye(m))
+    AX = cb._choi_apply(B, X.reshape(M, m, M, m))
+    assert np.vdot(w, AX).real == pytest.approx(np.trace(X).real, abs=1e-9)
+    assert np.vdot(w, R).real == pytest.approx(fold * m, abs=1e-9)
+    assert np.linalg.norm(w) == pytest.approx(np.sqrt(M * m), abs=1e-12)
+
+
+def _separates_in_full(pins, R, y, target):
+    """Reference: _separates without its early exit, lam always computed."""
+    L, m = R.shape[:2]
+    y, R = y.reshape(L, -1), R.reshape(L, -1)
+    w = np.outer(sum(np.trace(P, axis1=1, axis2=2) for P in pins),
+                 np.eye(m).ravel())
+    bound = np.vdot(w, R).real + np.linalg.norm(w) * target
+    lam = min(0.0, *(np.linalg.eigvalsh(cb._hermitian(cb._choi_layout(
+        P.reshape(L, -1).conj().T @ y, P.shape[1], m)))[0] for P in pins))
+    return np.vdot(y, R).real <= lam * bound - np.linalg.norm(y) * target
+
+
+@pytest.mark.parametrize("system, build", [
+    ("unital", lambda m2: _transpose(m2)[0]),
+    ("paulsen", lambda m2: _transpose(m2)[0]),
+    ("paulsen", lambda m2: _identity_plus_compression(m2, 1.5))])
+def test_separator_early_exit_never_changes_the_result(m2, system, build,
+                                                       monkeypatch):
+    """On 200 random y around a separator that a run of `system` accepted
+    (from far inside to far outside the separating cone), _separates
+    agrees with its computation in full, and both answers occur."""
+    separates = cb._separates
+    accepted = []
+
+    def recording(*args):
+        got = separates(*args)
+        if got:
+            accepted.append(args)
+        return got
+
+    monkeypatch.setattr(cb, "_separates", recording)
+    monkeypatch.setattr(cb, "_PINS", {system: cb._PINS[system]})
+    cert, diag = choi_feasibility(build(m2))
+    monkeypatch.undo()
+    assert cert is None and diag["infeasible"]
+    pins, R, y0, target = accepted[-1]
+    y0 = y0.reshape(R.shape)
+    rng = np.random.default_rng(7)
+    seen, exits = set(), 0
+    for _ in range(200):
+        g = rng.standard_normal(R.shape) + 1j * rng.standard_normal(R.shape)
+        y = y0 + 10 ** rng.uniform(-3, 1) * np.linalg.norm(y0) \
+            * g / np.linalg.norm(g)
+        got = cb._separates(pins, R, y, target)
+        assert got == _separates_in_full(pins, R, y, target)
+        seen.add(bool(got))
+        exits += np.vdot(y, R).real > -np.linalg.norm(y) * target
+    assert seen == {True, False} and exits
 
 
 # ---------------------------------------------------------------------------
