@@ -45,7 +45,7 @@ def _render(report, fmt):
             else "FAIL")
         name = entry.get("name") or entry.get("op")
         click.echo(f"{status:12s} {name}")
-        result = entry.get("result") or entry.get("data") or {}
+        result = entry.get("result") or {}
         for k in sorted(result, key=str):
             click.echo(f"    {k}: {result[k]}")
     click.echo(f"all_pass: {report.get('all_pass')}")
@@ -164,14 +164,14 @@ main.command("meet")(_named_command(
 @main.command("paper-suite")
 @_common
 def paper_suite_cmd(seed, max_iter, fmt):
-    """Run the golden example corpus."""
+    """Run the golden suite: the checks of the paper scenario."""
     report = _build_report(seed, max_iter, lambda: paper_suite(seed=seed))
     if fmt == "json":
         click.echo(report["verdict_text"])
     else:
         _render({"checks": report["verdicts"]["checks"],
                  "all_pass": report["all_pass"]}, "text")
-    sys.exit(EXIT_PASS if report["all_pass"] else EXIT_FAIL)
+    sys.exit(_exit_code(report))
 
 
 if __name__ == "__main__":

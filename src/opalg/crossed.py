@@ -92,7 +92,7 @@ def cstar_crossed(C, G, betas):
     hats = np.zeros((C.dim, NG, NG), dtype=complex)
     for t in range(G.order):
         hats[:, t * N:(t + 1) * N, t * N:(t + 1) * N] = \
-            [betas[G.inv(t)](b) for b in C.basis]
+            betas[G.inv(t)](C.basis)
     hat = LinearMap(dom=C, cod=amb, images=hats)
     algebra = AlgebraSpan(amb, hs_orthonormalize(
         (hats[:, None] @ lambdas).reshape(-1, NG, NG)),
@@ -121,8 +121,9 @@ def relative_crossed(ds, cover, report=None):
     cp = cstar_crossed(cover.C, ds.G, report.extension)
     cp.cover = cover
     cp.system = ds
-    gens = np.concatenate([cp.hat(cover.j(a)) @ cp.lambdas
-                           for a in ds.A.span.basis])
+    NG = cp.ambient.dim
+    gens = (cp.hat(cover.j(ds.A.span.basis))[:, None]
+            @ cp.lambdas).reshape(-1, NG, NG)
     sub = AlgebraSpan(cp.ambient, hs_orthonormalize(gens), unital=True)
     if sub.dim != ds.A.dim * ds.G.order:
         raise CoverError(

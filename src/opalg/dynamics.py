@@ -222,11 +222,11 @@ def admissible(ds, cover):
 
 
 def _decide_admissible(ds, cover):
-    amb = cover.ambient
-    xs = np.array([cover.j(a) for a in ds.A.span.basis])
+    amb, basis = cover.ambient, ds.A.span.basis
+    xs = cover.j(basis)
     betas, bad = [], []
     for s in range(ds.G.order):
-        ys = np.array([cover.j(ds.act(s, a)) for a in ds.A.span.basis])
+        ys = cover.j(ds.act(s, basis))
         if s == ds.G.identity:
             beta = LinearMap(dom=cover.C, cod=amb,
                              images=cover.C.basis.copy())

@@ -276,7 +276,7 @@ class AlgebraSpan:
         if self.dim == 0:
             return np.zeros_like(x)
         flat = x.reshape(x.shape[:-2] + (-1,))
-        c = (self._flat.conj() @ flat.T).T
+        c = (self._flat @ flat.conj().T).conj().T  # conjugates x, not B
         return (c @ self._flat).reshape(x.shape)
 
     def residual(self, x):
@@ -299,7 +299,7 @@ class AlgebraSpan:
             raise AmbientMismatch(f"expected (N, N) or (k, N, N) with N = {N},"
                                   f" got {x.shape}")
         flat = x.reshape(x.shape[:-2] + (N * N,))
-        c = (self._flat.conj() @ flat.T).T
+        c = (self._flat @ flat.conj().T).conj().T
         r = np.linalg.norm(flat - c @ self._flat, axis=-1)
         if (r > MEMBER_TOL).any():
             raise NotInSpan(f"residual {r.max():.3e} above {MEMBER_TOL:.1e}")

@@ -8,17 +8,24 @@ Schema sketch::
       "ambients":  {"M8": [4, 4]},
       "algebras":  {"A4": {"ambient": "M4", "basis": [[re, im], ...]}},
       "covers":    {"c": {"algebra": "A4", "ambient": "M8",
-                          "j": [[re, im], ...]}},
+                          "j": [[re, im], ...]},
+                    "inc": {"inclusion": "A4"}, "env": {"envelope": "c"},
+                    "v": {"join": ["c", "inc"]}, "m": {"meet": ["c", "v"]}},
       "group":     {"table": [[0, 1], [1, 0]]},
       "systems":   {"ds": {"algebra": "A4",
                            "action": {"type": "ad", "unitaries": [...]}}},
       "checks":    [{"op": "admissible", "system": "ds", "cover": "c",
+                     "name": "c-not-admissible",
                      "expect": {"verdict": "NotAdmissible"}}]
     }
 
-Actions may be given as conjugating unitaries ("ad") or explicit basis
-images ("matrices").  Every check entry may carry an "expect" object that
-is matched (recursively, floats to tolerance) against the result.
+A cover is given by the images "j" of its algebra's basis, or derived from
+other entries: the inclusion cover of an algebra, the envelope of a cover,
+the join of covers or the meet of two.  Actions may be given as
+conjugating unitaries ("ad"), explicit basis images ("matrices") or as the
+trivial action ("trivial").  Every check entry may carry an "expect"
+object that is matched (recursively, floats to tolerance) against the
+result, and a "name" that its report entry repeats.
 """
 
 from __future__ import annotations
@@ -26,12 +33,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .cb import Undecided
 from .covers import (CoverError, MorphismAbsence, OperatorAlgebra, envelope,
-                     induced_morphism, join, make_cover, meet, shilov)
-from .crossed import full_crossed, relative_crossed
-from .dynamics import (FiniteGroup, GroupError, admissible, inner_in_itself,
-                       locally_inner, make_system)
+                     inclusion_cover, induced_morphism, join, make_cover,
+                     meet, shilov)
+from .crossed import (crossed_equivalent, full_crossed, relative_crossed,
+                      trivialization_iso)
+from .dynamics import (ADMISSIBLE, FiniteGroup, GroupError, admissible,
+                       inner_in_itself, invariant_kernel_check,
+                       locally_inner, make_system, trivial_system)
 from .linalg import (EXPECT_TOL, MEMBER_TOL, AlgebraSpan, Ambient, current,
                      diagonal, orthonormal_span)
 from .partialact import verify_partial_recovery
@@ -52,21 +64,31 @@ class Scenario:
     group: FiniteGroup | None = None
     systems: dict = field(default_factory=dict)
     _covers: dict = field(default_factory=dict)
+    _deriving: set = field(default_factory=set)  # derived covers in progress
 
     def cover(self, name):
-        """The named cover; one failing its own validation is bad input."""
+        """The named cover.  A CoverError is bad input for a cover given by
+        its images, and a failed check for one derived from valid covers."""
         try:
             return self.build_cover(name)
         except CoverError as exc:
+            if any(k in self.raw["covers"][name] for k in DERIVED_COVERS):
+                raise
             raise ScenarioError(f"cover {name!r}: {exc.args[0]}") from exc
 
     def build_cover(self, name):
         """Build (and cache) a named cover; CoverError propagates so the
         check-cover op can report structured rejections."""
         spec = _named(self.raw.get("covers", {}), name, "cover")
-        if name in self._covers:
-            return self._covers[name]
-        A = self._algebra(_object(spec, f"cover {name!r}").get("algebra"))
+        if name not in self._covers:
+            spec = _object(spec, f"cover {name!r}")
+            kinds = [k for k in DERIVED_COVERS if k in spec]
+            self._covers[name] = (self._derived_cover(name, kinds, spec)
+                                  if kinds else self._given_cover(name, spec))
+        return self._covers[name]
+
+    def _given_cover(self, name, spec):
+        A = self.algebra(spec.get("algebra"))
         amb = self._ambient(spec.get("ambient"))
         try:
             mats = amb.check([mat_from_json(m) for m in spec["j"]])
@@ -76,18 +98,41 @@ class Scenario:
             raise ScenarioError(
                 f"cover {name!r}: {len(mats)} images for {A.dim} basis "
                 f"elements")
-        cov = make_cover(A, amb, mats, name=name)
-        self._covers[name] = cov
-        return cov
+        return make_cover(A, amb, mats, name=name)
+
+    def _derived_cover(self, name, kinds, spec):
+        """The cover derived as spec says from other entries, each built
+        once; refused when it is derived from itself."""
+        what = f"cover {name!r}"
+        if len(kinds) != 1:
+            raise ScenarioError(f"{what}: give one of {DERIVED_COVERS}, "
+                                f"not {kinds}")
+        if name in self._deriving:
+            raise ScenarioError(f"{what} is derived from itself")
+        kind, ref = kinds[0], spec[kinds[0]]
+        self._deriving.add(name)
+        try:
+            if kind == "inclusion":
+                return inclusion_cover(self.algebra(ref))
+            if kind == "envelope":
+                return envelope(self.cover(ref), name=name)
+            covs = _listed(ref, f"{what}: {kind!r}", self.cover,
+                           pair=kind == "meet")
+            return (join if kind == "join" else meet)(*covs, name=name)
+        finally:
+            self._deriving.discard(name)
 
     def _ambient(self, name):
         return _named(self.ambients, name, "ambient")
 
-    def _algebra(self, name):
+    def algebra(self, name):
         return _named(self.algebras, name, "algebra")
 
     def system(self, name):
         return _named(self.systems, name, "system")
+
+
+DERIVED_COVERS = ("inclusion", "envelope", "join", "meet")
 
 
 def _named(table, name, what):
@@ -152,7 +197,7 @@ def load_scenario(source):
     for name, spec in raw.get("systems", {}).items():
         if sc.group is None:
             raise ScenarioError(f"system {name!r} needs a group table")
-        A = sc._algebra(_object(spec, f"system {name!r}").get("algebra"))
+        A = sc.algebra(_object(spec, f"system {name!r}").get("algebra"))
         act = _object(spec.get("action", {}), f"system {name!r}: action")
         kind = act.get("type")
         try:
@@ -162,6 +207,9 @@ def load_scenario(source):
             elif kind == "matrices":
                 actions = {s: [mat_from_json(m) for m in imgs]
                            for s, imgs in enumerate(act["images"])}
+            elif kind == "trivial":
+                sc.systems[name] = trivial_system(A, sc.group)
+                continue
             else:
                 raise ScenarioError(f"unknown action type {kind!r}")
             sc.systems[name] = make_system(A, sc.group, actions)
@@ -222,7 +270,7 @@ def _op_envelope(sc, args):
 
 
 def _op_order(sc, args):
-    up, low = _one_algebra(args, sc.cover(args["upper"]),
+    up, low = _one_algebra(args.what, sc.cover(args["upper"]),
                            sc.cover(args["lower"]))
     m = induced_morphism(up, low)
     if isinstance(m, MorphismAbsence):
@@ -233,41 +281,53 @@ def _op_order(sc, args):
             "morphism_hash": digest(m.pi.images)}
 
 
-def _covers(sc, args):
-    """The covers the `covers` argument names, refused unless it is a
-    non-empty list of strings naming covers of one algebra."""
-    names = args["covers"]
+def _listed(names, what, lookup, pair=False):
+    """The covers or systems `lookup` finds for `names`, refused unless it
+    is a non-empty list (a pair, when `pair`) of names of objects of one
+    algebra; `what` names the list."""
     if not isinstance(names, list) or not names \
+            or (pair and len(names) != 2) \
             or not all(isinstance(n, str) for n in names):
-        raise ScenarioError(f"op {args.op!r}: argument 'covers' must be a "
-                            f"non-empty list of cover names, not {names!r}")
-    return _one_algebra(args, *[sc.cover(n) for n in names])
+        raise ScenarioError(f"{what} must be a "
+                            f"{'pair' if pair else 'non-empty list'} of "
+                            f"names, not {names!r}")
+    return _one_algebra(what, *map(lookup, names))
 
 
-def _one_algebra(args, *objs):
+def _one_algebra(what, *objs):
     """Systems and covers, refused unless they are all of one algebra."""
     if any(o.A is not objs[0].A for o in objs):
-        raise ScenarioError(f"op {args.op!r}: objects of different algebras "
+        raise ScenarioError(f"{what}: objects of different algebras "
                             f"{[o.A.name for o in objs]}")
     return objs
 
 
 def _system_and_cover(sc, args):
     ds, cov = sc.system(args["system"]), sc.cover(args["cover"])
-    return _one_algebra(args, ds, cov)
+    return _one_algebra(args.what, ds, cov)
 
 
-def _op_join(sc, args):
-    cov = join(*_covers(sc, args))
-    return {"dim": cov.C.dim, "blocks": block_dims(cov.C)}
+def _matrices(args, key, N, count=None):
+    """The N x N matrices (`count` of them, if given) that argument `key`
+    lists in [re, im] form."""
+    try:
+        mats = np.array([mat_from_json(m) for m in args[key]])
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{args.what}: argument {key!r}: {exc}")
+    if mats.ndim != 3 or mats.shape[1:] != (N, N) \
+            or count not in (None, len(mats)):
+        raise ScenarioError(f"{args.what}: argument {key!r} must list "
+                            f"{count or 'some'} {N} x {N} matrices")
+    return mats
 
 
-def _op_meet(sc, args):
-    covs = _covers(sc, args)
-    if len(covs) != 2:
-        raise ScenarioError("meet takes exactly two covers")
-    cov = meet(*covs)
-    return {"dim": cov.C.dim, "blocks": block_dims(cov.C)}
+def _lattice_op(combine, pair=False):
+    """The op that reports the join or meet of the covers it names."""
+    def op(sc, args):
+        cov = combine(*_listed(args["covers"], f"{args.what}: argument "
+                               f"'covers'", sc.cover, pair))
+        return {"dim": cov.C.dim, "blocks": block_dims(cov.C)}
+    return op
 
 
 def _op_admissible(sc, args):
@@ -294,6 +354,13 @@ def _op_inner(sc, args):
     if rep.found:
         out["exact_group_law"] = rep.exact_group_law
         out["unitaries_hash"] = digest(rep.unitaries)
+        if "moduli" in args:
+            # entrywise |U_s| against the given matrices, one per element
+            mods = _matrices(args, "moduli", len(rep.unitaries[0]),
+                             len(rep.unitaries))
+            diff = np.abs(rep.unitaries) - np.abs(mods)
+            out["moduli_match"] = bool(
+                np.linalg.norm(diff, axis=(1, 2)).max() < MEMBER_TOL)
     else:
         out["diagnostics"] = {k: v for k, v in rep.diagnostics.items()}
     return out
@@ -305,12 +372,45 @@ def _op_crossed(sc, args):
     else:
         cp = full_crossed(sc.system(args["system"]))
     D = diagonal(cp.subalgebra)
-    return {"cstar_dim": cp.algebra.dim,
-            "dim": cp.subalgebra.dim,
-            "cstar_blocks": block_dims(cp.algebra),
-            "diagonal_dim": D.dim,
-            "diagonal_blocks": block_dims(D),
-            "covariance_residual": cp.covariance_residual()}
+    out = {"cstar_dim": cp.algebra.dim,
+           "dim": cp.subalgebra.dim,
+           "cstar_blocks": block_dims(cp.algebra),
+           "diagonal_dim": D.dim,
+           "diagonal_blocks": block_dims(D),
+           "covariance_residual": cp.covariance_residual()}
+    if "members" in args:
+        mats = _matrices(args, "members", cp.ambient.dim)
+        out["members_contained"] = cp.subalgebra.residual(mats) <= MEMBER_TOL
+    return out
+
+
+def _op_crossed_equivalent(sc, args):
+    systems = _listed(args["systems"], f"{args.what}: argument 'systems'",
+                      sc.system, pair=True)
+    return {"equivalent": crossed_equivalent(*map(full_crossed, systems))}
+
+
+def _op_trivialization(sc, args):
+    ds, cov = _system_and_cover(sc, args)
+    _, cp_a, cp_i = trivialization_iso(ds, cov, inner_in_itself(ds))
+    return {"dim": cp_a.subalgebra.dim, "iota_dim": cp_i.subalgebra.dim}
+
+
+def _op_correspondence(sc, args):
+    """The admissibility correspondence: below an admissible upper cover,
+    the lower cover is admissible exactly when the kernel of the induced
+    morphism is invariant under the extended action."""
+    ds, up, low = _one_algebra(args.what, sc.system(args["system"]),
+                               sc.cover(args["upper"]),
+                               sc.cover(args["lower"]))
+    rep = admissible(ds, up)
+    m = induced_morphism(up, low)
+    out = {"upper": rep.verdict,
+           "morphism": not isinstance(m, MorphismAbsence)}
+    if rep.verdict == ADMISSIBLE and out["morphism"]:
+        out["lower_admissible"] = admissible(ds, low).verdict == ADMISSIBLE
+        out["kernel_invariant"] = invariant_kernel_check(ds, rep, m)
+    return out
 
 
 def _op_partial(sc, args):
@@ -328,11 +428,14 @@ OPS = {
     "shilov": _op_shilov,
     "envelope": _op_envelope,
     "order": _op_order,
-    "join": _op_join,
-    "meet": _op_meet,
+    "join": _lattice_op(join),
+    "meet": _lattice_op(meet, pair=True),
     "admissible": _op_admissible,
     "inner": _op_inner,
     "crossed": _op_crossed,
+    "crossed-equivalent": _op_crossed_equivalent,
+    "trivialization": _op_trivialization,
+    "correspondence": _op_correspondence,
     "partial": _op_partial,
 }
 
@@ -362,19 +465,22 @@ class _Args(dict):
 
     def __init__(self, op, items):
         super().__init__(items)
-        self.op = op
+        self.what = f"op {op!r}"
 
     def __missing__(self, key):
-        raise ScenarioError(f"op {self.op!r} needs argument {key!r}")
+        raise ScenarioError(f"{self.what} needs argument {key!r}")
 
 
 def run_check(sc, check):
+    """Run one check; its report entry carries the check's name, if any."""
     op = _object(check, "check").get("op")
     if op not in OPS:
         raise ScenarioError(f"unknown op {op!r}")
     args = _Args(op, {k: v for k, v in check.items()
-                      if k not in ("op", "expect")})
+                      if k not in ("op", "expect", "name")})
     entry = {"op": op, "args": dict(args)}
+    if "name" in check:
+        entry["name"] = check["name"]
     try:
         result = OPS[op](sc, args)
         entry["result"] = result

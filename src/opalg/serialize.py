@@ -25,11 +25,10 @@ def mat_from_json(pair):
 def _fmt_float(x):
     if x != x:
         return "NaN"
-    if x in (float("inf"), float("-inf")):
+    if abs(x) == np.inf:
         return '"Infinity"' if x > 0 else '"-Infinity"'
     s = format(float(x), ".17g")
-    if "." not in s and "e" not in s and "E" not in s \
-            and "inf" not in s and "nan" not in s:
+    if "." not in s and "e" not in s:
         s += ".0"
     return s
 
@@ -61,7 +60,9 @@ def dumps(obj, indent=None, _depth=0):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [dumps(v, indent, _depth + 1) for v in obj]
+        # plain floats (every entry of a matrix) are formatted in place
+        items = [_fmt_float(v) if type(v) is float
+                 else dumps(v, indent, _depth + 1) for v in obj]
         return "[" + pad + ("," + pad).join(items) + end + "]"
     if isinstance(obj, dict):
         if not obj:

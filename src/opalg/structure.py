@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (MEMBER_TOL, AlgebraSpan, adjoints, current,
+from .linalg import (MEMBER_TOL, AlgebraSpan, _kept, adjoints, current,
                      hs_orthonormalize, normal_null_space, orthonormal_span,
                      product_stacks)
 
@@ -56,26 +56,34 @@ class BlockStructure:
 
     def verify(self):
         bad = []
-        zs = self.projections
+        zs, B = self.projections, self.parent.basis
         N = self.parent.ambient.dim
         total = np.sum(zs, axis=0) if len(zs) else np.zeros((N, N))
         if np.linalg.norm(total - np.eye(N)) > MEMBER_TOL * max(1, N):
             bad.append("central projections do not sum to the identity")
-        for i, zi in enumerate(zs):
-            if np.linalg.norm(zi - zi.conj().T) > MEMBER_TOL:
-                bad.append("projection not self-adjoint")
-            for jj, zj in enumerate(zs):
-                want = zi if i == jj else 0.0
-                if np.linalg.norm(zi @ zj - want) > MEMBER_TOL:
-                    bad.append("projections not mutually orthogonal idempotents")
-        for zi in zs:
-            for b in self.parent.basis:
-                if np.linalg.norm(zi @ b - b @ zi) > MEMBER_TOL:
-                    bad.append("projection not central")
-                    break
+        if _exceeds(zs - adjoints(zs)):
+            bad.append("projection not self-adjoint")
+        orthogonal, start = True, 0
+        for (prods,) in product_stacks((zs, zs)):  # z_i z_j - delta_ij z_i
+            prods = prods.reshape(-1, len(zs), N, N)
+            rows = np.arange(len(prods))
+            prods[rows, start + rows] -= zs[start + rows]
+            orthogonal &= not _exceeds(prods)
+            start += len(prods)
+        if not orthogonal:
+            bad.append("projections not mutually orthogonal idempotents")
+        # z b - b z, with b z read as (z* b*)*
+        if any(_exceeds(zb - adjoints(zb_star)) for zb, zb_star in
+               product_stacks((zs, B), (adjoints(zs), adjoints(B)))):
+            bad.append("projection not central")
         if sum(m * m for m in self.block_dims) != self.parent.dim:
             bad.append("block dimensions do not account for dim(parent)")
         return bad
+
+
+def _exceeds(mats):
+    """Whether a matrix of the stack has HS norm above MEMBER_TOL."""
+    return bool((np.linalg.norm(mats, axis=(-2, -1)) > MEMBER_TOL).any())
 
 
 def center(C):
@@ -90,8 +98,9 @@ def center(C):
     G = np.zeros((d, d), dtype=complex)
     for xb, xb_star in product_stacks((B, B), (adjoints(B), adjoints(B))):
         R = (xb - adjoints(xb_star)).reshape(-1, d, N * N)
-        R = R.transpose(1, 0, 2).reshape(d, -1)
-        G += R.conj() @ R.T
+        # one term per row x, added in row order: the same sum at any budget
+        for term in R.conj() @ R.transpose(0, 2, 1):
+            G += term
 
     def residuals(cand):
         Z = (cand @ C._flat).reshape(-1, 1, N, N)
@@ -125,11 +134,25 @@ def corner(C, z):
     return AlgebraSpan(C.ambient, span.basis, self_adjoint=True, ideal_in=C)
 
 
+def _hermitian_basis(Z):
+    """A real-orthonormal basis of the Hermitian elements of the span Z:
+    the Hermitian parts of Z's basis and of i times it, orthonormalized over
+    the reals as stacked real and imaginary parts, so a real combination of
+    it reaches every self-adjoint element of Z (a complex-orthonormal basis
+    of their span can miss some)."""
+    B = np.concatenate([Z.basis, 1j * Z.basis])
+    H = (B + adjoints(B)).reshape(len(B), -1)
+    _, s, vh = np.linalg.svd(np.concatenate([H.real, H.imag], axis=1),
+                             full_matrices=False)
+    rows, n = vh[_kept(s)], H.shape[1]
+    return (rows[:, :n] + 1j * rows[:, n:]).reshape(-1, *Z.basis.shape[1:])
+
+
 def minimal_central_projections(C):
     """Block structure of a self-adjoint unital span.
 
     Takes the spectral projections of a generic self-adjoint central element
-    (RunConfig-seeded random combination of a hermitized center basis).
+    (RunConfig-seeded real combination of `_hermitian_basis` of the center).
     Eigenvalue clusters merged at CLUSTER_GAP; resampled when a separating
     gap nears the merge threshold or the clusters miss the center's dimension.
     """
@@ -139,14 +162,11 @@ def minimal_central_projections(C):
     Z = center(C)
     if Z.dim == 0:
         raise BlockStructureError("algebra has no center (zero algebra?)")
-    # hermitized center basis
-    herm = hs_orthonormalize(
-        [b + b.conj().T for b in Z.basis] + [1j * (b - b.conj().T) for b in Z.basis])
+    herm = _hermitian_basis(Z)
     rng = np.random.default_rng(current().seed)
     for _ in range(_MAX_RESAMPLE):
         w = rng.standard_normal(len(herm))
         g = np.tensordot(w, herm, axes=(0, 0))
-        g = (g + g.conj().T) / 2
         vals, vecs = np.linalg.eigh(g)
         clusters, last = _cluster(vals)
         if len(clusters) != Z.dim or last < 10 * CLUSTER_GAP:

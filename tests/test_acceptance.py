@@ -22,7 +22,7 @@ from opalg.linalg import Ambient, diagonal, orthonormal_span, using
 from opalg.partialact import verify_partial_recovery
 from opalg.structure import (annihilator, blocks_of_ideal, ideal_blocks,
                              minimal_central_projections)
-from opalg.suite import _correspondence_pairs, paper_suite
+from opalg.suite import paper_suite
 
 
 def _report(name, ok):
@@ -110,15 +110,21 @@ def test_criterion_4_trivialization():
 
 
 def test_criterion_5_admissibility_correspondence():
-    """On every listed (system, admissible upper cover, lower cover) triple,
-    kernel invariance of the connecting morphism agrees with direct
-    admissibility of the lower cover."""
-    pairs = _correspondence_pairs()
+    """On every (system, admissible upper cover, lower cover) triple of the
+    paper scenario's correspondence checks, kernel invariance of the
+    connecting morphism agrees with direct admissibility of the lower
+    cover."""
+    sc = corpus.paper()
+    pairs = [c for c in corpus.paper_scenario()["checks"]
+             if c["op"] == "correspondence"]
     ok = len(pairs) >= 6
     disagreements = 0
-    for name, ds, upper, lower, expect in pairs:
+    for c in pairs:
+        ds = sc.system(c["system"])
+        upper, lower = sc.cover(c["upper"]), sc.cover(c["lower"])
+        expect = c["expect"]["kernel_invariant"]
         up_rep = admissible(ds, upper)
-        assert up_rep.verdict == ADMISSIBLE, name
+        assert up_rep.verdict == ADMISSIBLE, c["name"]
         m = induced_morphism(upper, lower)
         low_adm = admissible(ds, lower).verdict == ADMISSIBLE
         inv = invariant_kernel_check(ds, up_rep, m)

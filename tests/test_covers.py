@@ -10,7 +10,7 @@ from opalg.corpus import (a4_envelope, a4_inclusion_cover,
                           a4_symmetrized_cover, a4_system, t2_algebra,
                           t2_corner_cover, t2_diag_cover, t2_envelope,
                           t2_inclusion_cover, t2_system)
-from opalg import cb, covers, linalg
+from opalg import cb, corpus, covers, linalg
 from opalg.cb import star_hom_violations
 from opalg.covers import (CoverError, CoverMorphism, MorphismAbsence,
                           NotCompletelyIsometric, NotHomomorphism,
@@ -21,6 +21,12 @@ from opalg.crossed import cstar_crossed
 from opalg.dynamics import ADMISSIBLE, NOT_ADMISSIBLE, admissible
 from opalg.linalg import (RANK_TOL, AlgebraSpan, Ambient, graph_closure,
                           graph_obstruction)
+
+
+def _fresh(builder):
+    """A freshly built corpus object, with nothing stored on it yet."""
+    corpus.clear_caches()
+    return builder()
 
 
 @contextlib.contextmanager
@@ -88,7 +94,7 @@ class TestMakeCover:
             make_cover(A, amb, list(A.span.basis))
 
     def test_quotient_of_the_symmetrized_cover_is_a_cstar_algebra(self):
-        cov = a4_symmetrized_cover.__wrapped__()
+        cov = _fresh(a4_symmetrized_cover)
         assert cov.structure().block_dims == (4, 2, 2, 1, 1, 1, 1)
         q = quotient_cover(cov, {3, 4, 5})
         assert q.C.dim == 25
@@ -99,7 +105,7 @@ class TestMakeCover:
         # Swap-admissible exactly when S is a union of swapped pairs of
         # blocks.  Every rank decision of the graph closures has an O(1)
         # gap: dropped singular values are round-off, kept ones are not.
-        cov = a4_symmetrized_cover.__wrapped__()
+        cov = _fresh(a4_symmetrized_cover)
         dims = cov.structure().block_dims
         assert dims == (4, 2, 2, 1, 1, 1, 1)
         assert shilov(cov) == frozenset(range(1, 7))
@@ -120,7 +126,7 @@ class TestMakeCover:
     def test_swap_closure_on_the_quotient_by_3_4_6(self):
         # The spinning closure built 415 dimensions here, more than the
         # ambient's 90, and admissibility ended Undecided.
-        cov = a4_symmetrized_cover.__wrapped__()
+        cov = _fresh(a4_symmetrized_cover)
         q = quotient_cover(cov, {3, 4, 6})
         ds = a4_system()
         pairs = [(q.j(a), q.j(ds.act(1, a))) for a in ds.A.span.basis]
@@ -134,7 +140,7 @@ class TestMakeCover:
         # Their algebras are the corner q(C) and the span of the
         # hat(c) lambda_s; the closure is left to new embeddings and
         # graph closures.
-        cov = t2_diag_cover.__wrapped__()
+        cov = _fresh(t2_diag_cover)
         ds = t2_system()
         rep = admissible(ds, cov)
         S = shilov(cov)
@@ -358,7 +364,7 @@ class TestBoundary:
                                                      monkeypatch):
         # Every boundary test is a quotient after the certified embedding
         # (composition) with a *-homomorphism inverse, or not injective.
-        cov = builder.__wrapped__()  # a fresh cover, Shilov data not cached
+        cov = _fresh(builder)  # Shilov data not cached
         calls = []
         for name in ("falsifier_search", "choi_feasibility"):
             monkeypatch.setattr(cb, name,

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import opalg
+from opalg import corpus, scenario
 from opalg.cli import main
 from opalg.corpus import a4_algebra, a4_swap_unitary, schur_projection_p
+from opalg.covers import CoverError, envelope, inclusion_cover
+from opalg.dynamics import trivial_system
 from opalg.linalg import direct_sum
 from opalg.scenario import (ScenarioError, expect_matches, load_scenario,
                             run_check, run_scenario)
 from opalg.serialize import mat_to_json
+from opalg.suite import paper_suite
 
 
 def _mat(rows):
@@ -140,6 +145,45 @@ def admissible_system_is_an_object(raw):
     raw["checks"].append({"op": "admissible", "system": {}, "cover": "diag"})
 
 
+def with_derived_objects(raw):
+    """Add the covers derived from diag and inc, and the trivial action."""
+    raw["covers"].update({
+        "t2inc": {"inclusion": "T2"}, "env": {"envelope": "diag"},
+        "v": {"join": ["diag", "inc"]}, "w": {"meet": ["diag", "inc"]}})
+    raw["systems"]["triv"] = {"algebra": "T2", "action": {"type": "trivial"}}
+    return raw
+
+
+def derived_cover_cycle(raw):
+    raw["covers"].update({"a": {"join": ["diag", "b"]},
+                          "b": {"envelope": "a"}})
+    raw["checks"].append({"op": "structure", "cover": "a"})
+
+
+def derived_from_unknown_cover(raw):
+    raw["covers"]["e"] = {"envelope": "nope"}
+    raw["checks"].append({"op": "structure", "cover": "e"})
+
+
+def meet_of_three_covers(raw):
+    raw["covers"]["m"] = {"meet": ["diag", "inc", "diag"]}
+    raw["checks"].append({"op": "structure", "cover": "m"})
+
+
+def derived_two_ways(raw):
+    raw["covers"]["x"] = {"join": ["diag"], "envelope": "diag"}
+    raw["checks"].append({"op": "structure", "cover": "x"})
+
+
+def crossed_equivalent_of_one_system(raw):
+    raw["checks"].append({"op": "crossed-equivalent", "systems": ["sign"]})
+
+
+def moduli_of_the_wrong_size(raw):
+    raw["checks"].append({"op": "inner", "system": "sign",
+                          "moduli": [_mat(np.eye(3))] * 2})
+
+
 def with_diagonal_algebra(raw):
     """Add D, the diagonal of M2, and its inclusion cover dinc."""
     units = [_mat([[1, 0], [0, 0]]), _mat([[0, 0], [0, 1]])]
@@ -209,6 +253,129 @@ class TestScenario:
                                      "subalgebra_dim": 6}}]
         report = run_scenario(raw)
         assert report["all_pass"]
+
+
+class TestDerivedObjects:
+    def test_each_derived_cover_is_built_once(self):
+        sc = load_scenario(with_derived_objects(t2_scenario()))
+        assert sc.cover("t2inc") is inclusion_cover(sc.algebra("T2"))
+        assert sc.cover("env") is envelope(sc.cover("diag"))
+        assert sc.cover("v") is sc.cover("v")
+        assert sc.cover("v").name == "v"
+        assert sc.system("triv") is trivial_system(sc.algebra("T2"), sc.group)
+
+    def test_derived_covers_run_as_checks(self):
+        raw = with_derived_objects(t2_scenario())
+        raw["checks"] = [
+            {"op": "structure", "cover": c, "expect": want}
+            for c, want in (("t2inc", {"dim": 4, "blocks": [2]}),
+                            ("env", {"dim": 4, "blocks": [2]}),
+                            ("v", {"dim": 6, "blocks": [2, 1, 1]}),
+                            ("w", {"dim": 4, "blocks": [2]}))]
+        raw["checks"].append({"op": "order", "upper": "env",
+                              "lower": "t2inc",
+                              "expect": {"verdict": "Morphism",
+                                         "kernel_blocks": []}})
+        report = run_scenario(raw)
+        assert report["all_pass"], report
+
+    def test_a_cycle_is_refused(self):
+        raw = t2_scenario()
+        derived_cover_cycle(raw)
+        with pytest.raises(ScenarioError, match="derived from itself"):
+            load_scenario(raw).cover("a")
+
+
+    def test_a_failed_derivation_is_a_failed_check(self, monkeypatch):
+        """A derived cover is built from valid covers, so a CoverError
+        while deriving it is the library's failure: run_check reports it
+        as an error entry, where a given cover failing its own validation
+        is bad input."""
+        def failing(*covers, name=None):
+            raise CoverError("join does not project onto its factors")
+
+        monkeypatch.setattr(scenario, "meet", failing)
+        raw = with_derived_objects(t2_scenario())
+        raw["checks"] = [{"op": "structure", "cover": "w"}]
+        entry = run_scenario(raw)["checks"][0]
+        assert entry["status"] == "error"
+        assert entry["error"] == "CoverError"
+        assert entry["pass"] is False
+        with pytest.raises(CoverError):
+            load_scenario(raw).cover("w")
+
+
+class TestNewOps:
+    @pytest.fixture()
+    def sc(self):
+        return load_scenario(with_derived_objects(t2_scenario()))
+
+    def test_correspondence(self, sc):
+        entry = run_check(sc, {"op": "correspondence", "system": "sign",
+                               "upper": "diag", "lower": "inc"})
+        assert entry["result"] == {"upper": "Admissible", "morphism": True,
+                                   "lower_admissible": True,
+                                   "kernel_invariant": True}
+        # inc is not above diag: no morphism, so nothing to correspond
+        entry = run_check(sc, {"op": "correspondence", "system": "sign",
+                               "upper": "inc", "lower": "diag"})
+        assert entry["result"] == {"upper": "Admissible", "morphism": False}
+
+    def test_trivialization(self, sc):
+        entry = run_check(sc, {"op": "trivialization", "system": "sign",
+                               "cover": "diag"})
+        assert entry["result"] == {"dim": 6, "iota_dim": 6}
+
+    def test_crossed_equivalent(self, sc):
+        def equivalent(a, b):
+            return run_check(sc, {"op": "crossed-equivalent",
+                                  "systems": [a, b]})["result"]["equivalent"]
+
+        assert equivalent("sign", "sign")
+        assert not equivalent("sign", "triv")
+
+    def test_inner_compares_moduli_only_when_asked(self, sc):
+        check = {"op": "inner", "system": "sign"}
+        assert "moduli_match" not in run_check(sc, check)["result"]
+        eye, swap = _mat(np.eye(2)), _mat([[0, 1], [1, 0]])
+        for moduli, match in (([eye, eye], True), ([eye, swap], False)):
+            result = run_check(sc, dict(check, moduli=moduli))["result"]
+            assert result["moduli_match"] is match
+
+    def test_crossed_checks_members_only_when_asked(self, sc):
+        check = {"op": "crossed", "system": "triv"}
+        assert "members_contained" not in run_check(sc, check)["result"]
+        units = [np.array(m, dtype=complex) for m in (
+            [[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [0, 0]])]
+        swap = np.array([[0, 1], [1, 0]])
+        tensor = [mat_to_json(np.kron(p, a)) for p in (np.eye(2), swap)
+                  for a in units]
+        outside = mat_to_json(np.kron(np.eye(2), units[2].T))
+        for members, inside in ((tensor, True), ([outside], False)):
+            result = run_check(sc, dict(check, members=members))["result"]
+            assert result["members_contained"] is inside
+
+    def test_a_check_name_reaches_the_report_not_the_op(self, sc):
+        entry = run_check(sc, {"op": "structure", "cover": "diag",
+                               "name": "diag-structure"})
+        assert entry["name"] == "diag-structure"
+        assert entry["args"] == {"cover": "diag"}
+        assert entry["pass"]
+
+
+class TestPaperScenario:
+    def test_opalg_run_reports_the_paper_suite(self, tmp_path):
+        path = tmp_path / "paper.json"
+        path.write_text(json.dumps(corpus.paper_scenario()))
+        res = CliRunner().invoke(main, ["run", str(path)])
+        assert res.exit_code == 0
+        suite = json.loads(paper_suite()["verdict_text"])
+        assert json.loads(res.output)["checks"] == suite["checks"]
+        names = [e["name"] for e in suite["checks"]]
+        assert len(names) == len(set(names))
+
+    def test_the_package_re_exports_paper_suite(self):
+        assert opalg.paper_suite is paper_suite
 
 
 class TestExpectMatches:
@@ -281,7 +448,13 @@ class TestCli:
                                        join_covers_is_empty,
                                        meet_covers_is_a_number,
                                        structure_cover_is_a_list,
-                                       admissible_system_is_an_object])
+                                       admissible_system_is_an_object,
+                                       derived_cover_cycle,
+                                       derived_from_unknown_cover,
+                                       meet_of_three_covers,
+                                       derived_two_ways,
+                                       crossed_equivalent_of_one_system,
+                                       moduli_of_the_wrong_size])
     def test_malformed_object_exits_3(self, tmp_path, spoil):
         raw = t2_scenario()
         spoil(raw)

@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opalg import corpus
-from opalg.covers import quotient_map
-from opalg.linalg import (AlgebraSpan, Ambient, generate_algebra,
+from opalg import corpus, linalg, structure
+from opalg.covers import OperatorAlgebra, make_cover, quotient_map
+from opalg.dynamics import make_system
+from opalg.linalg import (AlgebraSpan, Ambient, direct_sum, generate_algebra,
                           intertwiner_space, orthonormal_span)
-from opalg.structure import (BlockStructureError, annihilator,
-                             blocks_of_ideal, center, ideal_blocks,
-                             is_essential, is_maximal_ideal,
+from opalg.partialact import verify_partial_recovery
+from opalg.structure import (BlockStructure, BlockStructureError,
+                             annihilator, blocks_of_ideal, center,
+                             ideal_blocks, is_essential, is_maximal_ideal,
                              minimal_central_projections)
 
 
@@ -190,3 +192,77 @@ def test_maximal_ideal(m2_plus_c2):
     one_block = ideal_blocks(m2_plus_c2, {0})
     assert is_maximal_ideal(m2_plus_c2, two_blocks)
     assert not is_maximal_ideal(m2_plus_c2, one_block)
+
+
+def test_blocks_of_a_doubled_diagonal_crossed_product():
+    """Z/2 swapping points 0 and 3 of the diagonal of M4, over the cover
+    a -> a (+) a: the full crossed product's center has dimension 5, and
+    the block draw must reach all of its self-adjoint part (the Hermitian
+    parts of a complex-orthonormal center basis spanned 4 real dimensions,
+    and every resample failed)."""
+    amb = Ambient((4,))
+    span = orthonormal_span(amb, [amb.matrix_unit(i, i) for i in range(4)])
+    A = OperatorAlgebra(AlgebraSpan(amb, span.basis, unital=True), name="D4")
+    swap = np.eye(4, dtype=complex)[[3, 1, 2, 0]]
+    ds = make_system(A, corpus.Z2, {0: np.eye(4, dtype=complex), 1: swap})
+    cov = make_cover(A, Ambient((4, 4)),
+                     [direct_sum(a, a) for a in A.span.basis])
+    rep = verify_partial_recovery(ds, cov)
+    assert rep.verified
+    assert rep.partial_blocks == (2, 1, 1, 1, 1)
+
+
+def _spoiled(bs, projections):
+    return BlockStructure(parent=bs.parent, projections=projections,
+                          block_dims=bs.block_dims, mults=bs.mults)
+
+
+def test_verify_names_a_non_central_projection_set(m2_plus_c2):
+    """Split the M2 block's unit into its two diagonal units: orthogonal
+    idempotents summing to 1, but E11 does not commute with E12."""
+    bs = minimal_central_projections(m2_plus_c2)
+    amb = m2_plus_c2.ambient
+    zs = np.array([amb.matrix_unit(0, 0), amb.matrix_unit(1, 1),
+                   amb.matrix_unit(2, 2), amb.matrix_unit(3, 3)])
+    assert _spoiled(bs, zs).verify() == ["projection not central"]
+
+
+def test_verify_names_a_non_orthogonal_projection_set(m2_plus_c2):
+    """Move the M2 block's unit onto the first scalar block's: still
+    central and self-adjoint, but no longer orthogonal to it."""
+    bs = minimal_central_projections(m2_plus_c2)
+    zs = bs.projections.copy()
+    i = bs.block_dims.index(2)
+    j = next(k for k in range(bs.num_blocks) if k != i)
+    zs[i] = zs[j]
+    bad = _spoiled(bs, zs).verify()
+    assert "projections not mutually orthogonal idempotents" in bad
+    assert "projection not central" not in bad
+
+
+def test_verify_at_a_one_row_budget(m2_plus_c2, monkeypatch):
+    """With PRODUCT_BUDGET at one row, verify takes z_i z_j one i at a
+    time: every stack it evaluates holds one row, a valid structure still
+    verifies and both spoils are still named."""
+    monkeypatch.setattr(linalg, "PRODUCT_BUDGET", 1)
+    stacks = structure.product_stacks
+    rows = []
+
+    def recording(*pairs):
+        for out in stacks(*pairs):
+            rows.append(len(out[0]) // len(pairs[0][1]))
+            yield out
+
+    monkeypatch.setattr(structure, "product_stacks", recording)
+    bs = minimal_central_projections(m2_plus_c2)
+    rows.clear()
+    assert bs.verify() == []
+    assert rows and set(rows) == {1}
+    zs = bs.projections.copy()
+    zs[-1] = zs[0]
+    bad = _spoiled(bs, zs).verify()
+    assert "projections not mutually orthogonal idempotents" in bad
+    assert "projection not central" not in bad
+    amb = m2_plus_c2.ambient
+    units = np.array([amb.matrix_unit(i, i) for i in range(4)])
+    assert _spoiled(bs, units).verify() == ["projection not central"]
