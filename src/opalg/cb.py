@@ -21,21 +21,16 @@ Two independent oracles back every other verdict.  `cc_check` runs the
 Choi solver first, and the falsifier only when the solver returns no
 certificate:
 
-* a feasibility search for a unital completely positive extension,
-  certified by a PSD Choi matrix satisfying the pinning affine constraints:
-  of phi~(a + b*) = phi(a) + phi(b)* on S + S* when phi is unital and
-  *-consistent (Paulsen 2002, Prop. 3.5), and otherwise, or when that
-  fails, of the 2x2 off-diagonal (Paulsen) companion map, which has one
-  exactly when phi is completely contractive (Paulsen 2002, ch. 7-8),
-  solved folded into M_n (see _paulsen_pins).  The
-  search runs on a block-diagonal Choi variable: the connected components
-  of the compressed domain and codomain coordinates split it into one
-  independent problem per codomain block, each with one PSD block per
-  domain block (Smith's lemma and Arveson extension; Paulsen 2002, ch. 3,
-  6, 7).  The certificate is the dense Choi matrix assembled from the
-  blocks.  A block whose Douglas-Rachford residual gives a Farkas
-  separation, with a margin that covers every PSD point within the
-  residual target, stops early and is reported `infeasible`; and
+* a feasibility search for a unital completely positive extension, a PSD
+  Choi matrix pinned to phi~(a + b*) = phi(a) + phi(b)* on S + S* when phi
+  is unital and *-consistent (Paulsen 2002, Prop. 3.5), and otherwise, or
+  when that fails, to the folded 2x2 off-diagonal (Paulsen) companion map,
+  which has one exactly when phi is completely contractive (ch. 7-8).  It
+  splits into one problem per coordinate block of the compressed codomain,
+  with one PSD block per domain block (Smith's lemma and Arveson extension;
+  ch. 3, 6, 7).  Its certificate, phi(s) = sum_i A_i* s B_i, is checked
+  against phi by the bound it proves on ||phi||_cb; a block whose residual
+  gives a Farkas separation stops early and is reported `infeasible`; and
 * a falsifier search, once per coordinate block of the compressed
   codomain at amplification level k = that block's size (Smith's lemma),
   which (when it succeeds) returns an element whose norm provably grows,
@@ -78,7 +73,8 @@ NOT_CI = "NotCI"
 INCONCLUSIVE = "Inconclusive"
 
 # certificate types that certify complete contractivity
-CC_CERTIFICATES = ("choi", "homomorphism", "composition", "direct-sum")
+CC_CERTIFICATES = ("factorization", "homomorphism", "composition",
+                   "direct-sum")
 
 
 class Undecided(RuntimeError):
@@ -312,7 +308,7 @@ def verify_certificate(cert, phi):
     """Re-verify against phi any certificate that cc_check or ci_check
     returns (True when it holds):
 
-    * ``choi``: the Choi matrix re-verifies and pins phi's own problem;
+    * ``factorization``: _factorization_check on phi's own basis, images;
     * ``falsifier``: both norms recomputed, or for ``direction: kernel`` a
       domain element that phi kills;
     * ``homomorphism``: the extension agrees with phi on its domain and is a
@@ -324,8 +320,8 @@ def verify_certificate(cert, phi):
       hold for phi and its inverse on the image.
     """
     kind = cert["type"]
-    if kind == "choi":
-        return verify_choi_certificate(cert) and _certifies(cert, phi)
+    if kind == "factorization":
+        return _factorization_check(cert, phi.dom.basis, phi.images)[0]
     if kind == "falsifier":
         if cert.get("direction") == "kernel":
             return _verify_kernel(cert, phi)
@@ -448,9 +444,13 @@ def _unital_pins(S, images, N, n):
 _PINS = {"unital": _unital_pins, "paulsen": _paulsen_pins}
 
 
-def _choi_apply(B, X4):
-    """Evaluate the map of Choi tensor X4 on each pin basis element."""
-    return np.tensordot(B, X4, axes=([1, 2], [0, 2]))
+def _kraus_apply(A, B, s):
+    """sum_i A_i* s_k B_i for each s_k of the (d, N, N) stack s and the
+    (r, N, n) stacks A, B: two products, through (r N, n) columns."""
+    (r, N, n), d = A.shape, len(s)
+    sB = (s @ B.transpose(1, 0, 2).reshape(N, r * n)).reshape(d, N, r, n)
+    return A.reshape(r * N, n).conj().T \
+        @ sB.transpose(0, 2, 1, 3).reshape(d, r * N, n)
 
 
 def _coordinate_blocks(mats):
@@ -491,11 +491,11 @@ def _hermitian(X):
 
 
 def _psd_part(X):
-    """Projection onto the PSD cone, rebuilt from the positive eigenpairs."""
+    """Projection F F* onto the PSD cone, and F = V sqrt(w) for w > 0."""
     w, V = np.linalg.eigh(_hermitian(X))
     pos = np.searchsorted(w, 0.0, side="right")
     Vp = V[:, pos:]
-    return (Vp * w[pos:]) @ Vp.conj().T
+    return (Vp * w[pos:]) @ Vp.conj().T, Vp * np.sqrt(w[pos:])
 
 
 def _separates(pins, R, y, target):
@@ -554,7 +554,8 @@ def _dr_block(pins, R, max_iter, target):
     reach the target.  A run that neither converges nor separates stops
     when its residual has not improved by 0.1% in STALL_WINDOW iterations.
 
-    Returns (Choi blocks | None, iterations, residual, infeasible)."""
+    Returns (the factors F_i of the Choi blocks F_i F_i* | None,
+    iterations, residual, infeasible)."""
     L, m = R.shape[:2]
     sizes = [P.shape[1] for P in pins]
     ops = [P.reshape(L, -1) for P in pins]
@@ -570,12 +571,12 @@ def _dr_block(pins, R, max_iter, target):
     best, since_best = np.inf, 0
     it, res = -1, np.inf
     for it in range(max_iter):
-        Y = [_psd_part(X) for X in Z]
+        Y, F = zip(*map(_psd_part, Z))
         AY = apply(Y)
         diff = R - AY
         res = float(np.linalg.norm(diff))
         if res < target:
-            return Y, it + 1, res, False
+            return F, it + 1, res, False
         if it & (it + 1) == 0 \
                 and _separates(pins, R.reshape(L, m, m), -diff, target):
             return None, it + 1, res, True
@@ -600,37 +601,38 @@ def _pinned_choi(B, R, max_iter):
     feasible: each codomain block is an independent _dr_block run with
     target FEAS_TOL/sqrt(#blocks), and a separated one stops the search.
 
-    Returns (the dense (M*m, M*m) Choi matrix assembled from the blocks |
-    None, diagnostics): `iterations` summed over the blocks, the residual
-    (recomputed on the dense pins), and `infeasible: True` when a block
-    was separated or `stalled: True` when a block ran out of iterations or
-    progress, or the assembled matrix missed FEAS_TOL."""
+    Returns (Kraus operators K (r, M, m) | None, diagnostics): each column
+    v of a block's factor gives K = conj(v) on the block's coordinates, so
+    Phi(x) = sum_i K_i* x K_i; `iterations` summed over the blocks, the
+    residual (recomputed on the dense pins), and `infeasible: True` when a
+    block was separated or `stalled: True` when a block ran out of
+    iterations or progress, or the assembled map missed FEAS_TOL."""
     dom_blocks = _coordinate_blocks(B)
     cod_blocks = _coordinate_blocks(R)
     target = FEAS_TOL / np.sqrt(len(cod_blocks))
     pins = [B[:, P][:, :, P] for P in dom_blocks]
     M, m = B.shape[-1], R.shape[-1]
-    X4 = np.zeros((M, m, M, m), dtype=complex)
-    iterations, sq = 0, 0.0
+    kraus, iterations, sq = [], 0, 0.0
     # smallest first: a small infeasible block stops the run before a large
     # feasible one converges
     for Q in sorted(cod_blocks, key=len):
-        Ys, its, res, infeasible = _dr_block(pins, R[:, Q][:, :, Q],
+        Fs, its, res, infeasible = _dr_block(pins, R[:, Q][:, :, Q],
                                              max_iter, target)
         iterations += its
         sq += res ** 2
-        if Ys is None:
+        if Fs is None:
             return None, {"iterations": iterations,
                           "residual": float(np.sqrt(sq)),
                           "infeasible" if infeasible else "stalled": True}
-        for P, Y in zip(dom_blocks, Ys):
-            X4[np.ix_(P, Q, P, Q)] = Y.reshape(len(P), len(Q), len(P), len(Q))
-    res = float(np.linalg.norm(R - _choi_apply(B, X4)))
-    if res >= FEAS_TOL:
-        return None, {"iterations": iterations, "residual": res,
-                      "stalled": True}
-    return X4.reshape(M * m, M * m), {"iterations": iterations,
-                                      "residual": res}
+        for P, F in zip(dom_blocks, Fs):
+            K = np.zeros((F.shape[1], M, m), dtype=complex)
+            K[:, P[:, None], Q] = F.T.conj().reshape(-1, len(P), len(Q))
+            kraus.append(K)
+    K = np.concatenate(kraus)
+    diag = {"iterations": iterations,
+            "residual": float(np.linalg.norm(R - _kraus_apply(K, K, B)))}
+    return (K, diag) if diag["residual"] < FEAS_TOL \
+        else (None, dict(diag, stalled=True))
 
 
 def choi_feasibility(phi):
@@ -644,66 +646,67 @@ def choi_feasibility(phi):
     lam.  When that does not apply or ends without a certificate, the
     search runs on the Paulsen companion of phi, which has a UCP extension
     exactly when phi is completely contractive (Paulsen 2002, ch. 7-8); so
-    every verdict is that of the Paulsen problem alone.  That problem is
-    solved folded (_paulsen_pins): a CP map of M_2N into M_n that sends
-    each half's identity to 1_n, a Choi matrix in M_2N (x) M_n, half the
-    side of the companion's M_2N (x) M_2n.
+    every verdict is that of the Paulsen problem alone, solved folded into
+    a Choi matrix in M_2N (x) M_n (_paulsen_pins).
 
-    Returns (certificate | None, diagnostics).  The certificate records the
-    pinned `system` ("unital" or "paulsen"), the Choi matrix, its residual
-    and the compressed problem with phi's own images, and re-verifies
-    independently (see verify_choi_certificate).  `iterations` is summed
-    over both runs, and `scale` is the bound on ||phi||_cb that the run's
-    certificate proves (lam, or 1 on the Paulsen problem); otherwise the
-    diagnostics are the last run's (see _pinned_choi).
+    Returns (certificate | None, diagnostics).  The certificate is the
+    factorization phi(s) = sum_i A_i* s B_i in phi's coordinates (Vd K Vc*
+    for the Kraus operators K_i of _pinned_choi): K_i = [A_i; B_i] on the
+    Paulsen system, and A_i = B_i = sqrt(lam) K_i on S + S*.  It records the
+    pinned `system` ("unital" or "paulsen") and phi's domain basis and
+    images.  `iterations` is summed over both runs, `scale` is lam or 1 on
+    the Paulsen problem; otherwise the diagnostics are the last run's.
     """
     max_iter = current().max_iter
-    S, imgs, N, n, _, _ = _compressed_problem(phi)
-    cert = {"type": "choi", "system": "paulsen", "choi": np.zeros((0, 0)),
-            "residual": 0.0, "dom_basis": S, "images": imgs, "sizes": (N, n)}
+    S, imgs, N, n, Vd, Vc = _compressed_problem(phi)
+    cert = {"type": "factorization", "system": "paulsen",
+            "dom_basis": phi.dom.basis, "images": phi.images}
     if not len(S):
-        return cert, {"iterations": 0}
+        empty = np.zeros((0, phi.dom.ambient.dim, phi.cod.dim), dtype=complex)
+        return dict(cert, A=empty, B=empty), {"iterations": 0}
+    Vd, Vc = (np.eye(k) if V is None else V for V, k in ((Vd, N), (Vc, n)))
     iterations = 0
     for system, build in _PINS.items():
         pins = build(S, imgs, N, n)
         if pins is None:
             continue
         # lam < 1: DR may creep here for 1e4 iterations, Paulsen's takes 1e2
-        X, diag = _pinned_choi(*pins[:2], max_iter if pins[2] == 1
+        K, diag = _pinned_choi(*pins[:2], max_iter if pins[2] == 1
                                else min(max_iter, STALL_WINDOW))
         iterations += diag["iterations"]
         diag["iterations"], diag["scale"] = iterations, pins[2]
-        if X is not None:
-            return dict(cert, system=system, choi=X,
-                        residual=diag["residual"]), diag
+        if K is not None:
+            A, B = (K[:, :N], K[:, N:]) if system == "paulsen" \
+                else (np.sqrt(pins[2]) * K,) * 2
+            return dict(cert, system=system, A=Vd @ A @ Vc.conj().T,
+                        B=Vd @ B @ Vc.conj().T), diag
     return None, diag
 
 
+def _factorization_check(cert, S, imgs):
+    """(accepted, bound) for the factors A, B of a certificate against the
+    map phi sending the orthonormal basis S (d, N, N) to imgs (d, n, n):
+    bound = ||sum A_i* A_i||^1/2 ||sum B_i* B_i||^1/2 (the norms of the
+    (r N, n) columns of the factors) + sum_k ||s_k||_1 ||phi(s_k) - psi(s_k)||
+    is at least ||phi||_cb, as psi(x) = sum_i A_i* x B_i on M_N has cb norm
+    at most the first term (Wittstock-Haagerup; Paulsen 2002, ch. 8) and
+    x -> <s_k, x> has cb norm ||s_k||_1.  Accepted at 1 + 10 * FEAS_TOL;
+    factors of another shape are refused, with bound inf."""
+    A, B = np.asarray(cert["A"]), np.asarray(cert["B"])
+    if A.ndim != 3 or B.shape != A.shape or S.shape[1:] != A.shape[1:2] * 2 \
+            or imgs.shape != S.shape[:1] + A.shape[2:] * 2:
+        return False, np.inf
+    columns = np.stack([A, B]).reshape(2, -1, A.shape[2])
+    miss = np.linalg.norm(imgs - _kraus_apply(A, B, S), 2, axis=(1, 2))
+    bound = float(np.linalg.norm(columns, 2, axis=(1, 2)).prod()
+                  + np.linalg.norm(S, "nuc", axis=(1, 2)) @ miss)
+    return bound <= 1 + 10 * FEAS_TOL, bound
+
+
 def verify_choi_certificate(cert):
-    """Independent re-check of a feasibility certificate on the pins of its
-    recorded system, rebuilt from its compressed problem (lam re-derived):
-    False when a "unital" certificate's map fails _unital_pins' checks, or
-    when the recorded sizes, images or Choi matrix do not fit the rebuilt
-    pins (a Paulsen Choi matrix has side 2Nn)."""
-    S, imgs = np.asarray(cert["dom_basis"]), np.asarray(cert["images"])
-    if len(S) == 0:
-        return True
-    N, n = cert["sizes"]
-    if S.shape != (len(S), N, N) or imgs.shape != (len(S), n, n):
-        return False
-    pins = _PINS[cert["system"]](S, imgs, N, n)
-    if pins is None:
-        return False
-    B, R, _ = pins
-    X = np.asarray(cert["choi"])
-    M, m = B.shape[-1], R.shape[-1]
-    if X.shape != (M * m, M * m):
-        return False
-    w = np.linalg.eigvalsh((X + X.conj().T) / 2)
-    if w[0] < -10 * FEAS_TOL:
-        return False
-    res = float(np.linalg.norm(R - _choi_apply(B, X.reshape(M, m, M, m))))
-    return res < 10 * FEAS_TOL
+    """_factorization_check against the map a certificate records, which
+    binds it to no map of the caller's (see verify_certificate)."""
+    return _factorization_check(cert, cert["dom_basis"], cert["images"])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -864,12 +867,13 @@ def cc_check(phi):
     order changes no verdict one oracle decides; criterion 8 checks that
     they never both decide.  A decisive verdict is returned only with a
     certificate that re-verifies against phi, and its diagnostics name what
-    decided it (`decided_by`: the certificate type, or "falsifier" with
-    `witness` "unit" or "ascent"); otherwise the verdict is Inconclusive
-    and the diagnostics name the failed check, or carry the feasibility
-    oracle's `infeasible` or `stalled` status when the falsifier found
-    nothing.  A NotCC verdict always carries a falsifier certificate: a
-    Farkas separation alone leaves the verdict Inconclusive."""
+    decided it (`decided_by`: a structural certificate's type, "choi" with
+    its proven bound `cb_bound`, or "falsifier" with `witness` "unit" or
+    "ascent"); otherwise the verdict is Inconclusive and the diagnostics
+    name the failed check, or carry the feasibility oracle's `infeasible`
+    or `stalled` status when the falsifier found nothing.  A NotCC verdict
+    always carries a falsifier certificate: a Farkas separation alone
+    leaves the verdict Inconclusive."""
     if phi.dom.dim == 0:
         return CbReport(CC, None, {"trivial": "zero-dimensional domain",
                                    "decided_by": "trivial"})
@@ -887,13 +891,12 @@ def cc_check(phi):
                                                "witness": "unit"})
     choi, diag = choi_feasibility(phi)
     if choi is not None:
-        if not verify_choi_certificate(choi):
-            diag["failed_check"] = "verify_choi_certificate"
-        elif not _certifies(choi, phi):
-            diag["failed_check"] = "choi_certificate_binding"
-        else:
+        ok, diag["cb_bound"] = _factorization_check(choi, phi.dom.basis,
+                                                    phi.images)
+        if ok:
             diag["decided_by"] = "choi"
             return CbReport(CC, choi, diag)
+        diag["failed_check"] = "verify_certificate"
         return CbReport(INCONCLUSIVE, None, diag)
     ratio, cert = falsifier_search(phi)
     diag["best_ratio"] = ratio
@@ -904,14 +907,6 @@ def cc_check(phi):
             return CbReport(NOT_CC, cert, diag)
         diag["failed_check"] = "verify_falsifier"
     return CbReport(INCONCLUSIVE, None, diag)
-
-
-def _certifies(cert, phi):
-    """True when a Choi certificate pins phi's own compressed problem, not
-    that of another map."""
-    S, imgs = _compressed_problem(phi)[:2]
-    return np.array_equal(cert["dom_basis"], S) \
-        and np.array_equal(cert["images"], imgs)
 
 
 def ci_check(phi):

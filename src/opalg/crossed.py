@@ -141,8 +141,11 @@ def relative_crossed(ds, cover, report=None):
 def full_crossed(ds):
     """THE crossed product A x G, computed relative to the C*-envelope (all
     relative crossed products over admissible covers agree for finite G);
-    the envelope is that of A's one inclusion_cover."""
-    return relative_crossed(ds, envelope(inclusion_cover(ds.A)))
+    the envelope is that of A's one inclusion_cover.  Kept on the system,
+    as no cb oracle or seeded search takes part."""
+    if ds._crossed is None:
+        ds._crossed = relative_crossed(ds, envelope(inclusion_cover(ds.A)))
+    return ds._crossed
 
 
 NOT_ISOMETRIC = "not completely isometric"

@@ -111,6 +111,8 @@ class DynamicalSystem:
     A: "OperatorAlgebra"
     G: FiniteGroup
     alpha: list  # list of LinearMap, indexed by group element
+    _crossed: "CrossedProduct | None" = field(  # kept by full_crossed
+        default=None, init=False, repr=False, compare=False)
 
     def act(self, s, x):
         return self.alpha[s](x)

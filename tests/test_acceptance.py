@@ -11,7 +11,7 @@ import pytest
 
 from opalg import corpus
 from opalg.cb import (Undecided, choi_feasibility, falsifier_search,
-                      LinearMap, verify_choi_certificate, verify_falsifier)
+                      LinearMap, verify_certificate, verify_falsifier)
 from opalg.covers import (envelope, equivalent, induced_morphism, join, leq,
                           meet, shilov)
 from opalg.crossed import crossed_equivalent, full_crossed, \
@@ -197,7 +197,7 @@ def test_criterion_8_oracle_consistency():
             contradictions += 1
         if fal is not None and not verify_falsifier(phi, fal):
             cert_failures += 1
-        if feas is not None and not verify_choi_certificate(feas):
+        if feas is not None and not verify_certificate(feas, phi):
             cert_failures += 1
         if fal is not None or feas is not None:
             decided += 1

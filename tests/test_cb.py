@@ -261,7 +261,7 @@ class TestOracles:
         ident = map_from_images(m2, m2.ambient, list(m2.basis))
         cert, diag = choi_feasibility(ident)
         assert cert is not None
-        assert verify_choi_certificate(cert)
+        assert cb.verify_certificate(cert, ident)
 
     def test_falsifier_absent_for_contraction(self, m2):
         halved = map_from_images(m2, m2.ambient, [0.5 * b for b in m2.basis])
@@ -307,7 +307,7 @@ def test_oracles_never_disagree_on_random_maps(seed):
         assert verify_falsifier(phi, fal_cert)
         assert feas_cert is None
     if feas_cert is not None:
-        assert verify_choi_certificate(feas_cert)
+        assert cb.verify_certificate(feas_cert, phi)
 
 
 def test_pairings_match_the_einsum_reference():
@@ -529,34 +529,47 @@ def test_zero_iteration_budget_gives_no_certificate(m2):
 # re-verification gate
 
 
+def _top(cert):
+    """Index of the Kraus term whose factor A_i is largest."""
+    return int(np.argmax(np.linalg.norm(cert["A"], axis=(1, 2))))
+
+
 def _negative_eigenvalue(cert):
-    X = cert["choi"]
-    w, V = np.linalg.eigh(X)
-    v = V[:, :1]
-    return dict(cert, choi=X - (w[0] + 1e-3) * (v @ v.conj().T))
+    """The largest Kraus term enters with its sign flipped: the Choi matrix
+    that the factors spell gains a negative eigenvalue (on S + S*, where
+    A = B), and they no longer write phi."""
+    B = cert["B"].copy()
+    B[_top(cert)] *= -1
+    return dict(cert, B=B)
 
 
 def _shifted_pin(cert):
-    n = cert["sizes"][1]
-    return dict(cert, images=cert["images"] + 1e-3 * np.eye(n))
+    """Every factor scaled by sqrt(3): the factorization meets the unit pin
+    at 3 1, and writes 3 phi, not phi."""
+    return dict(cert, A=np.sqrt(3) * cert["A"], B=np.sqrt(3) * cert["B"])
 
 
 def _trimmed(cert):
-    return dict(cert, choi=cert["choi"][:-1, :-1])
+    return dict(cert, A=cert["A"][:, :-1], B=cert["B"][:, :-1])
 
 
 def _three_by_three(cert):
-    return dict(cert, choi=np.eye(3))
+    return dict(cert, A=np.eye(3)[None], B=np.eye(3)[None])
 
 
 def _wider_codomain(cert):
-    N, n = cert["sizes"]
-    return dict(cert, sizes=(N, n + 1))
+    pad = ((0, 0), (0, 0), (0, 1))
+    return dict(cert, A=np.pad(cert["A"], pad), B=np.pad(cert["B"], pad))
 
 
 def _unfolded(cert):
-    """A Paulsen certificate in the unfolded layout, side 4Nn."""
-    return dict(cert, choi=_padded(cert["choi"], *cert["sizes"]))
+    """A Paulsen certificate in the unfolded layout: the Kraus operators
+    [[A_i, 0], [0, B_i]] of the zero-padded Choi matrix, of side 4Nn."""
+    A, B = cert["A"], cert["B"]
+    r, N, n = A.shape
+    K = np.zeros((r, 2 * N, 2 * n), dtype=complex)
+    K[:, :N, :n], K[:, N:, n:] = A, B
+    return dict(cert, A=K, B=K)
 
 
 def _assert_spoilt_certificate_is_refused(phi, spoil, monkeypatch):
@@ -571,7 +584,7 @@ def _assert_spoilt_certificate_is_refused(phi, spoil, monkeypatch):
     monkeypatch.setattr(cb, "choi_feasibility", corrupted)
     rep = cc_check(phi)
     assert rep.verdict == INCONCLUSIVE
-    assert rep.diagnostics["failed_check"] == "verify_choi_certificate"
+    assert rep.diagnostics["failed_check"] == "verify_certificate"
     assert not cb.verify_certificate(corrupted(phi)[0], phi)
 
 
@@ -603,7 +616,8 @@ def test_choi_certificate_of_another_map_is_inconclusive(monkeypatch):
     monkeypatch.setattr(cb, "choi_feasibility", lambda phi: (cert, dict(diag)))
     rep = cc_check(scaled(0.25))
     assert rep.verdict == INCONCLUSIVE
-    assert rep.diagnostics["failed_check"] == "choi_certificate_binding"
+    assert rep.diagnostics["failed_check"] == "verify_certificate"
+    assert rep.diagnostics["cb_bound"] > 1 + 10 * FEAS_TOL
 
 
 def test_unverified_falsifier_is_inconclusive(m2, monkeypatch):
@@ -659,9 +673,9 @@ def test_choi_solver_splits_along_coordinate_blocks(trivialization_map,
     cert, diag = choi_feasibility(phi)
     monkeypatch.undo()
     assert cert is not None and cert["system"] == "unital"
-    assert cert["choi"].shape == (8 * 8, 8 * 8)
-    assert cert["residual"] < FEAS_TOL
-    assert verify_choi_certificate(cert)
+    assert cert["A"].shape[1:] == (8, 8)
+    assert diag["residual"] < FEAS_TOL
+    assert cb.verify_certificate(cert, phi)
     # The map is unital, so it is solved on S + S* in M_8 (x) M_8, with
     # coordinate blocks (4, 2, 2) on both sides: no Choi block is wider
     # than 4 * 4.
@@ -678,8 +692,7 @@ def _dense_douglas_rachford(phi, system, max_iter):
     D = M * m
 
     def p_aff(X):
-        X4 = X.reshape(M, m, M, m)
-        diff = R - np.einsum("lij,iajb->lab", B, X4)
+        diff = R - _choi_apply(B, X)
         corr = np.einsum("lij,lab->iajb", B.conj(), diff).reshape(D, D)
         return X + corr, np.linalg.norm(diff)
 
@@ -694,6 +707,20 @@ def _dense_douglas_rachford(phi, system, max_iter):
         if p_aff(Y)[1] < FEAS_TOL:
             return Y, it + 1
     return None, max_iter
+
+
+def _choi_matrix(K):
+    """The Choi matrix sum_i v_i v_i* of the Kraus operators
+    K_i = conj(v_i) reshaped to (M, m)."""
+    V = K.conj().reshape(len(K), -1)
+    return V.T @ V.conj()
+
+
+def _choi_apply(B, X):
+    """The map of the Choi matrix X on each pin B_l."""
+    M = B.shape[-1]
+    m = len(X) // M
+    return np.einsum("lij,iajb->lab", B, X.reshape(M, m, M, m))
 
 
 def _halved(m2):
@@ -712,7 +739,7 @@ def test_one_codomain_block_matches_dense_reference(m2, build):
     # One codomain block: the split solver runs the dense iteration of the
     # system its certificate pins (S + S*, for the halving divided by its
     # scale 1/2), with one PSD block per domain block (one for M_2, two for
-    # the diagonal).
+    # the diagonal); its Kraus operators spell the dense run's Choi matrix.
     phi = build(m2)
     cert, diag = choi_feasibility(phi)
     assert cert["system"] == "unital"
@@ -720,7 +747,9 @@ def test_one_codomain_block_matches_dense_reference(m2, build):
         (0.5, 1.0)[build is _rotated_diagonal], rel=0, abs=1e-15)
     ref, iterations = _dense_douglas_rachford(phi, cert["system"], 1000)
     assert diag["iterations"] == iterations
-    assert np.allclose(cert["choi"], ref, rtol=0, atol=1e-9)
+    S, imgs, N, n, _, _ = cb._compressed_problem(phi)
+    K, _ = cb._pinned_choi(*cb._PINS["unital"](S, imgs, N, n)[:2], 1000)
+    assert np.allclose(_choi_matrix(K), ref, rtol=0, atol=1e-9)
 
 
 def _identity_plus_compression(m2, t, perm=(0, 1, 2)):
@@ -859,7 +888,7 @@ def _falsifier_first(phi):
             else (INCONCLUSIVE, None)
     choi, _ = choi_feasibility(phi)
     if choi is not None and cb.verify_certificate(choi, phi):
-        return CC, "choi"
+        return CC, choi["type"]
     return INCONCLUSIVE, None
 
 
@@ -947,7 +976,8 @@ def test_zero_dimensional_domain_certificate_verifies(m2):
     phi = map_from_images(AlgebraSpan(m2.ambient, np.zeros((0, 2, 2))),
                           m2.ambient, np.zeros((0, 2, 2)))
     cert, diag = choi_feasibility(phi)
-    assert cert["dom_basis"].shape == cert["images"].shape == (0, 0, 0)
+    assert cert["A"].shape == cert["B"].shape == cert["images"].shape \
+        == (0, 2, 2)
     assert cb.verify_certificate(cert, phi)
 
 
@@ -1014,37 +1044,36 @@ def test_unital_system_is_tried_on_unital_maps_only(m2):
 def test_unverified_unital_choi_certificate_is_inconclusive(monkeypatch,
                                                            spoil):
     phi = _ucp_compression(0)
-    solve = cb.choi_feasibility
-
-    def corrupted(phi):
-        cert, diag = solve(phi)
-        assert cert["system"] == "unital"
-        return spoil(cert), diag
-
-    monkeypatch.setattr(cb, "choi_feasibility", corrupted)
-    rep = cc_check(phi)
-    assert rep.verdict == INCONCLUSIVE
-    assert rep.diagnostics["failed_check"] == "verify_choi_certificate"
+    assert choi_feasibility(phi)[0]["system"] == "unital"
+    _assert_spoilt_certificate_is_refused(phi, spoil, monkeypatch)
 
 
 def test_unital_certificate_with_inconsistent_images_fails(m2):
     amb = m2.ambient
     dom = orthonormal_span(amb, [np.eye(2), amb.matrix_unit(0, 0)])
-    cert, _ = choi_feasibility(map_from_images(dom, amb, dom.basis))
+    phi = map_from_images(dom, amb, dom.basis)
+    cert, _ = choi_feasibility(phi)
     assert cert["system"] == "unital" and verify_choi_certificate(cert)
     # phi'(s) = phi(s) + eps <h, s> E01 for h = diag(1, -1)/sqrt(2) in S:
-    # phi'(1) = 1, but phi'(h) = h + eps E01 is not self-adjoint.  eps is
-    # below the pin-residual bound, so only the consistency check sees it.
-    eps = 5e-7
+    # phi'(1) = 1, but phi'(h) = h + eps E01 is not self-adjoint.  The
+    # factorization of phi misses phi' on h by eps E01, which the bound
+    # weighs by ||h||_1 = sqrt(2): above the acceptance level at eps = 1e-5,
+    # against the edited record and against phi' alike.
+    eps = 1e-5
     h = np.diag([1.0, -1.0]) / np.sqrt(2)
     shift = eps * dom.coeffs(h).conj()[:, None, None] * amb.matrix_unit(0, 1)
     spoiled = dict(cert, images=cert["images"] + shift)
     assert not verify_choi_certificate(spoiled)
+    assert not cb.verify_certificate(cert, map_from_images(
+        dom, amb, phi.images + shift))
 
 
 def test_every_suite_choi_certificate_pins_the_unital_system(monkeypatch):
-    seen = []
-    solve = cb.choi_feasibility
+    """The suite's four Choi-decided maps are solved on S + S* in a few
+    iterations, each certified to 1 + 1e-12; their pins are built once
+    each, by the solver, and no check builds them again."""
+    seen, built = [], []
+    solve, pins = cb.choi_feasibility, cb._PINS["unital"]
 
     def recording(phi):
         cert, diag = solve(phi)
@@ -1052,12 +1081,69 @@ def test_every_suite_choi_certificate_pins_the_unital_system(monkeypatch):
         return cert, diag
 
     monkeypatch.setattr(cb, "choi_feasibility", recording)
+    monkeypatch.setitem(cb._PINS, "unital",
+                        lambda *args: built.append(args) or pins(*args))
     paper_suite()
-    assert len(seen) == 4
+    assert len(seen) == len(built) == 4
     for phi, cert, diag in seen:
         assert cert["system"] == "unital" and diag["iterations"] <= 20
+        assert diag["cb_bound"] <= 1 + 1e-12
         assert verify_choi_certificate(cert)
         assert cb.verify_certificate(cert, phi)
+
+
+def test_factorization_check_refuses_mutants():
+    """A Paulsen certificate proves ||phi||_cb <= 1 to 1e-10 and verifies
+    against phi and against its own record.  Refused: the factorization
+    checked against another map of the same shapes, the largest A_i scaled
+    by 1 + 1e-4, and, by the one-argument check, a recorded image edited
+    by 1e-4."""
+    phi, other = (_non_unital_kraus_sum(seed, (2, 1)) for seed in (0, 2))
+    cert, _ = choi_feasibility(phi)
+    assert cert["system"] == "paulsen"
+    ok, bound = cb._factorization_check(cert, phi.dom.basis, phi.images)
+    assert ok and bound <= 1 + 1e-10
+    assert cb.verify_certificate(cert, phi) and verify_choi_certificate(cert)
+    assert not cb.verify_certificate(cert, other)
+    A = cert["A"].copy()
+    A[_top(cert)] *= 1 + 1e-4
+    assert not cb.verify_certificate(dict(cert, A=A), phi)
+    images = cert["images"].copy()
+    images[0, 0, 0] += 1e-4
+    assert not verify_choi_certificate(dict(cert, images=images))
+
+
+def test_every_choi_certificate_of_a_scaled_ucp_map_proves_its_scale():
+    """t Phi with Phi UCP and t < 1 (the even seeds of the compressions
+    and Kraus sums) is decided by a factorization that verifies against
+    the map and proves ||phi||_cb <= scale + 1e-6: t when S + S* decides
+    it, 1 when that run stalls and the Paulsen problem decides.  Above 1
+    the unit decides."""
+    decided = 0
+    for build in (_compression, _kraus_sum):
+        for seed in range(20):
+            phi = build(seed)
+            rep = cc_check(phi)
+            if rep.diagnostics["decided_by"] != "choi":
+                continue
+            t = np.linalg.norm(phi(np.eye(4)), 2)
+            scale = (t, 1.0)[rep.certificate["system"] == "paulsen"]
+            assert rep.diagnostics["scale"] == pytest.approx(scale, abs=1e-12)
+            assert rep.diagnostics["cb_bound"] <= scale + 1e-6
+            assert cb.verify_certificate(rep.certificate, phi)
+            decided += 1
+    assert decided == 20
+
+
+def test_choi_decided_verdict_compresses_the_map_once(monkeypatch):
+    """The solver's compression to the supports, one `support` call per
+    side, is the only one: the certificate is checked in phi's own
+    coordinates."""
+    calls, support = [], cb.support
+    monkeypatch.setattr(cb, "support",
+                        lambda mats: calls.append(1) or support(mats))
+    assert cc_check(_compression(0)).diagnostics["decided_by"] == "choi"
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -1130,33 +1216,38 @@ def test_folded_paulsen_run_is_the_unfolded_run_on_its_principal_block(m2):
     with zeros solves the unfolded problem and equals the unfolded one."""
     outcomes = []
     for (N, n), folded, unfolded in _paulsen_problems(m2):
-        X, diag = cb._pinned_choi(*folded[:2], 10000)
-        Xu, diag_u = cb._pinned_choi(*unfolded[:2], 10000)
-        assert (X is None, diag["iterations"], diag.get("infeasible"),
-                diag.get("stalled")) == (Xu is None, diag_u["iterations"],
+        K, diag = cb._pinned_choi(*folded[:2], 10000)
+        Ku, diag_u = cb._pinned_choi(*unfolded[:2], 10000)
+        assert (K is None, diag["iterations"], diag.get("infeasible"),
+                diag.get("stalled")) == (Ku is None, diag_u["iterations"],
                                          diag_u.get("infeasible"),
                                          diag_u.get("stalled"))
-        outcomes.append(X is None)
-        if X is None:
+        outcomes.append(K is None)
+        if K is None:
             continue
+        X = _choi_matrix(K)
         assert X.shape == (2 * N * n, 2 * N * n)
         Y = _padded(X, N, n)
-        assert np.linalg.eigvalsh(Y)[0] >= -FEAS_TOL
         B, R, _ = unfolded
-        res = np.linalg.norm(R - cb._choi_apply(
-            B, Y.reshape(2 * N, 2 * n, 2 * N, 2 * n)))
-        assert res < FEAS_TOL
-        assert np.allclose(Y, Xu, rtol=0, atol=1e-9)
+        assert np.linalg.norm(R - _choi_apply(B, Y)) < FEAS_TOL
+        assert np.allclose(Y, _choi_matrix(Ku), rtol=0, atol=1e-9)
     assert outcomes == [False] * 8 + [True]
 
 
 def test_paulsen_certificate_has_side_2nn():
+    """The folded Choi matrix has side 2Nn, so a Paulsen certificate holds
+    at most 2Nn Kraus pairs (A_i, B_i), each N x n in phi's coordinates;
+    its pins make sum A_i* A_i = sum B_i* B_i = 1, so it proves
+    ||phi||_cb <= 1."""
     for blocks in ((2,), (2, 1)):
         phi = _non_unital_kraus_sum(0, blocks)
         rep = cc_check(phi)
         assert rep.verdict == CC and rep.certificate["system"] == "paulsen"
-        N, n = rep.certificate["sizes"]
-        assert rep.certificate["choi"].shape == (2 * N * n, 2 * N * n)
+        N, n = phi.dom.ambient.dim, phi.cod.dim
+        A, B = rep.certificate["A"], rep.certificate["B"]
+        assert A.shape == B.shape and A.shape[1:] == (N, n)
+        assert 0 < len(A) <= 2 * N * n
+        assert rep.diagnostics["cb_bound"] == pytest.approx(1, abs=1e-10)
         assert cb.verify_certificate(rep.certificate, phi)
 
 
@@ -1171,10 +1262,10 @@ def test_trace_of_a_feasible_point_is_read_off_the_pins(system, build, fold):
     phi = build(0)
     S, imgs, N, n, _, _ = cb._compressed_problem(phi)
     B, R, _ = cb._PINS[system](S, imgs, N, n)
-    X, _ = cb._pinned_choi(B, R, 10000)
+    X = _choi_matrix(cb._pinned_choi(B, R, 10000)[0])
     M, m = B.shape[-1], R.shape[-1]
     w = np.einsum("l,ij->lij", np.trace(B, axis1=1, axis2=2), np.eye(m))
-    AX = cb._choi_apply(B, X.reshape(M, m, M, m))
+    AX = _choi_apply(B, X)
     assert np.vdot(w, AX).real == pytest.approx(np.trace(X).real, abs=1e-9)
     assert np.vdot(w, R).real == pytest.approx(fold * m, abs=1e-9)
     assert np.linalg.norm(w) == pytest.approx(np.sqrt(M * m), abs=1e-12)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from opalg import crossed
 from opalg.corpus import (a4_envelope, a4_schur_cover, a4_symmetrized_cover,
                           a4_system, a4_trivial_system, t2_diag_cover,
                           t2_inclusion_cover, t2_system, t2_trivial_system)
@@ -12,6 +13,7 @@ from opalg.crossed import (NotAdmissibleCover, crossed_equivalent,
 from opalg.dynamics import inner_in_itself
 from opalg.linalg import diagonal, operator_norm
 from opalg.structure import minimal_central_projections
+from opalg.suite import paper_suite
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +130,23 @@ class TestTrivialization:
         _, _, cp_i = trivialization_iso(ds, t2_inclusion_cover(), rep)
         cp_trivial = full_crossed(t2_trivial_system())
         assert crossed_equivalent(cp_i, cp_trivial)
+
+
+def test_full_crossed_product_is_built_once_per_system(monkeypatch):
+    """full_crossed keeps the product on its system (a twin system builds
+    its own), so one suite, which asks for the full crossed products of
+    three systems six times, builds each once: 3 builds beside the 4 of
+    the trivialization checks, where 10 were made when nothing was kept."""
+    builds, build = [], crossed.relative_crossed
+
+    def counting(ds, cover):
+        builds.append(ds)
+        return build(ds, cover)
+
+    monkeypatch.setattr(crossed, "relative_crossed", counting)
+    ds = a4_system()
+    assert full_crossed(ds) is full_crossed(ds)
+    assert full_crossed(replace(ds)) is not full_crossed(ds)
+    builds.clear()
+    paper_suite()
+    assert len(builds) == 7
